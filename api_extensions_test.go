@@ -11,7 +11,7 @@ import (
 // introduction example (3 distinct-root trees vs 2 communities).
 func TestPublicTrees(t *testing.T) {
 	g, ids := IntroExampleGraph()
-	s := NewSearcher(g)
+	s := mustOpen(t, g)
 	it, err := s.Trees(Query{Keywords: []string{"kate", "smith"}, Rmax: 6})
 	if err != nil {
 		t.Fatal(err)
@@ -37,7 +37,7 @@ func TestPublicTrees(t *testing.T) {
 // TestPublicMaxCost: the alternative cost function flows through Query.
 func TestPublicMaxCost(t *testing.T) {
 	g, ids := PaperExampleGraph()
-	s := NewSearcher(g)
+	s := mustOpen(t, g)
 	it, err := s.TopK(Query{Keywords: []string{"a", "b", "c"}, Rmax: 8, Cost: CostMaxDistance})
 	if err != nil {
 		t.Fatal(err)
@@ -53,7 +53,7 @@ func TestPublicMaxCost(t *testing.T) {
 		t.Fatalf("max-cost = %v, want 4", r.Cost)
 	}
 	// Indexed searchers honor it too (ordering may differ from sum).
-	ix, err := NewIndexedSearcher(g, 8)
+	ix, err := Open(g, WithIndex(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestIndexPersistencePublic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1, err := NewIndexedSearcher(g, 8)
+	s1, err := Open(g, WithIndex(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestIndexPersistencePublic(t *testing.T) {
 	if err := s1.WriteIndex(&buf); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := NewSearcherWithIndex(g, &buf)
+	s2, err := Open(g, WithIndexReader(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,18 +102,18 @@ func TestIndexPersistencePublic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c1 := it1.CollectAll(0)
-	c2 := it2.CollectAll(0)
+	c1 := mustCollect(t, it1, 0)
+	c2 := mustCollect(t, it2, 0)
 	if len(c1) != len(c2) {
 		t.Fatalf("fresh index found %d, loaded %d", len(c1), len(c2))
 	}
 	if s1.IndexBytes() <= 0 {
 		t.Fatal("IndexBytes should be positive")
 	}
-	if NewSearcher(g).IndexBytes() != 0 {
+	if mustOpen(t, g).IndexBytes() != 0 {
 		t.Fatal("un-indexed searcher should report 0 index bytes")
 	}
-	if err := NewSearcher(g).WriteIndex(&buf); err == nil {
+	if err := mustOpen(t, g).WriteIndex(&buf); err == nil {
 		t.Fatal("WriteIndex on un-indexed searcher should error")
 	}
 }
@@ -159,12 +159,12 @@ func TestCSVPublic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewSearcher(g)
+	s := mustOpen(t, g)
 	it, err := s.All(Query{Keywords: []string{"ada", "grace"}, Rmax: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := it.CollectAll(0); len(got) != 1 {
+	if got := mustCollect(t, it, 0); len(got) != 1 {
 		t.Fatalf("CSV-loaded database found %d communities, want 1", len(got))
 	}
 	var buf bytes.Buffer

@@ -7,9 +7,29 @@ import (
 	"testing"
 )
 
+// mustOpen is Open for tests whose options cannot fail.
+func mustOpen(t testing.TB, g *Graph, opts ...Option) *Searcher {
+	t.Helper()
+	s, err := Open(g, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// mustCollect drains it, failing the test on any stop reason.
+func mustCollect(t testing.TB, it *Results, max int) []*Community {
+	t.Helper()
+	out, err := it.Collect(max)
+	if err != nil {
+		t.Fatalf("Collect: %v", err)
+	}
+	return out
+}
+
 func TestPublicTableI(t *testing.T) {
 	g, ids := PaperExampleGraph()
-	s := NewSearcher(g)
+	s := mustOpen(t, g)
 	it, err := s.TopK(Query{Keywords: []string{"a", "b", "c"}, Rmax: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -35,12 +55,12 @@ func TestPublicTableI(t *testing.T) {
 
 func TestPublicIntroExample(t *testing.T) {
 	g, ids := IntroExampleGraph()
-	s := NewSearcher(g)
+	s := mustOpen(t, g)
 	it, err := s.All(Query{Keywords: []string{"kate", "smith"}, Rmax: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := it.CollectAll(10)
+	got := mustCollect(t, it, 10)
 	if len(got) != 2 {
 		t.Fatalf("found %d communities, want 2", len(got))
 	}
@@ -58,8 +78,8 @@ func TestIndexedMatchesDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct := NewSearcher(g)
-	indexed, err := NewIndexedSearcher(g, 8)
+	direct := mustOpen(t, g)
+	indexed, err := Open(g, WithIndex(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,8 +97,8 @@ func TestIndexedMatchesDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c1 := d1.CollectAll(0)
-	c2 := d2.CollectAll(0)
+	c1 := mustCollect(t, d1, 0)
+	c2 := mustCollect(t, d2, 0)
 	if len(c1) != len(c2) {
 		t.Fatalf("direct found %d, indexed %d", len(c1), len(c2))
 	}
@@ -120,7 +140,7 @@ func TestIndexedTopKContinuation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewIndexedSearcher(g, 13)
+	s, err := Open(g, WithIndex(13))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,14 +169,14 @@ func TestIndexedTopKContinuation(t *testing.T) {
 
 func TestSearcherErrors(t *testing.T) {
 	g, _ := PaperExampleGraph()
-	s := NewSearcher(g)
+	s := mustOpen(t, g)
 	if _, err := s.All(Query{Rmax: 5}); err == nil {
 		t.Fatal("empty keywords should error")
 	}
 	if _, err := s.TopK(Query{Keywords: []string{"a"}, Rmax: -2}); err == nil {
 		t.Fatal("negative Rmax should error")
 	}
-	ix, err := NewIndexedSearcher(g, 5)
+	ix, err := Open(g, WithIndex(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +187,7 @@ func TestSearcherErrors(t *testing.T) {
 
 func TestKeywordFrequency(t *testing.T) {
 	g, _ := PaperExampleGraph()
-	s := NewSearcher(g)
+	s := mustOpen(t, g)
 	if kwf := s.KeywordFrequency("c"); math.Abs(kwf-4.0/13.0) > 1e-12 {
 		t.Fatalf("KWF(c) = %v", kwf)
 	}
@@ -193,7 +213,7 @@ func TestGraphIORoundTripPublic(t *testing.T) {
 		t.Fatal("round trip changed the graph")
 	}
 	// Searching the round-tripped graph gives the same answer.
-	s := NewSearcher(g2)
+	s := mustOpen(t, g2)
 	it, err := s.TopK(Query{Keywords: []string{"a", "b", "c"}, Rmax: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -249,12 +269,12 @@ func TestBuildDatabaseThroughPublicAPI(t *testing.T) {
 	if g.NumNodes() != 3 {
 		t.Fatalf("nodes = %d", g.NumNodes())
 	}
-	s := NewSearcher(g)
+	s := mustOpen(t, g)
 	it, err := s.All(Query{Keywords: []string{"ada", "turing"}, Rmax: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := it.CollectAll(0)
+	got := mustCollect(t, it, 0)
 	if len(got) != 1 {
 		t.Fatalf("found %d communities, want 1", len(got))
 	}
@@ -281,7 +301,7 @@ func TestConcurrentQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewIndexedSearcher(g, 8)
+	s, err := Open(g, WithIndex(8))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -98,7 +98,7 @@ func metricUnit(ylabel string) string {
 // the Fig. 4 example (runner: examples/quickstart, test: TestTableI).
 func BenchmarkTableI(b *testing.B) {
 	g, _ := PaperExampleGraph()
-	s := NewSearcher(g)
+	s := mustOpen(b, g)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		it, err := s.TopK(Query{Keywords: []string{"a", "b", "c"}, Rmax: 8})
@@ -147,7 +147,7 @@ func BenchmarkIndexBuildDBLP(b *testing.B) {
 	dblp, _ := benchDatasets(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s, err := NewIndexedSearcher(dblp.G, 8)
+		s, err := Open(dblp.G, WithIndex(8))
 		if err != nil {
 			b.Fatal(err)
 		}

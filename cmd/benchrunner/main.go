@@ -11,38 +11,17 @@
 //	benchrunner                         # everything, default scale
 //	benchrunner -experiments fig9a,fig12dblp
 //	benchrunner -authors 20000 -users 1200 -avg-ratings 60
-//	benchrunner -serve -serve-clients 16 -serve-requests 1000
-//
-// With -serve it benchmarks the HTTP serving stack (internal/server)
-// instead: concurrent clients mixing cached top-k lookups and NDJSON
-// streams against an in-process server on the synthetic DBLP graph,
-// reporting throughput and p50/p95/p99 latency, written to
-// BENCH_serve.json.
-//
-// With -parallel it sweeps the in-query parallel execution engine
-// (WithParallelism) over a set of worker degrees on the synthetic DBLP
-// graph, reporting per-degree engine-init and total latency plus
-// speedups against the sequential run, written to BENCH_parallel.json.
-//
-// With -kwcache it benchmarks the keyword neighbor-set artifact store
-// (tier 1 of the semantic cache): the same top-k query against a cold
-// searcher (engine init pays live per-keyword Dijkstras) and a warm
-// one (init served from prefilled artifacts), asserting both produce
-// byte-identical results, written to BENCH_kwcache.json.
-//
-// With -delta it benchmarks the incremental index maintainer
-// (internal/delta): small mutation batches applied as bounded deltas,
-// timed against a from-scratch rebuild of the final state, written to
-// BENCH_delta.json.
+//	benchrunner -replay workload.ndjson [-replay-server http://host:port]
 //
 // With -replay it deterministically re-executes a workload journal
-// captured by commserve -workload-log (or the canonical synthetic one
-// from -replay-gen) against an in-process single-threaded server or a
-// live one (-replay-server), reporting latency plus an outcome digest
-// over every query's canonical result sequence, written to
-// BENCH_replay.json. Two replays of the same journal on the same
-// dataset must produce the same digest; -compare treats a digest
-// mismatch as a hard failure.
+// captured by commserve -workload-log against an in-process
+// single-threaded server or a live one (-replay-server), and prints a
+// JSON report on stdout: latency plus an outcome digest over every
+// query's canonical result sequence. Two replays of the same journal on
+// the same dataset must produce the same digest.
+//
+// Performance is measured by benchmark/ (see benchmark/README.md), not
+// here.
 package main
 
 import (
@@ -70,92 +49,14 @@ func main() {
 		charts      = flag.Bool("charts", false, "render each series as an ASCII bar chart too")
 		list        = flag.Bool("list", false, "list experiment ids and exit")
 
-		serve         = flag.Bool("serve", false, "benchmark the HTTP serving stack instead of the algorithms")
-		serveClients  = flag.Int("serve-clients", 8, "-serve: concurrent HTTP clients")
-		serveRequests = flag.Int("serve-requests", 400, "-serve: total requests across all clients")
-		serveUnique   = flag.Bool("serve-unique", false, "-serve: make every request's query unique so the cache and singleflight never answer")
-		serveNoCache  = flag.Bool("serve-nocache", false, "-serve: disable the server's result cache")
-		serveOut      = flag.String("serve-out", "BENCH_serve.json", "-serve: JSON report path")
-
-		parallel        = flag.Bool("parallel", false, "benchmark the in-query parallel execution engine instead of the algorithms")
-		parallelDegrees = flag.String("parallel-degrees", "1,2,4", "-parallel: comma-separated parallelism degrees to sweep")
-		parallelQueries = flag.Int("parallel-queries", 5, "-parallel: averaged repetitions per degree (plus one warm-up)")
-		parallelK       = flag.Int("parallel-k", 50, "-parallel: communities materialized per query")
-		parallelOut     = flag.String("parallel-out", "BENCH_parallel.json", "-parallel: JSON report path")
-		profileRun      = flag.Bool("profile", false, "-parallel: write a per-degree CPU profile (cpu_p<degree>.pprof) into -profile-dir")
-		profileDir      = flag.String("profile-dir", ".", "-parallel: directory for -profile captures")
-
-		kwcacheBench   = flag.Bool("kwcache", false, "benchmark keyword-artifact warm vs cold engine init instead of the algorithms")
-		kwcacheQueries = flag.Int("kwcache-queries", 5, "-kwcache: averaged repetitions per side (plus one warm-up)")
-		kwcacheK       = flag.Int("kwcache-k", 50, "-kwcache: communities materialized per query")
-		kwcacheOut     = flag.String("kwcache-out", "BENCH_kwcache.json", "-kwcache: JSON report path")
-
-		deltaBench    = flag.Bool("delta", false, "benchmark the incremental index maintainer instead of the algorithms")
-		deltaAuthors  = flag.Int("delta-authors", 2000, "-delta: DBLP scale (kept small: every batch is compared against a full rebuild)")
-		deltaRmax     = flag.Float64("delta-rmax", 6, "-delta: index radius")
-		deltaBatches  = flag.Int("delta-batches", 20, "-delta: mutation batches to apply")
-		deltaBatchOps = flag.Int("delta-batch-ops", 10, "-delta: ops per batch")
-		deltaOut      = flag.String("delta-out", "BENCH_delta.json", "-delta: JSON report path")
-
-		replay        = flag.String("replay", "", "replay a captured workload journal and write BENCH_replay.json")
-		replayGen     = flag.String("replay-gen", "", "write the canonical synthetic workload journal to this path and exit")
-		replayOut     = flag.String("replay-out", "BENCH_replay.json", "-replay: JSON report path")
+		replay        = flag.String("replay", "", "replay a captured workload journal and print a JSON report on stdout")
 		replayServer  = flag.String("replay-server", "", "-replay: replay against this live server base URL instead of an in-process one")
-		replayAuthors = flag.Int("replay-authors", 2000, "-replay/-replay-gen: DBLP scale for the in-process target (kept small: replay is sequential)")
+		replayAuthors = flag.Int("replay-authors", 2000, "-replay: DBLP scale for the in-process target (kept small: replay is sequential)")
 		replayPace    = flag.Bool("replay-pace", false, "-replay: honor the journal's recorded inter-arrival gaps (capped at 1s) instead of replaying back-to-back")
-
-		compare   = flag.Bool("compare", false, "compare two -serve, -parallel, -delta or -replay reports: benchrunner -compare old.json new.json")
-		tolerance = flag.Float64("tolerance", 0.15, "-compare: allowed fractional regression before failing")
 	)
 	flag.Parse()
-	if *compare {
-		if flag.NArg() != 2 {
-			fmt.Fprintln(os.Stderr, "usage: benchrunner -compare [-tolerance 0.15] old.json new.json")
-			os.Exit(2)
-		}
-		if err := runCompare(flag.Arg(0), flag.Arg(1), *tolerance); err != nil {
-			fmt.Fprintln(os.Stderr, "benchrunner:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *replayGen != "" {
-		if err := runReplayGen(*replayGen, *replayAuthors, *seed, *dblpBoost); err != nil {
-			fmt.Fprintln(os.Stderr, "benchrunner:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *replay != "" {
-		if err := runReplay(*replay, *replayAuthors, *seed, *dblpBoost, *replayServer, *replayPace, *replayOut); err != nil {
-			fmt.Fprintln(os.Stderr, "benchrunner:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *serve {
-		if err := runServe(*authors, *seed, *dblpBoost, *serveClients, *serveRequests, *serveUnique, *serveNoCache, *serveOut); err != nil {
-			fmt.Fprintln(os.Stderr, "benchrunner:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *parallel {
-		if err := runParallel(*authors, *seed, *dblpBoost, *parallelDegrees, *parallelQueries, *parallelK, *profileRun, *profileDir, *parallelOut); err != nil {
-			fmt.Fprintln(os.Stderr, "benchrunner:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *kwcacheBench {
-		if err := runKwcache(*authors, *seed, *dblpBoost, *kwcacheQueries, *kwcacheK, *kwcacheOut); err != nil {
-			fmt.Fprintln(os.Stderr, "benchrunner:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *deltaBench {
-		if err := runDelta(*deltaAuthors, *seed, *deltaRmax, *deltaBatches, *deltaBatchOps, *deltaOut); err != nil {
+		if err := runReplay(*replay, *replayAuthors, *seed, *dblpBoost, *replayServer, *replayPace, os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, "benchrunner:", err)
 			os.Exit(1)
 		}

@@ -1,15 +1,15 @@
 package main
 
 // The -replay mode is the deterministic half of the workload flight
-// recorder: it re-executes a captured journal (commserve -workload-log,
-// or the canonical synthetic workload from -replay-gen) query by query
-// in arrival order against an in-process server — or a live one via
-// -replay-server — and reports latency plus an outcome digest: a
-// SHA-256 over every query's canonical result sequence (fingerprint,
-// result count, per-community costs, completion, stop reason). The
-// digest is the determinism contract: two replays of the same journal
-// against the same dataset must produce byte-identical outcomes, so a
-// digest change in CI means engine behavior changed, not just timing.
+// recorder: it re-executes a captured journal (commserve -workload-log)
+// query by query in arrival order against an in-process server — or a
+// live one via -replay-server — and reports latency plus an outcome
+// digest: a SHA-256 over every query's canonical result sequence
+// (fingerprint, result count, per-community costs, completion, stop
+// reason). The digest is the determinism contract: two replays of the
+// same journal against the same dataset must produce byte-identical
+// outcomes, so a digest change means engine behavior changed, not just
+// timing.
 //
 // Replay strips recorded wall-clock timeouts (a timeout's trip point
 // depends on machine speed) but keeps every work budget — relaxations,
@@ -24,9 +24,11 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -37,8 +39,7 @@ import (
 	"commdb/internal/workload"
 )
 
-// replayBenchReport is the BENCH_replay.json schema. The
-// outcome_digest key doubles as the -compare kind sniff.
+// replayBenchReport is the JSON report -replay prints on stdout.
 type replayBenchReport struct {
 	Journal     string `json:"journal"`
 	Dataset     string `json:"dataset,omitempty"`
@@ -64,6 +65,40 @@ type replayBenchReport struct {
 	// (in-process replays only): which keywords this workload makes
 	// expensive. Informational, never gated.
 	HotKeywords []workload.KeywordStats `json:"hot_keywords,omitempty"`
+}
+
+// endpointStats summarizes one endpoint's replay latencies.
+type endpointStats struct {
+	Count  int     `json:"count"`
+	MeanMS float64 `json:"mean_ms"`
+	P50MS  float64 `json:"p50_ms"`
+	P95MS  float64 `json:"p95_ms"`
+	P99MS  float64 `json:"p99_ms"`
+	MaxMS  float64 `json:"max_ms"`
+}
+
+func summarize(lat []time.Duration) endpointStats {
+	if len(lat) == 0 {
+		return endpointStats{}
+	}
+	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
+	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+	q := func(p float64) float64 {
+		i := int(p * float64(len(lat)-1))
+		return ms(lat[i])
+	}
+	var sum time.Duration
+	for _, d := range lat {
+		sum += d
+	}
+	return endpointStats{
+		Count:  len(lat),
+		MeanMS: ms(sum) / float64(len(lat)),
+		P50MS:  q(0.50),
+		P95MS:  q(0.95),
+		P99MS:  q(0.99),
+		MaxMS:  ms(lat[len(lat)-1]),
+	}
 }
 
 // replayOutcome is one query's canonical result: the digest input and
@@ -232,96 +267,12 @@ func digestOutcomes(outs []replayOutcome) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// canonicalWorkload builds the committed synthetic workload from a
-// dataset's probe keywords: every keyword-count prefix at every
-// rotation (mirroring the -serve benchmark's request shapes), as both a
-// top-k query and a bounded stream, plus a second pass over the top-k
-// shapes so replay exercises the result cache. Timestamps are fixed
-// synthetic values so the journal bytes are machine- and
-// time-independent.
-func canonicalWorkload(d *bench.Dataset, p bench.Params) ([]workload.Entry, error) {
-	kws, err := d.Keywords(p)
-	if err != nil {
-		return nil, err
-	}
-	if len(kws) < 2 {
-		return nil, fmt.Errorf("dataset yielded %d probe keywords, need at least 2", len(kws))
-	}
-	const baseMS = 1_700_000_000_000 // fixed synthetic epoch, not a real clock
-	var entries []workload.Entry
-	add := func(e workload.Entry) {
-		e.QueryID = "c-" + strconv.Itoa(len(entries)+1)
-		e.UnixMS = baseMS + int64(len(entries))*250
-		e.Complete = true
-		entries = append(entries, e)
-	}
-	var topkShapes []workload.Entry
-	for l := 2; l <= len(kws); l++ {
-		for rot := 0; rot < l; rot++ {
-			q := append(append([]string{}, kws[rot:l]...), kws[:rot]...)
-			fp := commdb.Query{Keywords: q, Rmax: p.Rmax, Cost: commdb.CostSumDistances}.Fingerprint()
-			topk := workload.Entry{
-				Fingerprint: fp, Keywords: q, Rmax: p.Rmax, Cost: "sum",
-				Algo: workload.AlgoTopK, K: p.K,
-			}
-			add(topk)
-			topkShapes = append(topkShapes, topk)
-			add(workload.Entry{
-				Fingerprint: fp, Keywords: q, Rmax: p.Rmax, Cost: "sum",
-				Algo: workload.AlgoAll, Limits: &workload.Limits{MaxResults: 50},
-			})
-		}
-	}
-	// Second pass over the top-k shapes: identical fingerprints, so a
-	// replaying server answers them from its result cache — the journal
-	// records the hit/miss mix a real workload has.
-	for _, e := range topkShapes {
-		e.CacheHit = true
-		add(e)
-	}
-	return entries, nil
-}
-
-// writeJournalFile writes entries as a journal file with sequential
-// sequence numbers. Byte-deterministic: same entries, same bytes.
-func writeJournalFile(path string, entries []workload.Entry) error {
-	var buf bytes.Buffer
-	for i, e := range entries {
-		e.Seq = int64(i + 1)
-		line, err := workload.EncodeEntry(e)
-		if err != nil {
-			return err
-		}
-		buf.Write(line)
-		buf.WriteByte('\n')
-	}
-	return os.WriteFile(path, buf.Bytes(), 0o644)
-}
-
-// runReplayGen is the -replay-gen entry point: write the canonical
-// workload journal derived from the synthetic DBLP dataset.
-func runReplayGen(path string, authors int, seed int64, boost float64) error {
-	fmt.Printf("building DBLP dataset (authors=%d, boost=%gx)...\n", authors, boost)
-	d, err := bench.BuildDBLPBoosted(authors, seed, boost)
-	if err != nil {
-		return err
-	}
-	entries, err := canonicalWorkload(d, d.Config.Defaults)
-	if err != nil {
-		return err
-	}
-	if err := writeJournalFile(path, entries); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s: %d entries\n", path, len(entries))
-	return nil
-}
-
 // runReplay is the -replay entry point. With serverURL empty it boots
 // an in-process indexed server over the synthetic DBLP dataset
 // (parallelism 1, so outcomes are machine-independent); otherwise it
-// replays against the live server at that base URL.
-func runReplay(journalPath string, authors int, seed int64, boost float64, serverURL string, pace bool, out string) error {
+// replays against the live server at that base URL. The JSON report goes
+// to out; progress and the human-readable summary go to stderr.
+func runReplay(journalPath string, authors int, seed int64, boost float64, serverURL string, pace bool, out io.Writer) error {
 	entries, err := workload.ReadJournalFile(journalPath)
 	if err != nil {
 		return err
@@ -335,13 +286,13 @@ func runReplay(journalPath string, authors int, seed int64, boost float64, serve
 	client := http.DefaultClient
 	var app *server.Server
 	if serverURL == "" {
-		fmt.Printf("building DBLP dataset (authors=%d, boost=%gx)...\n", authors, boost)
+		fmt.Fprintf(os.Stderr, "building DBLP dataset (authors=%d, boost=%gx)...\n", authors, boost)
 		d, err := bench.BuildDBLPBoosted(authors, seed, boost)
 		if err != nil {
 			return err
 		}
 		p := d.Config.Defaults
-		fmt.Printf("building index (rmax=%g)...\n", p.Rmax)
+		fmt.Fprintf(os.Stderr, "building index (rmax=%g)...\n", p.Rmax)
 		s, err := commdb.Open(d.G, commdb.WithIndex(p.Rmax), commdb.WithParallelism(1))
 		if err != nil {
 			return err
@@ -353,7 +304,7 @@ func runReplay(journalPath string, authors int, seed int64, boost float64, serve
 		rep.Dataset, rep.Authors = d.Name, authors
 	}
 
-	fmt.Printf("replaying %d queries from %s (pace=%v)...\n", len(entries), journalPath, pace)
+	fmt.Fprintf(os.Stderr, "replaying %d queries from %s (pace=%v)...\n", len(entries), journalPath, pace)
 	start := time.Now()
 	outs, err := replayAgainst(client, base, entries, pace)
 	if err != nil {
@@ -389,32 +340,20 @@ func runReplay(journalPath string, authors int, seed int64, boost float64, serve
 		}
 	}
 
-	fmt.Printf("done in %v: %.1f req/s, %d errors, digest %s\n",
+	fmt.Fprintf(os.Stderr, "done in %v: %.1f req/s, %d errors, digest %s\n",
 		elapsed.Round(time.Millisecond), rep.Throughput, rep.Errors, rep.OutcomeDigest[:16])
-	fmt.Printf("  topk:   n=%d (cached %d) mean=%.2fms p95=%.2fms\n",
+	fmt.Fprintf(os.Stderr, "  topk:   n=%d (cached %d) mean=%.2fms p95=%.2fms\n",
 		rep.TopK.Count, rep.CacheHits, rep.TopK.MeanMS, rep.TopK.P95MS)
-	fmt.Printf("  stream: n=%d mean=%.2fms p95=%.2fms\n",
+	fmt.Fprintf(os.Stderr, "  stream: n=%d mean=%.2fms p95=%.2fms\n",
 		rep.Stream.Count, rep.Stream.MeanMS, rep.Stream.P95MS)
 	for i, kw := range rep.HotKeywords {
 		if i >= 5 {
 			break
 		}
-		fmt.Printf("  hot keyword %-16s queries=%d init=%.2fms\n", kw.Term, kw.Queries, kw.InitWallMS)
+		fmt.Fprintf(os.Stderr, "  hot keyword %-16s queries=%d init=%.2fms\n", kw.Term, kw.Queries, kw.InitWallMS)
 	}
 
-	f, err := os.Create(out)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
+	enc := json.NewEncoder(out)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", out)
-	return nil
+	return enc.Encode(rep)
 }

@@ -2,9 +2,8 @@ package main
 
 // Tests of the -replay mode's determinism contract: replaying the same
 // journal against two freshly-built identical servers produces
-// byte-identical outcome sequences and equal digests, the canonical
-// journal writer is byte-deterministic, and -compare treats a replay
-// digest mismatch as a hard failure.
+// byte-identical outcome sequences and equal digests, and the CLI path
+// turns a journal on disk into a report on its writer.
 
 import (
 	"bytes"
@@ -127,41 +126,19 @@ func TestReplaySanitizeLimits(t *testing.T) {
 	}
 }
 
-// TestWriteJournalFileDeterministic: the canonical journal writer is
-// byte-deterministic (CI regenerates and cmp's against the committed
-// file) and round-trips through the journal reader.
-func TestWriteJournalFileDeterministic(t *testing.T) {
-	dir := t.TempDir()
-	entries := paperWorkload()
-	p1, p2 := filepath.Join(dir, "a.ndjson"), filepath.Join(dir, "b.ndjson")
-	if err := writeJournalFile(p1, entries); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeJournalFile(p2, entries); err != nil {
-		t.Fatal(err)
-	}
-	b1, err := os.ReadFile(p1)
+// writeJournal records entries through the flight recorder's own
+// writer, exactly as commserve -workload-log does.
+func writeJournal(t *testing.T, path string, entries []workload.Entry) {
+	t.Helper()
+	j, err := workload.OpenJournal(workload.JournalConfig{Path: path})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b2, err := os.ReadFile(p2)
-	if err != nil {
+	for _, e := range entries {
+		j.Offer(e)
+	}
+	if err := j.Close(); err != nil {
 		t.Fatal(err)
-	}
-	if !bytes.Equal(b1, b2) {
-		t.Fatal("two writes of the same workload produced different bytes")
-	}
-	got, err := workload.ReadJournalFile(p1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(entries) {
-		t.Fatalf("round-trip read %d entries, want %d", len(got), len(entries))
-	}
-	for i, e := range got {
-		if e.Seq != int64(i+1) || e.Fingerprint != entries[i].Fingerprint {
-			t.Fatalf("entry %d round-tripped wrong: %+v", i, e)
-		}
 	}
 }
 
@@ -172,19 +149,13 @@ func TestRunReplayAgainstLiveServer(t *testing.T) {
 	ts := newReplayTarget(t)
 	dir := t.TempDir()
 	journal := filepath.Join(dir, "wl.ndjson")
-	if err := writeJournalFile(journal, paperWorkload()); err != nil {
-		t.Fatal(err)
-	}
-	out := filepath.Join(dir, "BENCH_replay.json")
-	if err := runReplay(journal, 0, 1, 1, ts.URL, false, out); err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(out)
-	if err != nil {
+	writeJournal(t, journal, paperWorkload())
+	var out bytes.Buffer
+	if err := runReplay(journal, 0, 1, 1, ts.URL, false, &out); err != nil {
 		t.Fatal(err)
 	}
 	var rep replayBenchReport
-	if err := json.Unmarshal(b, &rep); err != nil {
+	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
 		t.Fatal(err)
 	}
 	// The starved fourth query is a deterministic 400: counted as an
@@ -201,88 +172,14 @@ func TestRunReplayAgainstLiveServer(t *testing.T) {
 	if rep.TopK.Count != 2 || rep.Stream.Count != 1 {
 		t.Fatalf("endpoint stats: topk=%+v stream=%+v", rep.TopK, rep.Stream)
 	}
-	if kind := reportKind(b); kind != "replay" {
-		t.Fatalf("report sniffed as %q, want replay", kind)
-	}
 
 	// An empty journal is rejected, not silently replayed.
 	empty := filepath.Join(dir, "empty.ndjson")
 	if err := os.WriteFile(empty, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := runReplay(empty, 0, 1, 1, ts.URL, false, out); err == nil {
+	if err := runReplay(empty, 0, 1, 1, ts.URL, false, &out); err == nil {
 		t.Fatal("empty journal returned nil")
-	}
-}
-
-func baselineReplayReport() replayBenchReport {
-	mk := func(mean, p50, p95, p99 float64) endpointStats {
-		return endpointStats{Count: 50, MeanMS: mean, P50MS: p50, P95MS: p95, P99MS: p99, MaxMS: p99 * 2}
-	}
-	return replayBenchReport{
-		Journal: "wl.ndjson", Dataset: "dblp", Authors: 2000,
-		Queries: 100, TopKQueries: 60, AllQueries: 40, CacheHits: 20,
-		OutcomeDigest: strings.Repeat("ab", 32),
-		ResultsTotal:  5000, Throughput: 200,
-		TopK: mk(2, 1.5, 6, 12), Stream: mk(8, 6, 20, 40),
-	}
-}
-
-// TestCompareReplayReports: the replay kind is sniffed from
-// outcome_digest, performance is gated like a serve report, and a
-// digest mismatch is a hard error no tolerance can excuse.
-func TestCompareReplayReports(t *testing.T) {
-	rep := baselineReplayReport()
-	if bad := regressions(compareReplayReports(rep, rep, 0.15)); len(bad) != 0 {
-		t.Fatalf("self-compare regressed: %+v", bad)
-	}
-	slow := rep
-	slow.TopK.P95MS *= 2
-	bad := regressions(compareReplayReports(rep, slow, 0.15))
-	if len(bad) != 1 || bad[0].Name != "topk.p95_ms" {
-		t.Fatalf("2x p95 regressed %+v, want exactly topk.p95_ms", bad)
-	}
-
-	dir := t.TempDir()
-	write := func(name string, r replayBenchReport) string {
-		path := filepath.Join(dir, name)
-		b, err := json.Marshal(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, b, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
-	oldPath := write("old.json", rep)
-	if err := runCompare(oldPath, write("same.json", rep), 0.15); err != nil {
-		t.Fatalf("replay self-compare errored: %v", err)
-	}
-	if err := runCompare(oldPath, write("slow.json", slow), 0.15); err == nil {
-		t.Fatal("2x p95 regression returned nil")
-	}
-
-	// Digest mismatch: hard error even at an absurd tolerance, and the
-	// message names the contract.
-	drift := rep
-	drift.OutcomeDigest = strings.Repeat("cd", 32)
-	err := runCompare(oldPath, write("drift.json", drift), 100)
-	if err == nil || !strings.Contains(err.Error(), "digests differ") {
-		t.Fatalf("digest mismatch err = %v, want a digests-differ error", err)
-	}
-
-	// Mixed kinds are rejected.
-	serveB, err := json.Marshal(baselineReport())
-	if err != nil {
-		t.Fatal(err)
-	}
-	servePath := filepath.Join(dir, "serve.json")
-	if err := os.WriteFile(servePath, serveB, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := runCompare(oldPath, servePath, 0.15); err == nil {
-		t.Fatal("replay vs serve comparison returned nil")
 	}
 }
 

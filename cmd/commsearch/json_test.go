@@ -19,7 +19,10 @@ import (
 // elapsed time).
 func TestJSONMatchesServerStream(t *testing.T) {
 	g, _ := commdb.PaperExampleGraph()
-	s := commdb.NewSearcher(g)
+	s, err := commdb.Open(g)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// CLI side. The CLI does not normalize (it preserves the user's
 	// keyword order), so feed it the normalized query the server would
@@ -82,7 +85,10 @@ func TestJSONMatchesServerStream(t *testing.T) {
 // reason, like the server does.
 func TestJSONTrailerReportsStop(t *testing.T) {
 	g, _ := commdb.PaperExampleGraph()
-	s := commdb.NewSearcher(g)
+	s, err := commdb.Open(g)
+	if err != nil {
+		t.Fatal(err)
+	}
 	q := commdb.Query{Keywords: []string{"a", "b", "c"}, Rmax: 8, Limits: commdb.Limits{MaxResults: 2}}
 	it, err := s.All(q)
 	if err != nil {

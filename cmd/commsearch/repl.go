@@ -24,7 +24,7 @@ import (
 func repl(g *commdb.Graph, s *commdb.Searcher, rmax float64, lim commdb.Limits, in io.Reader, out io.Writer) error {
 	fmt.Fprintln(out, "commsearch interactive mode — 'help' lists commands")
 	cost := commdb.CostSumDistances
-	var it *commdb.TopKIterator
+	var it *commdb.Results
 	var shown int
 	var lastTr *obs.Trace // trace of the current query, for 'stats'
 	var qn int            // query counter, numbers the trace IDs
@@ -147,7 +147,7 @@ func repl(g *commdb.Graph, s *commdb.Searcher, rmax float64, lim commdb.Limits, 
 				// Even a query that failed to start enters the log: errored
 				// queries are always retained.
 				rec := obs.NewQueryRecord(tr.QueryID(), "repl", fields[1:], rmax, 0, false,
-					0, err.Error(), begin, time.Since(begin), tr.Summary())
+					0, err, err.Error(), begin, time.Since(begin), tr.Summary())
 				col.Observe(rec)
 				e := workload.EntryFromRecord(rec)
 				e.Algo = workload.AlgoTopK
@@ -252,20 +252,21 @@ type replQuery struct {
 // flush finalizes the query into the collector and the workload
 // tracker: trace summary, stop reason from the iterator, results shown
 // so far. Safe on nil.
-func (p *replQuery) flush(col *obs.Collector, wl *workload.Tracker, it *commdb.TopKIterator, shown int) {
+func (p *replQuery) flush(col *obs.Collector, wl *workload.Tracker, it *commdb.Results, shown int) {
 	if p == nil {
 		return
 	}
 	sum := p.tr.Summary()
 	indexed := sum != nil && sum.Labels["projected"] == "true"
+	var stop error
 	reason := ""
 	if it != nil {
-		if err := it.Err(); err != nil {
-			reason = stopReason(err)
+		if stop = it.Err(); stop != nil {
+			reason = stopReason(stop)
 		}
 	}
 	rec := obs.NewQueryRecord(p.qid, "repl", p.keywords, p.rmax, 0, indexed,
-		shown, reason, p.start, p.active, sum)
+		shown, stop, reason, p.start, p.active, sum)
 	col.Observe(rec)
 	e := workload.EntryFromRecord(rec)
 	e.Algo = workload.AlgoTopK
@@ -315,7 +316,7 @@ func printSlowlog(out io.Writer, col *obs.Collector) {
 	}
 }
 
-func replShow(out io.Writer, g *commdb.Graph, it *commdb.TopKIterator, shown *int, n int) {
+func replShow(out io.Writer, g *commdb.Graph, it *commdb.Results, shown *int, n int) {
 	for i := 0; i < n; i++ {
 		r, ok := it.Next()
 		if !ok {

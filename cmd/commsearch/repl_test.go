@@ -13,7 +13,10 @@ import (
 func runReplScript(t *testing.T, script string) string {
 	t.Helper()
 	g, _ := commdb.PaperExampleGraph()
-	s := commdb.NewSearcher(g)
+	s, err := commdb.Open(g)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var out strings.Builder
 	if err := repl(g, s, 8, commdb.Limits{}, strings.NewReader(script), &out); err != nil {
 		t.Fatal(err)

@@ -35,7 +35,10 @@ func TestRunDBLP(t *testing.T) {
 		t.Fatal("written graph is empty")
 	}
 	// The written graph answers queries.
-	s := commdb.NewSearcher(g)
+	s, err := commdb.Open(g)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := s.TopK(commdb.Query{Keywords: []string{"database"}, Rmax: 6}); err != nil {
 		t.Fatal(err)
 	}

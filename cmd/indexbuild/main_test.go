@@ -59,7 +59,7 @@ func TestIndexBuildEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer xf.Close()
-	s, err := commdb.NewSearcherWithIndex(g2, xf)
+	s, err := commdb.Open(g2, commdb.WithIndexReader(xf))
 	if err != nil {
 		t.Fatal(err)
 	}

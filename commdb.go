@@ -15,7 +15,7 @@
 // # Quick start
 //
 //	g, _ := commdb.PaperExampleGraph()
-//	s := commdb.NewSearcher(g)
+//	s, _ := commdb.Open(g)
 //	it, _ := s.TopK(commdb.Query{Keywords: []string{"a", "b", "c"}, Rmax: 8})
 //	for {
 //	    r, ok := it.Next()
@@ -25,7 +25,7 @@
 //	    fmt.Println(r.Cost, r.Core)
 //	}
 //
-// For large graphs, build an indexed searcher: queries then run on a
+// For large graphs, open with commdb.WithIndex: queries then run on a
 // small projected subgraph (Section VI of the paper) with identical
 // results.
 package commdb

@@ -78,7 +78,7 @@ func TestFingerprintDiscrimination(t *testing.T) {
 // paper's example graph.
 func TestNormalizedQuerySameResults(t *testing.T) {
 	g, _ := PaperExampleGraph()
-	s := NewSearcher(g)
+	s := mustOpen(t, g)
 	orig := Query{Keywords: []string{"C", "a", "B"}, Rmax: 8}
 
 	collect := func(q Query) map[string]float64 {

@@ -34,7 +34,7 @@ func TestGoldenPipeline(t *testing.T) {
 		t.Fatalf("graph shape = %s (generator behaviour changed; update goldens deliberately)", got)
 	}
 
-	s, err := NewIndexedSearcher(g, 8)
+	s, err := Open(g, WithIndex(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,15 +43,15 @@ func TestGoldenPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	all := it.CollectAll(0)
+	all := mustCollect(t, it, 0)
 
 	// Cross-check against the un-indexed path rather than a stored
 	// count, so the golden doubles as an equivalence assertion.
-	it2, err := NewSearcher(g).All(q)
+	it2, err := mustOpen(t, g).All(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct := it2.CollectAll(0)
+	direct := mustCollect(t, it2, 0)
 	if len(all) != len(direct) {
 		t.Fatalf("indexed %d vs direct %d", len(all), len(direct))
 	}

@@ -1,6 +1,11 @@
 package core
 
-import "sync"
+import (
+	"errors"
+	"sync"
+
+	"commdb/internal/govern"
+)
 
 // This file implements the in-query materialization pipeline: the
 // enumerators' NextCore loop stays strictly sequential (every slot
@@ -209,11 +214,22 @@ func (p *Pipeline) materialize(t matTask, sc *gcScratch) (res matResult) {
 // Next delivers the pipeline's next in-order result. ok == false means
 // the enumeration finished or stopped; Err then reports why, exactly
 // as the wrapped enumerator would have.
+//
+// A canceled context or a passed deadline is observed here, before
+// anything is dequeued: the lookahead buffered ahead of the cancel is
+// dropped, so the first Next after a cancel already reports it, as the
+// sequential enumerator does. Counter trips are deliberately not acted
+// on here — they arrive in sequence order through the results, behind
+// every community the budget had already granted.
 func (p *Pipeline) Next() (CoreCost, *Community, bool) {
+	if p.done {
+		return CoreCost{}, nil, false
+	}
+	if err := p.e.budget.Poll(); err != nil && !errors.As(err, new(govern.ErrBudgetExhausted)) {
+		p.finish(err)
+		return CoreCost{}, nil, false
+	}
 	for {
-		if p.done {
-			return CoreCost{}, nil, false
-		}
 		res, ok := p.pending[p.want]
 		if !ok {
 			res = <-p.results
@@ -245,6 +261,7 @@ func (p *Pipeline) Next() (CoreCost, *Community, bool) {
 func (p *Pipeline) finish(err error) {
 	p.err = err
 	p.done = true
+	p.pending = nil
 	p.stop.Do(func() { close(p.quit) })
 }
 

@@ -218,11 +218,14 @@ func (b *Budget) Err() error {
 	return b.check()
 }
 
-// Poll is a pure liveness check — cancellation and deadline, no
-// counter — for loops that scan rather than expand (e.g. the BestCore
-// table scan). Call it once per Stride iterations.
+// Poll is a pure liveness check — the sticky reason, cancellation and
+// the deadline, no counter — for loops that scan rather than expand
+// (e.g. the BestCore table scan). Call it once per Stride iterations.
 func (b *Budget) Poll() error {
-	return b.Err()
+	if b == nil {
+		return nil
+	}
+	return b.alive()
 }
 
 // ChargeRelaxations adds n Dijkstra work units and checks the budget.
@@ -296,10 +299,10 @@ func (b *Budget) Spent(r Resource) int64 {
 	return 0
 }
 
-// check evaluates, in order: the sticky reason, context cancellation,
-// the deadline, then each counter against its limit. The first failure
-// is recorded and returned forever after.
-func (b *Budget) check() error {
+// alive evaluates, in order: the sticky reason, context cancellation,
+// the deadline. The first failure is recorded and returned forever
+// after.
+func (b *Budget) alive() error {
 	if p := b.stop.Load(); p != nil {
 		return *p
 	}
@@ -308,6 +311,14 @@ func (b *Budget) check() error {
 	}
 	if b.hasDeadline && !time.Now().Before(b.deadline) {
 		return b.trip(context.DeadlineExceeded)
+	}
+	return nil
+}
+
+// check is alive plus each counter against its limit.
+func (b *Budget) check() error {
+	if err := b.alive(); err != nil {
+		return err
 	}
 	type probe struct {
 		res   Resource

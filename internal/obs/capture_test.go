@@ -237,7 +237,7 @@ func TestCollectorEndToEnd(t *testing.T) {
 
 	// A healthy trace: steady sub-threshold delays.
 	okSum := &Summary{Emissions: &EmissionSummary{Count: 4, MaxDelayMS: 0.2, DelaysMS: []float64{0.1, 0.1, 0.2, 0.1}}}
-	okRec := NewQueryRecord("q-ok", "topk", []string{"a", "b"}, 6, 10, false, 10, "", time.Now(), 3*time.Millisecond, okSum)
+	okRec := NewQueryRecord("q-ok", "topk", []string{"a", "b"}, 6, 10, false, 10, nil, "", time.Now(), 3*time.Millisecond, okSum)
 	if col.Observe(okRec) {
 		t.Fatal("healthy query breached")
 	}
@@ -250,7 +250,7 @@ func TestCollectorEndToEnd(t *testing.T) {
 		Labels:    map[string]string{"fingerprint": "q1|rmax=6|cost=0|1:a|1:b"},
 		Emissions: &EmissionSummary{Count: 5, MaxDelayMS: 90, DelaysMS: []float64{0.5, 0.5, 0.5, 0.5, 90}},
 	}
-	stallRec := NewQueryRecord("q-stall", "all", []string{"a", "b"}, 6, 0, true, 5, "", time.Now(), 95*time.Millisecond, stallSum)
+	stallRec := NewQueryRecord("q-stall", "all", []string{"a", "b"}, 6, 0, true, 5, nil, "", time.Now(), 95*time.Millisecond, stallSum)
 	if !col.Observe(stallRec) {
 		t.Fatal("stalled query did not breach")
 	}
@@ -297,8 +297,8 @@ func TestCollectorRegisterExposition(t *testing.T) {
 	col.Register(reg)
 
 	stallSum := &Summary{Emissions: &EmissionSummary{Count: 5, MaxDelayMS: 90, DelaysMS: []float64{0.5, 0.5, 0.5, 0.5, 90}}}
-	col.Observe(NewQueryRecord("q1", "all", []string{"a", "b"}, 6, 0, true, 5, "", time.Now(), 95*time.Millisecond, stallSum))
-	col.Observe(NewQueryRecord("q2", "topk", []string{"a", "b", "c"}, 6, 10, false, 10, "", time.Now(), 2*time.Millisecond, &Summary{}))
+	col.Observe(NewQueryRecord("q1", "all", []string{"a", "b"}, 6, 0, true, 5, nil, "", time.Now(), 95*time.Millisecond, stallSum))
+	col.Observe(NewQueryRecord("q2", "topk", []string{"a", "b", "c"}, 6, 10, false, 10, nil, "", time.Now(), 2*time.Millisecond, &Summary{}))
 
 	var b strings.Builder
 	if err := reg.WritePrometheus(&b); err != nil {

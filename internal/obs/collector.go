@@ -10,8 +10,11 @@ package obs
 // command).
 
 import (
+	"errors"
 	"sync/atomic"
 	"time"
+
+	"commdb/internal/govern"
 )
 
 // CollectorConfig bundles the continuous layer's knobs. Zero values get
@@ -53,9 +56,12 @@ func (c *Collector) OnBreach(f func(*QueryRecord)) {
 }
 
 // NewQueryRecord assembles the capture record for one finished query.
-// sum may be nil (a query that failed before tracing); stopReason empty
-// means clean completion.
-func NewQueryRecord(qid, endpoint string, keywords []string, rmax float64, k int, indexed bool, results int, stopReason string, start time.Time, elapsed time.Duration, sum *Summary) *QueryRecord {
+// sum may be nil (a query that failed before tracing). stop is the
+// query's stop error (nil means clean completion) and stopReason its
+// rendering for display. A results-budget trip is ordinary completion
+// of a bounded stream — the caller asked for at most that many — so it
+// is recorded as the stop reason but does not mark the record errored.
+func NewQueryRecord(qid, endpoint string, keywords []string, rmax float64, k int, indexed bool, results int, stop error, stopReason string, start time.Time, elapsed time.Duration, sum *Summary) *QueryRecord {
 	rec := &QueryRecord{
 		QueryID:  qid,
 		Endpoint: endpoint,
@@ -74,9 +80,10 @@ func NewQueryRecord(qid, endpoint string, keywords []string, rmax float64, k int
 			rec.Fingerprint = fp
 		}
 	}
-	if stopReason != "" {
+	if stop != nil {
 		rec.StopReason = stopReason
-		rec.Errored = true
+		var be govern.ErrBudgetExhausted
+		rec.Errored = !(errors.As(stop, &be) && be.Resource == govern.ResourceResults)
 	}
 	return rec
 }

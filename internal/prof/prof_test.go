@@ -105,9 +105,8 @@ func TestStagesAccumulate(t *testing.T) {
 	if _, ok := got["publish"]; !ok {
 		t.Fatal("publish stage missing")
 	}
-	names := SortedStageNames(got)
-	if len(names) != 3 || names[0] != "publish" || names[2] != "to_graph" {
-		t.Fatalf("sorted names = %v", names)
+	if len(got) != 3 {
+		t.Fatalf("stages = %v, want 3", got)
 	}
 }
 

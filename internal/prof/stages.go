@@ -1,7 +1,6 @@
 package prof
 
 import (
-	"sort"
 	"sync"
 	"time"
 )
@@ -68,15 +67,4 @@ func (s *Stages) SnapshotMS() map[string]float64 {
 		out[k] = float64(v) / 1e6
 	}
 	return out
-}
-
-// SortedStageNames returns the keys of a stage map in lexical order,
-// for deterministic rendering and exposition.
-func SortedStageNames(m map[string]float64) []string {
-	names := make([]string, 0, len(m))
-	for k := range m {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -47,9 +47,9 @@ func (s *Server) handleDebugQueries(w http.ResponseWriter, _ *http.Request) {
 // decision. The indexed/plain half of the class key comes from the
 // trace's projected label, so fake engines without traces classify as
 // plain.
-func (s *Server) observeQuery(qid, endpoint string, q commdb.Query, k, results int, stopReason string, start time.Time, sum *obs.Summary) {
+func (s *Server) observeQuery(qid, endpoint string, q commdb.Query, k, results int, stop error, start time.Time, sum *obs.Summary) {
 	indexed := sum != nil && sum.Labels["projected"] == "true"
-	rec := obs.NewQueryRecord(qid, endpoint, q.Keywords, q.Rmax, k, indexed, results, stopReason, start, time.Since(start), sum)
+	rec := obs.NewQueryRecord(qid, endpoint, q.Keywords, q.Rmax, k, indexed, results, stop, StopReason(stop), start, time.Since(start), sum)
 	if rec.Fingerprint == "" {
 		// Fake engines without traces still get the canonical identity.
 		rec.Fingerprint = q.Fingerprint()

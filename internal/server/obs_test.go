@@ -27,7 +27,11 @@ import (
 func newPaperServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	g, _ := commdb.PaperExampleGraph()
-	srv := New(commdb.NewSearcher(g), cfg)
+	s, err := commdb.Open(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(s, cfg)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return srv, ts
@@ -202,7 +206,9 @@ func TestMetricszCountersIncrease(t *testing.T) {
 	before := scrape()
 	postJSON(t, ts.URL+"/v1/search/topk", searchBody(t, []string{"a", "b", "c"}, map[string]any{"k": 3})).Body.Close()
 	mid := scrape()
-	postJSON(t, ts.URL+"/v1/search/all", searchBody(t, []string{"a", "b"}, nil)).Body.Close()
+	// Read the stream to its trailer: the handler folds its counters in
+	// only once the enumeration ends.
+	drainStream(t, postJSON(t, ts.URL+"/v1/search/all", searchBody(t, []string{"a", "b"}, nil)))
 	after := scrape()
 
 	for _, m := range []string{

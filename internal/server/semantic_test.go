@@ -2,11 +2,8 @@ package server
 
 import (
 	"encoding/json"
-	"net/http/httptest"
 	"reflect"
 	"testing"
-
-	"commdb"
 )
 
 // answerAt builds a cached answer with the given per-record costs and
@@ -253,13 +250,8 @@ func TestNewCacheModes(t *testing.T) {
 // r-results filtered to r', or the cache refuses and the query runs
 // live; either way the wire bytes match.
 func TestE2ESemanticMonotonicity(t *testing.T) {
-	g, _ := commdb.PaperExampleGraph()
-	cached := New(commdb.NewSearcher(g), Config{CacheMode: "semantic"})
-	uncached := New(commdb.NewSearcher(g), Config{CacheMode: "off"})
-	tsC := httptest.NewServer(cached.Handler())
-	defer tsC.Close()
-	tsU := httptest.NewServer(uncached.Handler())
-	defer tsU.Close()
+	cached, tsC := newPaperServer(t, Config{CacheMode: "semantic"})
+	_, tsU := newPaperServer(t, Config{CacheMode: "off"})
 
 	ask := func(url string, keywords []string, rmax float64, k int) TopKResponse {
 		resp := postJSON(t, url+"/v1/search/topk",
@@ -304,10 +296,7 @@ func TestE2ESemanticMonotonicity(t *testing.T) {
 // contract fields: Semantic implies Cached, records re-rank from 1,
 // and complete/exhausted answers report Complete.
 func TestE2ESemanticRanks(t *testing.T) {
-	g, _ := commdb.PaperExampleGraph()
-	srv := New(commdb.NewSearcher(g), Config{CacheMode: "semantic"})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
+	srv, ts := newPaperServer(t, Config{CacheMode: "semantic"})
 
 	prime := postJSON(t, ts.URL+"/v1/search/topk",
 		searchBody(t, []string{"a", "b", "c"}, map[string]any{"rmax": 8, "k": 50}))

@@ -642,17 +642,17 @@ func (s *Server) runTopK(ctx context.Context, eng Engine, epoch int64, q commdb.
 	ctx = obs.ContextWithTrace(ctx, tr)
 	start := time.Now()
 	var results int
-	var stopReason string
+	var stopErr error
 	defer func() {
 		s.stats.queriesCompleted.Add(1)
 		s.stats.observeLatency(time.Since(start))
 		sum := tr.Summary()
 		s.metrics.absorb(sum)
-		s.observeQuery(qid, "topk", q, k, results, stopReason, start, sum)
+		s.observeQuery(qid, "topk", q, k, results, stopErr, start, sum)
 	}()
 	st, err := eng.TopK(ctx, q)
 	if err != nil {
-		stopReason = err.Error()
+		stopErr = err
 		s.observeEpoch(epoch, err)
 		return nil, err
 	}
@@ -670,13 +670,12 @@ func (s *Server) runTopK(ctx context.Context, eng Engine, epoch int64, q commdb.
 		records = append(records, NewRecord(len(records)+1, c, g, compact))
 		meta = append(meta, RecordMeta{ReuseRadius: c.ReuseRadius, CoreRadius: c.CoreRadius})
 	}
-	var stopErr error
 	if len(records) < k {
 		stopErr = st.Err()
 	}
 	s.classifyStop(stopErr)
 	s.observeEpoch(epoch, stopErr)
-	results, stopReason = len(records), StopReason(stopErr)
+	results = len(records)
 	val := &CachedAnswer{
 		Records:  records,
 		Complete: stopErr == nil,
@@ -734,7 +733,7 @@ func (s *Server) handleAll(w http.ResponseWriter, r *http.Request) {
 
 	st, err := eng.All(ctx, q)
 	if err != nil {
-		s.observeQuery(qid, "all", q, 0, 0, err.Error(), start, tr.Summary())
+		s.observeQuery(qid, "all", q, 0, 0, err, start, tr.Summary())
 		s.observeEpoch(epoch, err)
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -774,7 +773,7 @@ func (s *Server) handleAll(w http.ResponseWriter, r *http.Request) {
 	trailer.Epoch = epoch
 	sum := tr.Summary()
 	s.metrics.absorb(sum)
-	s.observeQuery(qid, "all", q, 0, count, trailer.Reason, start, sum)
+	s.observeQuery(qid, "all", q, 0, count, stopErr, start, sum)
 	if req.Trace {
 		trailer.Trace = sum
 	}

@@ -337,10 +337,7 @@ func TestE2EShutdownDrain(t *testing.T) {
 // paper's graph: a repeated query — reordered and re-cased — is served
 // from the cache with results identical to the uncached run.
 func TestE2ECacheIdenticalResults(t *testing.T) {
-	g, _ := commdb.PaperExampleGraph()
-	srv := New(commdb.NewSearcher(g), Config{})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
+	srv, ts := newPaperServer(t, Config{})
 
 	ask := func(keywords []string) TopKResponse {
 		resp := postJSON(t, ts.URL+"/v1/search/topk",
@@ -375,10 +372,7 @@ func TestE2ECacheIdenticalResults(t *testing.T) {
 // for more results than the server's maximum is clamped, the stream
 // stops at the cap, and the trailer reports the tripped budget.
 func TestE2ELimitsClamped(t *testing.T) {
-	g, _ := commdb.PaperExampleGraph()
-	srv := New(commdb.NewSearcher(g), Config{MaxLimits: commdb.Limits{MaxResults: 2}})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
+	_, ts := newPaperServer(t, Config{MaxLimits: commdb.Limits{MaxResults: 2}})
 
 	resp := postJSON(t, ts.URL+"/v1/search/all",
 		searchBody(t, []string{"a", "b", "c"}, map[string]any{"limits": map[string]any{"max_results": 100}}))
@@ -411,10 +405,7 @@ func TestE2ELimitsClamped(t *testing.T) {
 // many goroutines — saturation, coalescing, caching and streaming all
 // at once — and checks every response is well-formed. Run with -race.
 func TestE2EStress(t *testing.T) {
-	g, _ := commdb.PaperExampleGraph()
-	srv := New(commdb.NewSearcher(g), Config{MaxConcurrent: 4, MaxQueue: 4, CacheEntries: 8})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
+	srv, ts := newPaperServer(t, Config{MaxConcurrent: 4, MaxQueue: 4, CacheEntries: 8})
 
 	queries := [][]string{{"a", "b", "c"}, {"a", "b"}, {"b", "c"}, {"a"}, {"c", "a", "b"}}
 	var wg sync.WaitGroup
@@ -499,10 +490,7 @@ func TestStatszHealthz(t *testing.T) {
 
 // TestBadRequests covers request validation.
 func TestBadRequests(t *testing.T) {
-	g, _ := commdb.PaperExampleGraph()
-	srv := New(commdb.NewSearcher(g), Config{})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
+	_, ts := newPaperServer(t, Config{})
 
 	cases := []struct {
 		name string

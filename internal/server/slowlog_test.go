@@ -320,9 +320,13 @@ func TestDebugQueriesMixedWorkload(t *testing.T) {
 // aggregates from concurrent queries while scraping /debug/queries,
 // /statsz and /metricsz — the satellite -race test for the whole layer.
 func TestCaptureConcurrencyStress(t *testing.T) {
+	const writers, perWriter = 8, 40
 	eng := &fakeEngine{n: 2}
 	srv := NewWithEngine(eng, Config{
 		CacheEntries: -1,
+		// A slot per writer: admission must not shed load here (a 429 is
+		// never observed), whatever the host's core count.
+		MaxConcurrent: writers,
 		Obs: obs.CollectorConfig{
 			Capture:  obs.CaptureConfig{SlowN: 8, RingSize: 32, SampleEvery: 4},
 			Watchdog: obs.WatchdogConfig{Multiple: 8, MinDelayMS: 1, MinEmissions: 4},
@@ -331,7 +335,6 @@ func TestCaptureConcurrencyStress(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	const writers, perWriter = 8, 40
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)

@@ -57,6 +57,23 @@ func TestStopReasonSplit(t *testing.T) {
 		t.Fatalf("after results stop: result_limit_stops=%d budget_exhausted=%d, want 1/0",
 			st.ResultLimitStops, st.BudgetExhausted)
 	}
+	// ...and not an error anywhere: the class table counts it as a clean
+	// query and the slow log does not retain it as errored.
+	classErrors := func() (errs, windowErrs int64) {
+		for _, c := range srv.Stats().QueryClasses {
+			errs += c.Errors
+			windowErrs += c.WindowErrors
+		}
+		return errs, windowErrs
+	}
+	if errs, windowErrs := classErrors(); errs != 0 || windowErrs != 0 {
+		t.Fatalf("after results stop: class errors=%d window_errors=%d, want 0/0", errs, windowErrs)
+	}
+	for _, rec := range srv.collector.SlowLog() {
+		if rec.Errored || !strings.Contains(rec.StopReason, "results") {
+			t.Fatalf("bounded stream captured as %+v, want its stop reason without the errored mark", rec)
+		}
+	}
 
 	// A starved work budget: one relaxation is never enough, so the
 	// query stops from genuine resource pressure.
@@ -70,6 +87,9 @@ func TestStopReasonSplit(t *testing.T) {
 	if st.ResultLimitStops != 1 || st.BudgetExhausted != 1 {
 		t.Fatalf("after budget trip: result_limit_stops=%d budget_exhausted=%d, want 1/1",
 			st.ResultLimitStops, st.BudgetExhausted)
+	}
+	if errs, windowErrs := classErrors(); errs != 1 || windowErrs != 1 {
+		t.Fatalf("after budget trip: class errors=%d window_errors=%d, want 1/1", errs, windowErrs)
 	}
 
 	// The split is on the wire too: /statsz carries both fields (and no

@@ -54,7 +54,7 @@ func sameCommunities(t *testing.T, got, want []*Community, label string) {
 func TestKeywordArtifactsByteIdentity(t *testing.T) {
 	g, _ := PaperExampleGraph()
 	q := Query{Keywords: []string{"a", "b", "c"}, Rmax: 8}
-	cold := collectFull(t, NewSearcher(g), q)
+	cold := collectFull(t, mustOpen(t, g), q)
 	if len(cold) == 0 {
 		t.Fatal("paper query returned nothing")
 	}
@@ -86,7 +86,7 @@ func TestKeywordArtifactsByteIdentity(t *testing.T) {
 	// truncation and must stay byte-identical too.
 	for _, rmax := range []float64{6, 4} {
 		sub := Query{Keywords: []string{"a", "b", "c"}, Rmax: rmax}
-		sameCommunities(t, collectFull(t, loaded, sub), collectFull(t, NewSearcher(g), sub), "truncated radius")
+		sameCommunities(t, collectFull(t, loaded, sub), collectFull(t, mustOpen(t, g), sub), "truncated radius")
 	}
 }
 
@@ -95,7 +95,7 @@ func TestKeywordArtifactsByteIdentity(t *testing.T) {
 func TestKeywordArtifactsFallback(t *testing.T) {
 	g, _ := PaperExampleGraph()
 	q := Query{Keywords: []string{"a", "b", "c"}, Rmax: 8}
-	cold := collectFull(t, NewSearcher(g), q)
+	cold := collectFull(t, mustOpen(t, g), q)
 
 	warm, err := Open(g, WithKeywordArtifactStore(4))
 	if err != nil {
@@ -110,7 +110,7 @@ func TestKeywordArtifactsFallback(t *testing.T) {
 	// Work-shape limits disable artifact serving: the budget must trip
 	// at the same points as cold execution, so the store steps aside.
 	lim := Query{Keywords: []string{"a", "b", "c"}, Rmax: 4, Limits: Limits{MaxRelaxations: 1 << 30}}
-	sameCommunities(t, collectFull(t, warm, lim), collectFull(t, NewSearcher(g), lim), "limited query")
+	sameCommunities(t, collectFull(t, warm, lim), collectFull(t, mustOpen(t, g), lim), "limited query")
 	if ka := warm.KeywordArtifacts(); ka.Hits != 0 {
 		t.Fatalf("artifact hits = %d, want 0 (limits must bypass the store)", ka.Hits)
 	}
@@ -125,8 +125,8 @@ func TestWithRankerEndpoints(t *testing.T) {
 	g, _ := PaperExampleGraph()
 	qSum := Query{Keywords: []string{"a", "b", "c"}, Rmax: 8}
 	qMax := Query{Keywords: []string{"a", "b", "c"}, Rmax: 8, Cost: CostMaxDistance}
-	wantSum := collectFull(t, NewSearcher(g), qSum)
-	wantMax := collectFull(t, NewSearcher(g), qMax)
+	wantSum := collectFull(t, mustOpen(t, g), qSum)
+	wantMax := collectFull(t, mustOpen(t, g), qMax)
 
 	balanced1, err := BalancedRanker(1)
 	if err != nil {

@@ -230,29 +230,3 @@ func TestOpenCollectorObserved(t *testing.T) {
 		t.Fatalf("after abandon: observed = %d, want 2", observed)
 	}
 }
-
-// TestDeprecatedConstructorsStillWork pins the compatibility wrappers:
-// the pre-Open constructors must keep returning working searchers.
-func TestDeprecatedConstructorsStillWork(t *testing.T) {
-	g, _ := PaperExampleGraph()
-	q := Query{Keywords: []string{"a", "b"}, Rmax: 8}
-
-	s1 := NewSearcher(g)
-	s2, err := NewIndexedSearcher(g, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, s := range map[string]*Searcher{"NewSearcher": s1, "NewIndexedSearcher": s2} {
-		it, err := s.All(q)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		got, err := it.Collect(0)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if len(got) == 0 {
-			t.Fatalf("%s: no communities", name)
-		}
-	}
-}

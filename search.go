@@ -382,36 +382,6 @@ func Open(g *Graph, opts ...Option) (*Searcher, error) {
 	return s, nil
 }
 
-// NewSearcher returns an un-indexed searcher over g.
-//
-// Deprecated: use Open(g).
-func NewSearcher(g *Graph) *Searcher {
-	s, err := Open(g)
-	if err != nil {
-		// Open without index options cannot fail; keep the legacy
-		// no-error signature honest if that ever changes.
-		panic(err)
-	}
-	return s
-}
-
-// NewIndexedSearcher builds the paper's inverted indexes for radii up
-// to maxRmax and returns a searcher whose queries run on projected
-// subgraphs.
-//
-// Deprecated: use Open(g, WithIndex(maxRmax)).
-func NewIndexedSearcher(g *Graph, maxRmax float64) (*Searcher, error) {
-	return Open(g, WithIndex(maxRmax))
-}
-
-// NewSearcherWithIndex loads an index previously saved with WriteIndex,
-// built over exactly this graph.
-//
-// Deprecated: use Open(g, WithIndexReader(r)).
-func NewSearcherWithIndex(g *Graph, r io.Reader) (*Searcher, error) {
-	return Open(g, WithIndexReader(r))
-}
-
 // Indexed reports whether the searcher projects queries through the
 // inverted indexes.
 func (s *Searcher) Indexed() bool { return s.ix != nil }
@@ -775,16 +745,6 @@ type Results struct {
 	produced int
 }
 
-// AllIterator enumerates every community of a query.
-//
-// Deprecated: use the Iterator interface or *Results.
-type AllIterator = Results
-
-// TopKIterator enumerates communities in non-decreasing cost order.
-//
-// Deprecated: use the Iterator interface or *Results.
-type TopKIterator = Results
-
 // SearchCtx starts an enumeration of q under algo, bound to ctx:
 // canceling ctx (or hitting its deadline) stops the enumeration within
 // a bounded number of Next calls, with the reason readable from Err.
@@ -951,8 +911,9 @@ func (it *Results) observe() {
 	if it.sess.tr != nil {
 		sum = it.sess.tr.Summary()
 	}
+	err := it.Err()
 	stop := ""
-	if err := it.Err(); err != nil {
+	if err != nil {
 		stop = err.Error()
 	}
 	n := it.sess.q.Normalized()
@@ -960,7 +921,7 @@ func (it *Results) observe() {
 		fmt.Sprintf("search-%d", queryCounter.Add(1)),
 		it.algo.String(),
 		n.Keywords, n.Rmax, it.produced, it.sess.s.Indexed(),
-		it.produced, stop, it.sess.start, time.Since(it.sess.start), sum,
+		it.produced, err, stop, it.sess.start, time.Since(it.sess.start), sum,
 	)
 	col.Observe(rec)
 }
@@ -981,14 +942,6 @@ func (it *Results) Collect(max int) ([]*Community, error) {
 		out = append(out, r)
 	}
 	return out, nil
-}
-
-// CollectAll drains every community, discarding the stop reason.
-//
-// Deprecated: use Collect, which reports why a drain ended early.
-func (it *Results) CollectAll(limit int) []*Community {
-	out, _ := it.Collect(limit)
-	return out
 }
 
 // WriteIndex serializes an indexed searcher's invertedE index so the

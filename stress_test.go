@@ -18,8 +18,8 @@ import (
 // a single-threaded baseline.
 func TestSearcherConcurrentStress(t *testing.T) {
 	g, _ := PaperExampleGraph()
-	plain := NewSearcher(g)
-	indexed, err := NewIndexedSearcher(g, 8)
+	plain := mustOpen(t, g)
+	indexed, err := Open(g, WithIndex(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,8 +183,8 @@ func TestSearcherConcurrentStress(t *testing.T) {
 // the tracing path to the same concurrency contract as the engine.
 func TestTracedSearchConcurrentStress(t *testing.T) {
 	g, _ := PaperExampleGraph()
-	plain := NewSearcher(g)
-	indexed, err := NewIndexedSearcher(g, 8)
+	plain := mustOpen(t, g)
+	indexed, err := Open(g, WithIndex(8))
 	if err != nil {
 		t.Fatal(err)
 	}
