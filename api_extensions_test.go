@@ -38,7 +38,7 @@ func TestPublicTrees(t *testing.T) {
 func TestPublicMaxCost(t *testing.T) {
 	g, ids := PaperExampleGraph()
 	s := mustOpen(t, g)
-	it, err := s.TopK(Query{Keywords: []string{"a", "b", "c"}, Rmax: 8, Cost: CostMaxDistance})
+	it, err := s.TopK(Query{Keywords: []string{"a", "b", "c"}, Rmax: 8, Ranker: MaxRanker()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestPublicMaxCost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	it2, err := ix.TopK(Query{Keywords: []string{"a", "b", "c"}, Rmax: 8, Cost: CostMaxDistance})
+	it2, err := ix.TopK(Query{Keywords: []string{"a", "b", "c"}, Rmax: 8, Ranker: MaxRanker()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@ import (
 // instead of silently ending its output.
 func repl(g *commdb.Graph, s *commdb.Searcher, rmax float64, lim commdb.Limits, in io.Reader, out io.Writer) error {
 	fmt.Fprintln(out, "commsearch interactive mode — 'help' lists commands")
-	cost := commdb.CostSumDistances
+	var ranker commdb.Ranker // nil = the paper's summed distances
 	var it *commdb.Results
 	var shown int
 	var lastTr *obs.Trace // trace of the current query, for 'stats'
@@ -108,9 +108,9 @@ func repl(g *commdb.Graph, s *commdb.Searcher, rmax float64, lim commdb.Limits, 
 				continue
 			}
 			if fields[1] == "max" {
-				cost = commdb.CostMaxDistance
+				ranker = commdb.MaxRanker()
 			} else {
-				cost = commdb.CostSumDistances
+				ranker = nil
 			}
 			fmt.Fprintln(out, "cost =", fields[1])
 		case "timeout":
@@ -141,7 +141,7 @@ func repl(g *commdb.Graph, s *commdb.Searcher, rmax float64, lim commdb.Limits, 
 			tr := obs.NewTrace(fmt.Sprintf("repl-%d", qn))
 			ctx := obs.ContextWithTrace(context.Background(), tr)
 			begin := time.Now()
-			nit, err := s.TopKCtx(ctx, commdb.Query{Keywords: fields[1:], Rmax: rmax, Cost: cost, Limits: lim})
+			nit, err := s.TopKCtx(ctx, commdb.Query{Keywords: fields[1:], Rmax: rmax, Ranker: ranker, Limits: lim})
 			if err != nil {
 				fmt.Fprintln(out, "error:", err)
 				// Even a query that failed to start enters the log: errored

@@ -103,7 +103,6 @@ func main() {
 		retryAfter    = flag.Duration("retry-after", time.Second, "Retry-After hint on 429 responses")
 		cacheEntries  = flag.Int("cache-entries", 256, "top-k result cache entries (-1 disables)")
 		cacheBytes    = flag.Int64("cache-bytes", 64<<20, "top-k result cache approximate byte bound")
-		cacheMode     = flag.String("cache", "exact", "result cache implementation: exact, semantic (Rmax-monotone downfiltering), layered, or off")
 		maxK          = flag.Int("max-k", 1000, "largest per-request k")
 
 		kwcachePath     = flag.String("kwcache", "", "keyword neighbor-set artifact file: loaded at boot when present (falling back to an empty store if it does not match the graph), persisted after every warm-up round (empty disables)")
@@ -149,7 +148,6 @@ func main() {
 		RetryAfter:    *retryAfter,
 		CacheEntries:  *cacheEntries,
 		CacheBytes:    *cacheBytes,
-		CacheMode:     *cacheMode,
 		MaxK:          *maxK,
 		MaxLimits: commdb.Limits{
 			Timeout:        *maxTimeout,
@@ -181,10 +179,6 @@ func main() {
 			CPUDuration: *profileCPU,
 			Keep:        *profileKeep,
 		})
-	}
-	if _, err := server.NewCache(*cacheMode, 0, 0); err != nil {
-		fmt.Fprintln(os.Stderr, "commserve:", err)
-		os.Exit(1)
 	}
 	if err := run(runOptions{
 		addr: *addr, graphPath: *graphPath, indexPath: *indexPath, example: *example,

@@ -86,14 +86,14 @@ func main() {
 	s, err := commdb.Open(g)
 	check(err)
 	for _, cost := range []struct {
-		name string
-		fn   commdb.CostFunction
+		name   string
+		ranker commdb.Ranker
 	}{
-		{"sum of distances (paper default)", commdb.CostSumDistances},
-		{"max distance (alternative aggregate)", commdb.CostMaxDistance},
+		{"sum of distances (paper default)", commdb.SumRanker()},
+		{"max distance (alternative aggregate)", commdb.MaxRanker()},
 	} {
 		fmt.Printf("query {security, databases}, Rmax 12, cost = %s:\n", cost.name)
-		it, err := s.TopK(commdb.Query{Keywords: []string{"security", "databases"}, Rmax: 12, Cost: cost.fn})
+		it, err := s.TopK(commdb.Query{Keywords: []string{"security", "databases"}, Rmax: 12, Ranker: cost.ranker})
 		check(err)
 		for rank := 1; ; rank++ {
 			r, ok := it.Next()

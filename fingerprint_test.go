@@ -5,12 +5,12 @@ import (
 )
 
 // TestNormalizedCanonicalizes: keywords are lowercased, tokenized and
-// sorted; Rmax, Cost and Limits survive untouched.
+// sorted; Rmax, Ranker and Limits survive untouched.
 func TestNormalizedCanonicalizes(t *testing.T) {
 	q := Query{
 		Keywords: []string{"Web", "database", " GRAPH "},
 		Rmax:     6,
-		Cost:     CostMaxDistance,
+		Ranker:   MaxRanker(),
 		Limits:   Limits{MaxResults: 7},
 	}
 	n := q.Normalized()
@@ -23,7 +23,7 @@ func TestNormalizedCanonicalizes(t *testing.T) {
 			t.Fatalf("normalized keywords = %v, want %v", n.Keywords, want)
 		}
 	}
-	if n.Rmax != 6 || n.Cost != CostMaxDistance || n.Limits.MaxResults != 7 {
+	if n.Rmax != 6 || n.Ranker != MaxRanker() || n.Limits.MaxResults != 7 {
 		t.Fatalf("normalization changed non-keyword fields: %+v", n)
 	}
 	// The receiver is unchanged (value semantics).
@@ -58,7 +58,7 @@ func TestFingerprintDiscrimination(t *testing.T) {
 		{Keywords: []string{"a", "b", "c"}, Rmax: 8},
 		{Keywords: []string{"a", "b"}, Rmax: 8},
 		{Keywords: []string{"a", "b", "c"}, Rmax: 7},
-		{Keywords: []string{"a", "b", "c"}, Rmax: 8, Cost: CostMaxDistance},
+		{Keywords: []string{"a", "b", "c"}, Rmax: 8, Ranker: MaxRanker()},
 		{Keywords: []string{"ab", "c"}, Rmax: 8},
 		{Keywords: []string{"a", "bc"}, Rmax: 8},
 		{Keywords: []string{"a", "a", "b"}, Rmax: 8},
@@ -70,6 +70,30 @@ func TestFingerprintDiscrimination(t *testing.T) {
 			t.Errorf("queries %d and %d share fingerprint %q", i, j, fp)
 		}
 		seen[fp] = i
+	}
+}
+
+// TestFingerprintNamesTheRanker: answers ranked by different
+// aggregates never share a fingerprint — the result cache, the class
+// table and the workload journal key on it — while the nil default and
+// an explicit SumRanker are the same query.
+func TestFingerprintNamesTheRanker(t *testing.T) {
+	g, _ := PaperExampleGraph()
+	s := mustOpen(t, g)
+	sumQ := Query{Keywords: []string{"a", "b", "c"}, Rmax: 8}
+	maxQ := sumQ
+	maxQ.Ranker = MaxRanker()
+	sum, max := collectFull(t, s, sumQ), collectFull(t, s, maxQ)
+	if sum[0].Cost == max[0].Cost {
+		t.Fatalf("max-ranked best costs the same as the sum-ranked one (%v): the graph does not separate them", sum[0].Cost)
+	}
+	if sumQ.Fingerprint() == maxQ.Fingerprint() {
+		t.Fatalf("max-ranked answers (cost %v) were produced under the sum fingerprint %q", max[0].Cost, sumQ.Fingerprint())
+	}
+	explicit := sumQ
+	explicit.Ranker = SumRanker()
+	if explicit.Fingerprint() != sumQ.Fingerprint() {
+		t.Fatalf("explicit SumRanker fingerprint %q differs from the default %q", explicit.Fingerprint(), sumQ.Fingerprint())
 	}
 }
 

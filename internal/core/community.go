@@ -75,23 +75,6 @@ type Community struct {
 	Nodes []graph.NodeID
 	// Edges are the edges of the subgraph induced by Nodes.
 	Edges []graph.EdgePair
-
-	// ReuseRadius is the smallest query radius that reproduces this
-	// community exactly as materialized: at any Rmax' with ReuseRadius
-	// ≤ Rmax' ≤ the materializing Rmax, the same core yields the same
-	// centers (every center's core eccentricity fits), the same member
-	// nodes (every member's ds+dt path length fits), and hence the same
-	// cost and induced edges. The Rmax-monotone result cache keeps a
-	// cached record when downfiltering iff ReuseRadius ≤ Rmax'.
-	ReuseRadius float64
-	// CoreRadius is the smallest query radius at which this community's
-	// core admits any center (the minimum over centers of their core
-	// eccentricity): below it the core yields no community at all, so
-	// the semantic cache may drop the record outright. Radii between
-	// CoreRadius and ReuseRadius shrink the community instead — a cache
-	// must fall back to live execution there. Zero when the community
-	// has no centers.
-	CoreRadius float64
 }
 
 // HasNode reports whether v belongs to the community, by binary search

@@ -20,12 +20,12 @@ func TestMaxCostMatchesNaiveRandom(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e1.SetCostFunction(CostMaxDistance)
+		e1.SetRanker(MaxRanker())
 		naive := EnumerateNaive(e1)
 		want := coreSet(t, naive)
 
 		e2, _ := NewEngine(g, nil, kws, rmax)
-		e2.SetCostFunction(CostMaxDistance)
+		e2.SetRanker(MaxRanker())
 		got := coreSet(t, drainAll(t, NewAll(e2), len(want)+10))
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: PDall(max) %d cores, naive %d", trial, len(got), len(want))
@@ -41,7 +41,7 @@ func TestMaxCostMatchesNaiveRandom(t *testing.T) {
 		}
 
 		e3, _ := NewEngine(g, nil, kws, rmax)
-		e3.SetCostFunction(CostMaxDistance)
+		e3.SetRanker(MaxRanker())
 		top := drainTopK(t, NewTopK(e3), len(want)+10)
 		if len(top) != len(want) {
 			t.Fatalf("trial %d: PDk(max) emitted %d, want %d", trial, len(top), len(want))
@@ -60,7 +60,7 @@ func TestMaxCostMatchesNaiveRandom(t *testing.T) {
 func TestMaxCostPaperExample(t *testing.T) {
 	g, ids := PaperGraph()
 	e, _ := NewEngine(g, nil, []string{"a", "b", "c"}, 8)
-	e.SetCostFunction(CostMaxDistance)
+	e.SetRanker(MaxRanker())
 	it := NewTopK(e)
 	first, ok := it.NextCore()
 	if !ok {
@@ -86,7 +86,7 @@ func TestCostOfAggregates(t *testing.T) {
 	if got := e.CostOf([]float64{1, 2, 3}); got != 6 {
 		t.Fatalf("sum = %v", got)
 	}
-	e.SetCostFunction(CostMaxDistance)
+	e.SetRanker(MaxRanker())
 	if got := e.CostOf([]float64{1, 5, 3}); got != 5 {
 		t.Fatalf("max = %v", got)
 	}

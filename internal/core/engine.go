@@ -18,21 +18,6 @@ import (
 // ErrNoKeywords is returned when a query contains no keywords.
 var ErrNoKeywords = errors.New("core: query needs at least one keyword")
 
-// CostFunction selects how a community's cost aggregates the
-// center→knode distances. The paper notes its algorithms do not rely on
-// a specific cost function; any per-component monotone aggregate works,
-// and two are provided.
-type CostFunction int
-
-const (
-	// CostSumDistances is the paper's default: the minimum over centers
-	// of the summed shortest-path weights to every core node.
-	CostSumDistances CostFunction = iota
-	// CostMaxDistance ranks by the minimum over centers of the largest
-	// center→knode distance (an eccentricity-style radius measure).
-	CostMaxDistance
-)
-
 // Engine holds the per-query state shared by the enumeration
 // algorithms: the keyword node sets V_i, one neighborSet slot N_i per
 // keyword, and the paper's per-node (nearest knode, total weight,
@@ -103,12 +88,11 @@ type Engine struct {
 	// workspace, the per-run Dijkstra counters. nil means untraced.
 	tr *obs.Trace
 
-	// costFn aggregates per-keyword distances into a cost.
-	costFn CostFunction
-	// ranker, when non-nil, replaces costFn as the cost aggregate.
+	// ranker aggregates per-keyword distances into a cost; never nil
+	// (the paper's summed distances unless SetRanker changed it).
 	ranker Ranker
 	// rankBuf is bestCore's per-candidate distance scratch under a
-	// custom ranker (bestCore is engine-sequential, so one buffer).
+	// non-sum ranker (bestCore is engine-sequential, so one buffer).
 	rankBuf []float64
 
 	// nsrc, when non-nil, supplies precomputed full keyword-set runs
@@ -118,18 +102,18 @@ type Engine struct {
 	nsrc NeighborSource
 }
 
-// SetCostFunction switches the cost aggregate. It must be called before
-// the first enumeration step.
-func (e *Engine) SetCostFunction(f CostFunction) { e.costFn = f }
-
-// SetRanker installs a custom cost aggregate that overrides the
-// CostFunction enum. The ranker must be monotone in every component
-// (the enumeration orders of Algorithms 1 and 5 rely on it) and its
-// Cost method must be safe for concurrent calls: materialization
-// pipeline workers rank communities in parallel. It must be called
-// before the first enumeration step; nil (the default) restores the
-// enum-selected aggregate.
-func (e *Engine) SetRanker(r Ranker) { e.ranker = r }
+// SetRanker switches the cost aggregate; nil selects the paper's
+// summed distances, the default. The ranker must be monotone in every
+// component (the enumeration orders of Algorithms 1 and 5 rely on it)
+// and its Cost method must be safe for concurrent calls:
+// materialization pipeline workers rank communities in parallel. It
+// must be called before the first enumeration step.
+func (e *Engine) SetRanker(r Ranker) {
+	if r == nil {
+		r = sumRanker{}
+	}
+	e.ranker = r
+}
 
 // SetBudget installs a governance budget on the engine and its
 // shortest-path workspace. It must be called before the first
@@ -154,28 +138,8 @@ func (e *Engine) SetTrace(t *obs.Trace) {
 func (e *Engine) Trace() *obs.Trace { return e.tr }
 
 // CostOf aggregates one center's per-keyword distances under the
-// engine's cost function (or custom ranker).
-func (e *Engine) CostOf(dists []float64) float64 {
-	if e.ranker != nil {
-		return e.ranker.Cost(dists)
-	}
-	switch e.costFn {
-	case CostMaxDistance:
-		best := 0.0
-		for _, d := range dists {
-			if d > best {
-				best = d
-			}
-		}
-		return best
-	default:
-		total := 0.0
-		for _, d := range dists {
-			total += d
-		}
-		return total
-	}
-}
+// engine's ranker.
+func (e *Engine) CostOf(dists []float64) float64 { return e.ranker.Cost(dists) }
 
 // DisableSlotCache turns off the engine's Neighbor memoization so every
 // slot install recomputes its bounded Dijkstra, exactly as the paper's
@@ -251,6 +215,7 @@ func NewEngineCfg(g *graph.Graph, ix *fulltext.Index, keywords []string, rmax fl
 		sum:          make([]float64, n),
 		cnt:          make([]int16, n),
 		nsrc:         cfg.Neighbors,
+		ranker:       sumRanker{},
 	}
 	for i, kw := range keywords {
 		nodes, err := KeywordNodes(g, ix, kw)
@@ -572,10 +537,11 @@ func (e *Engine) clearSlots() {
 // minimum-cost core assembled from the per-slot nearest keyword nodes,
 // or ok == false when the current slots admit no center. Under the
 // default sum cost the incrementally maintained table answers each
-// candidate in O(1); alternative cost functions probe the l slots.
+// candidate in O(1); other rankers probe the l slots.
 func (e *Engine) bestCore() (Core, float64, bool) {
 	e.tr.Add("bestcore_scans", 1)
 	n := e.g.NumNodes()
+	sumCost := e.ranker == Ranker(sumRanker{})
 	bestU := graph.NodeID(-1)
 	bestCost := 0.0
 	want := int16(e.l)
@@ -593,7 +559,7 @@ func (e *Engine) bestCore() (Core, float64, bool) {
 				continue
 			}
 			var cost float64
-			if e.costFn == CostSumDistances && e.ranker == nil {
+			if sumCost {
 				cost = e.sum[u]
 			} else {
 				cost = e.candidateCost(graph.NodeID(u))
@@ -617,30 +583,15 @@ func (e *Engine) bestCore() (Core, float64, bool) {
 }
 
 // candidateCost aggregates a candidate center's slot distances under a
-// non-sum cost function or a custom ranker.
+// non-sum ranker.
 func (e *Engine) candidateCost(u graph.NodeID) float64 {
-	if e.ranker != nil {
-		// bestCore is engine-sequential, so one scratch buffer suffices.
-		if e.rankBuf == nil {
-			e.rankBuf = make([]float64, e.l)
-		}
-		for i := 0; i < e.l; i++ {
-			e.rankBuf[i], _ = e.nbr[i].Dist(u)
-		}
-		return e.ranker.Cost(e.rankBuf)
+	if e.rankBuf == nil {
+		e.rankBuf = make([]float64, e.l)
 	}
-	switch e.costFn {
-	case CostMaxDistance:
-		best := 0.0
-		for i := 0; i < e.l; i++ {
-			if d, _ := e.nbr[i].Dist(u); d > best {
-				best = d
-			}
-		}
-		return best
-	default:
-		return e.sum[u]
+	for i := 0; i < e.l; i++ {
+		e.rankBuf[i], _ = e.nbr[i].Dist(u)
 	}
+	return e.ranker.Cost(e.rankBuf)
 }
 
 // Bytes estimates the engine's logical memory footprint: the slot

@@ -109,10 +109,6 @@ func (e *Engine) getCommunity(c Core, sc *gcScratch) *Community {
 	var centers []graph.NodeID
 	cost := 0.0
 	haveCost := false
-	// Per-center core eccentricities bound where this exact community
-	// remains valid: every center survives radii down to the max
-	// eccentricity, and the core keeps some center down to the min.
-	maxEcc, minEcc := 0.0, 0.0
 	for _, v := range sc.knode[smallest].Visited() {
 		all := true
 		for j := range knodes {
@@ -131,18 +127,8 @@ func (e *Engine) getCommunity(c Core, sc *gcScratch) *Community {
 		// The cost aggregates every keyword position, so duplicate core
 		// nodes contribute once per position.
 		dists := make([]float64, len(c))
-		ecc := 0.0
 		for i, ci := range c {
 			dists[i], _ = sc.knode[knodeIdx[ci]].Dist(v)
-			if dists[i] > ecc {
-				ecc = dists[i]
-			}
-		}
-		if len(centers) == 1 || ecc > maxEcc {
-			maxEcc = ecc
-		}
-		if len(centers) == 1 || ecc < minEcc {
-			minEcc = ecc
 		}
 		total := e.CostOf(dists)
 		if !haveCost || total < cost {
@@ -152,8 +138,7 @@ func (e *Engine) getCommunity(c Core, sc *gcScratch) *Community {
 	}
 	sort.Slice(centers, func(i, j int) bool { return centers[i] < centers[j] })
 
-	r := &Community{Core: c.Clone(), Knodes: knodes, Cnodes: centers, Cost: cost,
-		ReuseRadius: maxEcc, CoreRadius: minEcc}
+	r := &Community{Core: c.Clone(), Knodes: knodes, Cnodes: centers, Cost: cost}
 	if len(centers) == 0 {
 		// No center reaches every knode within Rmax: the core admits no
 		// community. Callers in the enumerators never hit this (BestCore
@@ -179,13 +164,6 @@ func (e *Engine) getCommunity(c Core, sc *gcScratch) *Community {
 		if ok && ds+dt <= e.rmax {
 			sc.mark[u] = mark
 			r.Nodes = append(r.Nodes, u)
-			// Membership is the direct test ds+dt ≤ Rmax, so the exact
-			// member set survives down-radius reuse only while every
-			// member's path length still fits — center eccentricities
-			// alone would let boundary members leak out.
-			if ds+dt > r.ReuseRadius {
-				r.ReuseRadius = ds + dt
-			}
 		}
 	}
 	sort.Slice(r.Nodes, func(i, j int) bool { return r.Nodes[i] < r.Nodes[j] })

@@ -31,9 +31,8 @@ func (sumRanker) Cost(dists []float64) float64 {
 	return total
 }
 
-// maxRanker ranks by the largest center→knode distance (the
-// eccentricity-style radius measure also available as
-// CostMaxDistance).
+// maxRanker ranks by the largest center→knode distance, an
+// eccentricity-style radius measure.
 type maxRanker struct{}
 
 func (maxRanker) Name() string { return "max" }

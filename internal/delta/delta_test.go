@@ -84,12 +84,26 @@ func TestOpEncodeDecode(t *testing.T) {
 	}
 }
 
+// logOf serializes ops as a framed log.
+func logOf(t *testing.T, ops ...delta.Op) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := delta.WriteOps(&buf, ops); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // ReadOps must tolerate a torn final line (no newline) and Tail must
 // leave it unconsumed until it completes.
 func TestTornWriteTolerance(t *testing.T) {
-	full := `{"op":"insert","table":"T","values":[1,"x"]}` + "\n"
-	torn := full + `{"op":"insert","table":"T","val`
-	ops, err := delta.ReadOps(strings.NewReader(torn))
+	log := logOf(t,
+		delta.InsertOp("T", []relational.Value{relational.IntV(1), relational.StrV("x")}),
+		delta.InsertOp("T", []relational.Value{relational.IntV(2), relational.StrV("y")}))
+	full := log[:bytes.IndexByte(log, '\n')+1]
+	cut := len(full) + 30 // mid-way through the second line
+	torn, rest := log[:cut], log[cut:]
+	ops, err := delta.ReadOps(bytes.NewReader(torn))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +113,7 @@ func TestTornWriteTolerance(t *testing.T) {
 
 	dir := t.TempDir()
 	path := filepath.Join(dir, "muts.ndjson")
-	if err := os.WriteFile(path, []byte(torn), 0o644); err != nil {
+	if err := os.WriteFile(path, torn, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	tail := delta.NewTail(path, 0)
@@ -115,7 +129,7 @@ func TestTornWriteTolerance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`ues":[2,"y"]}` + "\n"); err != nil {
+	if _, err := f.Write(rest); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -131,11 +145,73 @@ func TestTornWriteTolerance(t *testing.T) {
 		t.Fatalf("quiet poll = %v ops, err %v", len(got), err)
 	}
 	// A truncated log is a permanent error.
-	if err := os.WriteFile(path, []byte(full), 0o644); err != nil {
+	if err := os.WriteFile(path, full, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := tail.Poll(); err == nil {
 		t.Fatal("tail of a shrunk log should fail")
+	}
+}
+
+// TestLogRejectsDamage: the two failures a line-oriented log cannot see
+// without a frame. A flipped byte inside a value of a complete line
+// still parses as JSON — only the line checksum tells it from what was
+// written; a dropped middle line leaves every remaining line intact —
+// only the sequence numbers tell. Every reader must refuse the log
+// rather than apply it, and a line without a frame is rejected too.
+func TestLogRejectsDamage(t *testing.T) {
+	intact := logOf(t,
+		delta.Op{Kind: delta.KindSchema, Table: "T", PK: []string{"Id"},
+			Columns: []delta.ColumnDef{{Name: "Id", Type: "int"}, {Name: "Name", Type: "string", FullText: true}}},
+		delta.InsertOp("T", []relational.Value{relational.IntV(1), relational.StrV("alpha")}),
+		delta.InsertOp("T", []relational.Value{relational.IntV(2), relational.StrV("bravo")}),
+		delta.InsertOp("T", []relational.Value{relational.IntV(3), relational.StrV("charlie")}))
+	if got, err := delta.ReadOps(bytes.NewReader(intact)); err != nil || len(got) != 4 {
+		t.Fatalf("intact log: %d ops, err %v", len(got), err)
+	}
+	lines := bytes.SplitAfter(intact, []byte("\n"))
+	flipped := append([]byte(nil), intact...)
+	flipped[bytes.Index(flipped, []byte("bravo"))] ^= 0x01 // "bravo" -> "cravo"
+	for name, bad := range map[string][]byte{
+		"flipped byte in a value": flipped,
+		"dropped middle line":     bytes.Join([][]byte{lines[0], lines[1], lines[3]}, nil),
+		"line without a frame":    []byte(`{"op":"insert","table":"T","values":[1,"x"]}` + "\n"),
+	} {
+		if got, err := delta.ReadOps(bytes.NewReader(bad)); err == nil {
+			t.Errorf("%s: ReadOps accepted the log (%d ops)", name, len(got))
+		} else if !strings.Contains(err.Error(), "line ") {
+			t.Errorf("%s: error does not name the line: %v", name, err)
+		}
+		db := relational.NewDatabase()
+		if err := db.EnableMutations(); err != nil {
+			t.Fatal(err)
+		}
+		if n, err := delta.Replay(bytes.NewReader(bad), db); err == nil {
+			t.Errorf("%s: Replay applied %d ops", name, n)
+		}
+		path := filepath.Join(t.TempDir(), "log.ndjson")
+		if err := os.WriteFile(path, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := delta.NewTail(path, 0).Poll(); err == nil {
+			t.Errorf("%s: Tail.Poll accepted the log (%d ops)", name, len(got))
+		}
+	}
+
+	// A line dropped between two polls is a gap too.
+	path := filepath.Join(t.TempDir(), "log.ndjson")
+	if err := os.WriteFile(path, bytes.Join(lines[:2], nil), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tail := delta.NewTail(path, 0)
+	if got, err := tail.Poll(); err != nil || len(got) != 2 {
+		t.Fatalf("first poll: %d ops, err %v", len(got), err)
+	}
+	if err := os.WriteFile(path, bytes.Join([][]byte{lines[0], lines[1], lines[3]}, nil), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := tail.Poll(); err == nil {
+		t.Fatalf("a poll across a dropped line returned %d ops", len(got))
 	}
 }
 
@@ -146,7 +222,6 @@ func TestLogWriterTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer w.Close()
 	tail := delta.NewTail(path, 0)
 	total := 0
 	for i := 0; i < 3; i++ {
@@ -164,6 +239,36 @@ func TestLogWriterTail(t *testing.T) {
 	}
 	if total != 6 {
 		t.Fatalf("tailed %d ops, want 6", total)
+	}
+
+	// A reopened log drops the half-line a crashed writer left behind
+	// and continues the sequence, so the tail reads straight through.
+	w.Close()
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"op":"insert","table":"T","val`); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	w2, err := delta.OpenLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w2.Close()
+	if err := w2.Append(delta.DeleteOp("T", "1")); err != nil {
+		t.Fatal(err)
+	}
+	if ops, err := tail.Poll(); err != nil || len(ops) != 1 {
+		t.Fatalf("tail after reopen: %d ops, err %v", len(ops), err)
+	}
+	whole, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ops, err := delta.ReadOps(bytes.NewReader(whole)); err != nil || len(ops) != 7 {
+		t.Fatalf("whole log after reopen: %d ops, err %v", len(ops), err)
 	}
 }
 

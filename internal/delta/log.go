@@ -8,89 +8,103 @@ import (
 	"os"
 
 	"commdb/internal/relational"
+	"commdb/internal/seqlog"
 )
 
-// Log durability and replay. A mutation log is append-only NDJSON; the
-// writer fsyncs on every Append so an acknowledged batch survives a
-// crash, and readers treat a final line without a newline as a torn
-// write: Replay stops cleanly before it, and Tail waits for the rest
-// of the line to arrive — the same either-old-or-new discipline the
-// index artifacts get from atomic renames.
+// Log durability and replay. A mutation log is append-only NDJSON, one
+// op per line, each line framed by seqlog with a sequence number and a
+// checksum. The writer fsyncs on every Append so an acknowledged batch
+// survives a crash, and readers treat a final line without a newline as
+// a torn write: Replay stops cleanly before it, and Tail waits for the
+// rest of the line to arrive — the same either-old-or-new discipline
+// the index artifacts get from atomic renames. A complete line that
+// fails its checksum, or whose sequence number does not follow its
+// predecessor's, fails the read: the log is the source of truth, so a
+// damaged value or a missing op is never applied silently.
 
 // LogWriter appends ops to a mutation-log file durably.
 type LogWriter struct {
-	f *os.File
+	f   *os.File
+	seq int64 // sequence number of the last line written
 }
 
-// OpenLog opens (creating if needed) a mutation log for appending.
+// OpenLog opens (creating if needed) a mutation log for appending,
+// dropping a torn final line and continuing the existing sequence.
 func OpenLog(path string) (*LogWriter, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	return &LogWriter{f: f}, nil
+	seq, _, err := seqlog.Resume(f)
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("delta: resuming log %s: %w", path, err)
+	}
+	return &LogWriter{f: f, seq: seq}, nil
 }
 
-// Append writes the ops as NDJSON lines and fsyncs. The batch is
-// written with a single Write call per op; on return the ops are
-// durable.
+// Append writes the ops as framed NDJSON lines in a single Write call
+// and fsyncs; on return the ops are durable.
 func (w *LogWriter) Append(ops ...Op) error {
 	var buf bytes.Buffer
-	for _, op := range ops {
-		line, err := EncodeOp(op)
-		if err != nil {
-			return err
-		}
-		buf.Write(line)
-		buf.WriteByte('\n')
+	if err := encodeOps(&buf, w.seq, ops); err != nil {
+		return err
 	}
 	if _, err := w.f.Write(buf.Bytes()); err != nil {
 		return err
 	}
+	w.seq += int64(len(ops))
 	return w.f.Sync()
 }
 
 // Close closes the underlying file.
 func (w *LogWriter) Close() error { return w.f.Close() }
 
-// WriteOps streams ops as NDJSON to any writer (no fsync; use
-// LogWriter for durable appends).
+// WriteOps writes ops as a complete log — framed NDJSON lines numbered
+// from 1 — to any writer (no fsync; use LogWriter for durable appends).
 func WriteOps(w io.Writer, ops []Op) error {
 	bw := bufio.NewWriter(w)
-	for _, op := range ops {
-		line, err := EncodeOp(op)
-		if err != nil {
-			return err
-		}
-		bw.Write(line)
-		bw.WriteByte('\n')
+	if err := encodeOps(bw, 0, ops); err != nil {
+		return err
 	}
 	return bw.Flush()
 }
 
-// ReadOps decodes every complete NDJSON line of r. A final unterminated
-// line is a torn write and is ignored; everything before it must parse.
-func ReadOps(r io.Reader) ([]Op, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	var ops []Op
-	for {
-		line, err := br.ReadBytes('\n')
-		if err == io.EOF {
-			return ops, nil // no trailing newline: torn tail, stop cleanly
-		}
+// encodeOps writes one framed line per op, numbered after last.
+func encodeOps(w io.Writer, last int64, ops []Op) error {
+	for i, op := range ops {
+		obj, err := EncodeOp(op)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		line = bytes.TrimSpace(line)
-		if len(line) == 0 {
-			continue
+		if _, err := w.Write(append(seqlog.Seal(obj, last+int64(i)+1), '\n')); err != nil {
+			return err
 		}
-		op, err := DecodeOp(line)
-		if err != nil {
-			return nil, err
-		}
-		ops = append(ops, op)
 	}
+	return nil
+}
+
+// ReadOps decodes every complete line of the log r. A final
+// unterminated line is a torn write and is ignored; everything before
+// it must verify (checksum, consecutive sequence numbers) and parse.
+func ReadOps(r io.Reader) ([]Op, error) {
+	ops, _, _, err := readOps(r, 0)
+	return ops, err
+}
+
+// readOps is ReadOps continuing after sequence number last (0 =
+// unknown); it also returns the last sequence number read and the
+// bytes the ops span.
+func readOps(r io.Reader, last int64) (ops []Op, seq, n int64, err error) {
+	seq, n, err = seqlog.Scan(r, last, func(obj []byte, _ int64) error {
+		op, err := DecodeOp(obj)
+		ops = append(ops, op)
+		return err
+	})
+	if err != nil {
+		return nil, 0, 0, fmt.Errorf("delta: log %w", err)
+	}
+	return ops, seq, n, nil
 }
 
 // Replay applies every op of r to db in order, returning how many ops
@@ -161,6 +175,7 @@ func LoadDatabase(r io.Reader) (*relational.Database, error) {
 type Tail struct {
 	path string
 	off  int64
+	seq  int64 // sequence number of the last op consumed (0 = none yet)
 }
 
 // NewTail starts tailing path from the given offset (0 = the start).
@@ -189,26 +204,14 @@ func (t *Tail) Poll() ([]Op, error) {
 	if st.Size() < t.off {
 		return nil, fmt.Errorf("delta: log %s shrank from %d to %d bytes (truncated or rotated)", t.path, t.off, st.Size())
 	}
-	if st.Size() == t.off {
-		return nil, nil
-	}
 	if _, err := f.Seek(t.off, io.SeekStart); err != nil {
 		return nil, err
 	}
-	buf := make([]byte, st.Size()-t.off)
-	if _, err := io.ReadFull(f, buf); err != nil {
-		return nil, err
-	}
-	// Only consume through the last newline; the remainder is a line
-	// still being written.
-	end := bytes.LastIndexByte(buf, '\n')
-	if end < 0 {
-		return nil, nil
-	}
-	ops, err := ReadOps(bytes.NewReader(buf[:end+1]))
+	ops, seq, n, err := readOps(f, t.seq)
 	if err != nil {
 		return nil, err
 	}
-	t.off += int64(end + 1)
+	t.off += n
+	t.seq = seq
 	return ops, nil
 }

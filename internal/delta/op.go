@@ -4,13 +4,14 @@
 // graph and index artifacts, bit-identical to a from-scratch rebuild
 // but recomputing only the radius-bounded dirty slice of invertedE.
 //
-// The log is NDJSON, one op per line, in four kinds:
+// The log is NDJSON, one op per line, in four kinds (each line closed
+// by internal/seqlog's sequence number and checksum, elided here):
 //
 //	{"op":"schema","table":"Author","columns":[{"name":"Aid","type":"int"},
-//	   {"name":"Name","type":"string","fulltext":true}],"pk":["Aid"]}
-//	{"op":"fk","table":"Write","column":"Aid","to":"Author"}
-//	{"op":"insert","table":"Author","values":[7,"jane doe"]}
-//	{"op":"delete","table":"Write","key":"7|1234"}
+//	   {"name":"Name","type":"string","fulltext":true}],"pk":["Aid"],"seq":1,"crc":…}
+//	{"op":"fk","table":"Write","column":"Aid","to":"Author",…}
+//	{"op":"insert","table":"Author","values":[7,"jane doe"],…}
+//	{"op":"delete","table":"Write","key":"7|1234",…}
 //
 // A complete database dump is simply a log prefix of schema, fk, and
 // insert ops — so "load the base database" and "replay the mutation
@@ -74,8 +75,8 @@ type Op struct {
 // constraint invalidates the incremental path's node-order reasoning.
 func (op Op) Structural() bool { return op.Kind == KindSchema || op.Kind == KindFK }
 
-// DecodeOp parses one NDJSON line. Numbers decode as json.Number so
-// int64 values round-trip exactly.
+// DecodeOp parses one op object (a log line less its seqlog frame).
+// Numbers decode as json.Number so int64 values round-trip exactly.
 func DecodeOp(line []byte) (Op, error) {
 	var op Op
 	dec := json.NewDecoder(bytes.NewReader(line))
@@ -95,8 +96,7 @@ func DecodeOp(line []byte) (Op, error) {
 	return op, nil
 }
 
-// EncodeOp renders one op as a single NDJSON line (no trailing
-// newline).
+// EncodeOp renders one op as a JSON object, ready for framing.
 func EncodeOp(op Op) ([]byte, error) {
 	return json.Marshal(op)
 }

@@ -1,15 +1,13 @@
 package index
 
 import (
-	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"time"
 
+	"commdb/internal/artifact"
 	"commdb/internal/fulltext"
 	"commdb/internal/graph"
 )
@@ -21,7 +19,8 @@ import (
 //
 // Format v2 is fail-closed: a loader either reconstructs exactly the
 // index that was written or returns an error wrapping ErrCorruptIndex
-// — never a short-but-plausible index. Layout:
+// — never a short-but-plausible index. Layout (internal/artifact's
+// checksummed section framing):
 //
 //	magic "CDBX"
 //	header section:  version | R bits | term count | node count
@@ -55,158 +54,29 @@ var ErrCorruptIndex = errors.New("index: corrupt index artifact")
 // corruption it is permanent for the (artifact, graph) pair.
 var ErrIndexMismatch = errors.New("index: index does not match graph")
 
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// corruptf builds an ErrCorruptIndex-wrapped error.
-func corruptf(format string, args ...any) error {
-	return fmt.Errorf("%w: %s", ErrCorruptIndex, fmt.Sprintf(format, args...))
-}
-
-// readErr classifies an I/O failure mid-load: any flavour of EOF means
-// the artifact ended before its format said it would (truncation →
-// corrupt); other errors (e.g. a device failure) pass through so
-// callers can classify them as transient.
-func readErr(err error, what string) error {
-	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-		return corruptf("truncated while reading %s: %v", what, err)
-	}
-	return fmt.Errorf("index: reading %s: %w", what, err)
-}
-
-// cwriter accumulates a per-section CRC32-C over everything written.
-type cwriter struct {
-	bw  *bufio.Writer
-	crc uint32
-}
-
-func (w *cwriter) write(p []byte) {
-	w.bw.Write(p)
-	w.crc = crc32.Update(w.crc, castagnoli, p)
-}
-
-func (w *cwriter) uvarint(v uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	w.write(buf[:n])
-}
-
-func (w *cwriter) varint(v int64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutVarint(buf[:], v)
-	w.write(buf[:n])
-}
-
-func (w *cwriter) float(f float64) {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], math.Float64bits(f))
-	w.write(buf[:])
-}
-
-// endSection emits the section's CRC (not itself checksummed) and
-// resets the accumulator for the next section.
-func (w *cwriter) endSection() {
-	var buf [4]byte
-	binary.LittleEndian.PutUint32(buf[:], w.crc)
-	w.bw.Write(buf[:])
-	w.crc = 0
-}
-
-// creader mirrors cwriter: a CRC32-C accumulates over every byte the
-// decoder consumes, compared against the stored value at each section
-// boundary.
-type creader struct {
-	br  *bufio.Reader
-	crc uint32
-}
-
-// ReadByte implements io.ByteReader for binary.ReadUvarint.
-func (c *creader) ReadByte() (byte, error) {
-	b, err := c.br.ReadByte()
-	if err == nil {
-		var one = [1]byte{b}
-		c.crc = crc32.Update(c.crc, castagnoli, one[:])
-	}
-	return b, err
-}
-
-func (c *creader) full(p []byte) error {
-	if _, err := io.ReadFull(c.br, p); err != nil {
-		return err
-	}
-	c.crc = crc32.Update(c.crc, castagnoli, p)
-	return nil
-}
-
-func (c *creader) uvarint(what string) (uint64, error) {
-	v, err := binary.ReadUvarint(c)
-	if err != nil {
-		return 0, readErr(err, what)
-	}
-	return v, nil
-}
-
-func (c *creader) varint(what string) (int64, error) {
-	v, err := binary.ReadVarint(c)
-	if err != nil {
-		return 0, readErr(err, what)
-	}
-	return v, nil
-}
-
-func (c *creader) float(what string) (float64, error) {
-	var buf [8]byte
-	if err := c.full(buf[:]); err != nil {
-		return 0, readErr(err, what)
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(buf[:])), nil
-}
-
-// endSection reads the stored CRC (not fed to the accumulator),
-// compares it against the computed one, and resets for the next
-// section.
-func (c *creader) endSection(name string) error {
-	var buf [4]byte
-	if _, err := io.ReadFull(c.br, buf[:]); err != nil {
-		return readErr(err, name+" checksum")
-	}
-	stored := binary.LittleEndian.Uint32(buf[:])
-	if stored != c.crc {
-		return corruptf("%s section checksum mismatch (stored %08x, computed %08x)", name, stored, c.crc)
-	}
-	c.crc = 0
-	return nil
-}
-
 // Write serializes the index's invertedE and radius to w. The graph
 // itself is serialized separately (graph.Write); ReadInto checks that
 // the two match. Postings are written in the sorted (From, To) order
 // Build produces, which the loader verifies as a monotonicity gate.
 func (ix *Index) Write(w io.Writer) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	if _, err := bw.WriteString(idxMagic); err != nil {
-		return err
-	}
-	cw := &cwriter{bw: bw}
-	cw.uvarint(idxVersion)
-	cw.float(ix.r)
-	cw.uvarint(uint64(len(ix.edges)))
-	cw.uvarint(uint64(ix.g.NumNodes()))
-	cw.endSection()
+	cw := artifact.NewWriter(w, idxMagic)
+	cw.Uvarint(idxVersion)
+	cw.Float(ix.r)
+	cw.Uvarint(uint64(len(ix.edges)))
+	cw.Uvarint(uint64(ix.g.NumNodes()))
+	cw.EndSection()
 	for _, posts := range ix.edges {
-		cw.uvarint(uint64(len(posts)))
+		cw.Uvarint(uint64(len(posts)))
 		prevFrom := int64(0)
 		for _, e := range posts {
-			cw.varint(int64(e.From) - prevFrom)
+			cw.Varint(int64(e.From) - prevFrom)
 			prevFrom = int64(e.From)
-			cw.uvarint(uint64(e.To))
-			cw.float(e.Weight)
+			cw.Uvarint(uint64(e.To))
+			cw.Float(e.Weight)
 		}
 	}
-	cw.endSection()
-	if _, err := bw.WriteString(idxFooter); err != nil {
-		return err
-	}
-	return bw.Flush()
+	cw.EndSection()
+	return cw.Finish(idxFooter)
 }
 
 // ReadInto deserializes an index written by Write, attaching it to the
@@ -217,30 +87,25 @@ func (ix *Index) Write(w io.Writer) error {
 // no index. It never panics on hostile input.
 func ReadInto(r io.Reader, g *graph.Graph) (*Index, error) {
 	start := time.Now()
-	br := bufio.NewReaderSize(r, 1<<20)
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, readErr(err, "magic")
+	cr, err := artifact.NewReader(r, idxMagic, "index", ErrCorruptIndex)
+	if err != nil {
+		return nil, err
 	}
-	if string(magic) != idxMagic {
-		return nil, corruptf("bad magic %q", magic)
-	}
-	cr := &creader{br: br}
-	ver, err := cr.uvarint("version")
+	ver, err := cr.Uvarint("version")
 	if err != nil {
 		return nil, err
 	}
 	if ver != idxVersion {
-		return nil, corruptf("unsupported version %d (want %d; rebuild with cmd/indexbuild)", ver, idxVersion)
+		return nil, cr.Corruptf("unsupported version %d (want %d; rebuild with cmd/indexbuild)", ver, idxVersion)
 	}
-	radius, err := cr.float("radius")
+	radius, err := cr.Float("radius")
 	if err != nil {
 		return nil, err
 	}
 	if math.IsNaN(radius) || math.IsInf(radius, 0) || radius < 0 {
-		return nil, corruptf("non-finite or negative radius %v", radius)
+		return nil, cr.Corruptf("non-finite or negative radius %v", radius)
 	}
-	terms, err := cr.uvarint("term count")
+	terms, err := cr.Uvarint("term count")
 	if err != nil {
 		return nil, err
 	}
@@ -248,7 +113,7 @@ func ReadInto(r io.Reader, g *graph.Graph) (*Index, error) {
 		return nil, fmt.Errorf("%w: built over %d terms, graph has %d",
 			ErrIndexMismatch, terms, g.Dict().Size())
 	}
-	nodes, err := cr.uvarint("node count")
+	nodes, err := cr.Uvarint("node count")
 	if err != nil {
 		return nil, err
 	}
@@ -256,7 +121,7 @@ func ReadInto(r io.Reader, g *graph.Graph) (*Index, error) {
 		return nil, fmt.Errorf("%w: built over %d nodes, graph has %d",
 			ErrIndexMismatch, nodes, g.NumNodes())
 	}
-	if err := cr.endSection("header"); err != nil {
+	if err := cr.EndSection("header"); err != nil {
 		return nil, err
 	}
 
@@ -268,7 +133,7 @@ func ReadInto(r io.Reader, g *graph.Graph) (*Index, error) {
 	}
 	n := int64(g.NumNodes())
 	for t := uint64(0); t < terms; t++ {
-		cnt, err := cr.uvarint("posting count")
+		cnt, err := cr.Uvarint("posting count")
 		if err != nil {
 			return nil, err
 		}
@@ -282,27 +147,27 @@ func ReadInto(r io.Reader, g *graph.Graph) (*Index, error) {
 		posts := make([]WeightedEdge, 0, capHint)
 		prevFrom, prevTo := int64(0), int64(-1)
 		for i := uint64(0); i < cnt; i++ {
-			df, err := cr.varint("posting delta")
+			df, err := cr.Varint("posting delta")
 			if err != nil {
 				return nil, err
 			}
 			from := prevFrom + df
-			to64, err := cr.uvarint("posting target")
+			to64, err := cr.Uvarint("posting target")
 			if err != nil {
 				return nil, err
 			}
 			to := int64(to64)
-			wt, err := cr.float("posting weight")
+			wt, err := cr.Float("posting weight")
 			if err != nil {
 				return nil, err
 			}
 			if from < 0 || from >= n || to < 0 || to >= n {
-				return nil, corruptf("term %d posting (%d,%d) outside graph of %d nodes", t, from, to, n)
+				return nil, cr.Corruptf("term %d posting (%d,%d) outside graph of %d nodes", t, from, to, n)
 			}
 			// Monotonicity: Build sorts each term's postings strictly by
 			// (From, To), so any other order means corrupted deltas.
 			if i > 0 && (from < prevFrom || (from == prevFrom && to <= prevTo)) {
-				return nil, corruptf("term %d posting %d (%d,%d) breaks (from,to) order after (%d,%d)",
+				return nil, cr.Corruptf("term %d posting %d (%d,%d) breaks (from,to) order after (%d,%d)",
 					t, i, from, to, prevFrom, prevTo)
 			}
 			prevFrom, prevTo = from, to
@@ -317,23 +182,11 @@ func ReadInto(r io.Reader, g *graph.Graph) (*Index, error) {
 		}
 		ix.edges[t] = posts
 	}
-	if err := cr.endSection("postings"); err != nil {
+	if err := cr.EndSection("postings"); err != nil {
 		return nil, err
 	}
-	footer := make([]byte, 4)
-	if _, err := io.ReadFull(br, footer); err != nil {
-		return nil, readErr(err, "footer")
-	}
-	if string(footer) != idxFooter {
-		return nil, corruptf("bad footer %q", footer)
-	}
-	// Trailing-garbage check: a well-formed artifact ends exactly at the
-	// footer. Extra bytes mean a torn write or concatenation bug.
-	if _, err := br.ReadByte(); err != io.EOF {
-		if err != nil {
-			return nil, readErr(err, "end of file")
-		}
-		return nil, corruptf("trailing garbage after footer")
+	if err := cr.Finish(idxFooter); err != nil {
+		return nil, err
 	}
 	ix.buildTime = time.Since(start) // load time stands in for build time
 	return ix, nil

@@ -2,10 +2,10 @@ package index
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"commdb/internal/core"
@@ -72,25 +72,6 @@ func TestIndexIORejectsMismatchedGraph(t *testing.T) {
 	}
 }
 
-func TestIndexIORejectsGarbage(t *testing.T) {
-	g, _ := core.PaperGraph()
-	if _, err := ReadInto(strings.NewReader("garbage"), g); err == nil {
-		t.Fatal("bad magic should fail")
-	}
-	ix, err := Build(g, BuildOptions{R: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := ix.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	trunc := buf.Bytes()[:buf.Len()/3]
-	if _, err := ReadInto(bytes.NewReader(trunc), g); err == nil {
-		t.Fatal("truncated index should fail")
-	}
-}
-
 // loadClosed attempts a load and requires it to fail closed: an error
 // wrapping ErrCorruptIndex or ErrIndexMismatch, no index, no panic.
 // Returns false (with the test failed) when the load accepted the
@@ -117,7 +98,7 @@ func loadClosed(t *testing.T, data []byte, g *graph.Graph, what string) {
 
 // smallArtifact builds a compact serialized index plus its graph, the
 // corpus for the exhaustive corruption sweeps.
-func smallArtifact(t *testing.T) ([]byte, *graph.Graph) {
+func smallArtifact(t testing.TB) ([]byte, *graph.Graph) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(4242))
 	g, _ := randomKeywordGraph(t, rng, 12, 36, 2)
@@ -154,77 +135,104 @@ func TestIndexIOFlipEveryByte(t *testing.T) {
 	}
 }
 
-func TestIndexIOFuzzStyleCorruption(t *testing.T) {
-	data, g := smallArtifact(t)
-	rng := rand.New(rand.NewSource(99))
-	mut := make([]byte, 0, len(data)*2)
-	for round := 0; round < 500; round++ {
-		mut = append(mut[:0], data...)
-		switch rng.Intn(4) {
-		case 0: // random multi-byte stomp
-			off := rng.Intn(len(mut))
-			n := 1 + rng.Intn(8)
-			for j := 0; j < n && off+j < len(mut); j++ {
-				mut[off+j] = byte(rng.Intn(256))
+// overlongVarint is the magic followed by an 11-byte uvarint: more than
+// 64 bits, which the decoder reports itself rather than via the reader.
+var overlongVarint = []byte(idxMagic + "\xe2\xde\xde\xde\xde\xde\xde\xde\xde\xde\xff0")
+
+// FuzzReadInto hardens the index reader against arbitrary bytes: a load
+// never panics; a rejected load returns no index and an error wrapping
+// ErrCorruptIndex or ErrIndexMismatch (a bytes.Reader has no transient
+// failures); an accepted load is a complete index — it serializes and
+// loads back equal.
+func FuzzReadInto(f *testing.F) {
+	valid, g := smallArtifact(f)
+	f.Add(valid)
+	f.Add(valid[:len(valid)/2])
+	f.Add(append(append([]byte{}, valid...), 0x00))
+	flipped := append([]byte{}, valid...)
+	flipped[len(flipped)/2] ^= 0x10
+	f.Add(flipped)
+	f.Add([]byte(idxMagic))
+	f.Add([]byte{})
+	f.Add(overlongVarint)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ix, err := ReadInto(bytes.NewReader(data), g)
+		if err != nil {
+			if ix != nil {
+				t.Fatal("error AND partial index returned")
 			}
-		case 1: // truncate
-			mut = mut[:rng.Intn(len(mut))]
-		case 2: // trailing garbage
-			extra := make([]byte, 1+rng.Intn(16))
-			rng.Read(extra)
-			mut = append(mut, extra...)
-		case 3: // splice a chunk out of the middle
-			off := rng.Intn(len(mut))
-			n := 1 + rng.Intn(16)
-			if off+n > len(mut) {
-				n = len(mut) - off
+			if !errors.Is(err, ErrCorruptIndex) && !errors.Is(err, ErrIndexMismatch) {
+				t.Fatalf("error %v wraps neither ErrCorruptIndex nor ErrIndexMismatch", err)
 			}
-			mut = append(mut[:off], mut[off+n:]...)
+			return
 		}
-		if bytes.Equal(mut, data) {
-			continue // mutation was a no-op (e.g. stomp wrote same bytes)
+		var buf bytes.Buffer
+		if err := ix.Write(&buf); err != nil {
+			t.Fatalf("accepted index does not serialize: %v", err)
 		}
-		loadClosed(t, mut, g, fmt.Sprintf("fuzz round %d", round))
+		again, err := ReadInto(&buf, g)
+		if err != nil || !again.Equal(ix) {
+			t.Fatalf("accepted index does not round-trip (err %v)", err)
+		}
+	})
+}
+
+// TestIndexIOGoldenBytes pins the on-disk format: the paper example's
+// index serializes to exactly the bytes the format's first
+// implementation wrote, so moving the framing between packages cannot
+// drift it without a version bump.
+func TestIndexIOGoldenBytes(t *testing.T) {
+	g, _ := core.PaperGraph()
+	ix, err := Build(g, BuildOptions{R: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := ix.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	const want = "8e225402142042dc2659983dce0c9396fe4a184317a1c09598bec5d28ed6109d"
+	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); buf.Len() != 390 || got != want {
+		t.Fatalf("paper-example index is %d bytes, sha256 %s; want 390 bytes, %s", buf.Len(), got, want)
 	}
 }
 
-func TestIndexIOTrailingGarbage(t *testing.T) {
-	data, g := smallArtifact(t)
-	withExtra := append(append([]byte{}, data...), 0x00)
-	_, err := ReadInto(bytes.NewReader(withExtra), g)
-	if !errors.Is(err, ErrCorruptIndex) {
-		t.Fatalf("trailing byte accepted (err=%v)", err)
-	}
-}
-
-func TestIndexIORejectsOldVersion(t *testing.T) {
-	data, g := smallArtifact(t)
-	// Byte 4 is the uvarint version (2 → one byte). Rewriting it to 1
-	// simulates a stale v1 artifact; the header CRC also breaks, and
-	// either way the load must fail closed.
-	old := append([]byte{}, data...)
-	old[4] = 1
-	loadClosed(t, old, g, "version byte rewritten to 1")
-}
-
+// TestIndexIOErrClassification: each named way an artifact can be wrong
+// fails closed with the sentinel callers classify on — corruption
+// (permanent for the artifact) versus a structurally valid index built
+// over another graph.
 func TestIndexIOErrClassification(t *testing.T) {
 	data, g := smallArtifact(t)
-	// Truncation → ErrCorruptIndex specifically (not just any error):
-	// callers use this to classify the failure as permanent.
-	_, err := ReadInto(bytes.NewReader(data[:len(data)/2]), g)
-	if !errors.Is(err, ErrCorruptIndex) {
-		t.Fatalf("truncation error %v does not wrap ErrCorruptIndex", err)
-	}
-	// Wrong graph → ErrIndexMismatch.
+	mutate := func(f func(b []byte) []byte) []byte { return f(append([]byte{}, data...)) }
 	b := graph.NewBuilder()
 	b.AddNode("z", "zeta")
 	other, err := b.Freeze()
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = ReadInto(bytes.NewReader(data), other)
-	if !errors.Is(err, ErrIndexMismatch) {
-		t.Fatalf("mismatch error %v does not wrap ErrIndexMismatch", err)
+	for _, tc := range []struct {
+		name string
+		data []byte
+		g    *graph.Graph
+		want error
+	}{
+		{"empty", nil, g, ErrCorruptIndex},
+		{"bad magic", []byte("garbage"), g, ErrCorruptIndex},
+		{"magic only", []byte(idxMagic), g, ErrCorruptIndex},
+		{"truncated in the header", data[:8], g, ErrCorruptIndex},
+		{"truncated in the postings", data[:len(data)/2], g, ErrCorruptIndex},
+		{"footer missing", data[:len(data)-len(idxFooter)], g, ErrCorruptIndex},
+		{"version is an overlong varint", overlongVarint, g, ErrCorruptIndex},
+		{"trailing byte", mutate(func(b []byte) []byte { return append(b, 0x00) }), g, ErrCorruptIndex},
+		// Byte 4 is the uvarint version (2 → one byte): a stale v1 artifact.
+		{"version rewritten to 1", mutate(func(b []byte) []byte { b[4] = 1; return b }), g, ErrCorruptIndex},
+		{"intact, but another graph", data, other, ErrIndexMismatch},
+	} {
+		loadClosed(t, tc.data, tc.g, tc.name)
+		if _, err := ReadInto(bytes.NewReader(tc.data), tc.g); !errors.Is(err, tc.want) {
+			t.Errorf("%s: error %v does not wrap %v", tc.name, err, tc.want)
+		}
 	}
 }
 

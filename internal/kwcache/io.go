@@ -1,26 +1,25 @@
 package kwcache
 
 import (
-	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"sort"
 
+	"commdb/internal/artifact"
 	"commdb/internal/fulltext"
 	"commdb/internal/graph"
 )
 
 // Binary serialization of the artifact store, so hot-keyword neighbor
 // sets survive restarts and can be prebuilt offline (cmd/indexbuild
-// -kwcache-out). The format mirrors the v2 index format's fail-closed
-// discipline: a loader either reconstructs exactly the store that was
-// written — validated structurally against the live graph — or returns
-// an error wrapping ErrCorruptStore / ErrStoreMismatch, never a
-// short-but-plausible store. Layout:
+// -kwcache-out). The format shares the v2 index format's framing
+// (internal/artifact) and fail-closed discipline: a loader either
+// reconstructs exactly the store that was written — validated
+// structurally against the live graph — or returns an error wrapping
+// ErrCorruptStore / ErrStoreMismatch, never a short-but-plausible
+// store. Layout:
 //
 //	magic "CDBK"
 //	header section:  version | radius bits | epoch | node count
@@ -56,136 +55,20 @@ var ErrCorruptStore = errors.New("kwcache: corrupt artifact store")
 // different graph generation than the one it is being attached to.
 var ErrStoreMismatch = errors.New("kwcache: artifacts do not match graph")
 
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-func corruptf(format string, args ...any) error {
-	return fmt.Errorf("%w: %s", ErrCorruptStore, fmt.Sprintf(format, args...))
-}
-
-// readErr classifies an I/O failure mid-load: any flavour of EOF means
-// truncation (→ corrupt); other errors pass through as transient.
-func readErr(err error, what string) error {
-	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-		return corruptf("truncated while reading %s: %v", what, err)
-	}
-	return fmt.Errorf("kwcache: reading %s: %w", what, err)
-}
-
-// cwriter accumulates a per-section CRC32-C over everything written.
-type cwriter struct {
-	bw  *bufio.Writer
-	crc uint32
-}
-
-func (w *cwriter) write(p []byte) {
-	w.bw.Write(p)
-	w.crc = crc32.Update(w.crc, castagnoli, p)
-}
-
-func (w *cwriter) uvarint(v uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	w.write(buf[:n])
-}
-
-func (w *cwriter) varint(v int64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutVarint(buf[:], v)
-	w.write(buf[:n])
-}
-
-func (w *cwriter) float(f float64) {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], math.Float64bits(f))
-	w.write(buf[:])
-}
-
-func (w *cwriter) endSection() {
-	var buf [4]byte
-	binary.LittleEndian.PutUint32(buf[:], w.crc)
-	w.bw.Write(buf[:])
-	w.crc = 0
-}
-
-// creader mirrors cwriter, comparing the accumulated CRC against the
-// stored value at each section boundary.
-type creader struct {
-	br  *bufio.Reader
-	crc uint32
-}
-
-func (c *creader) ReadByte() (byte, error) {
-	b, err := c.br.ReadByte()
-	if err == nil {
-		one := [1]byte{b}
-		c.crc = crc32.Update(c.crc, castagnoli, one[:])
-	}
-	return b, err
-}
-
-func (c *creader) full(p []byte) error {
-	if _, err := io.ReadFull(c.br, p); err != nil {
-		return err
-	}
-	c.crc = crc32.Update(c.crc, castagnoli, p)
-	return nil
-}
-
-func (c *creader) uvarint(what string) (uint64, error) {
-	v, err := binary.ReadUvarint(c)
-	if err != nil {
-		return 0, readErr(err, what)
-	}
-	return v, nil
-}
-
-func (c *creader) varint(what string) (int64, error) {
-	v, err := binary.ReadVarint(c)
-	if err != nil {
-		return 0, readErr(err, what)
-	}
-	return v, nil
-}
-
-func (c *creader) float(what string) (float64, error) {
-	var buf [8]byte
-	if err := c.full(buf[:]); err != nil {
-		return 0, readErr(err, what)
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(buf[:])), nil
-}
-
-func (c *creader) endSection(name string) error {
-	var buf [4]byte
-	if _, err := io.ReadFull(c.br, buf[:]); err != nil {
-		return readErr(err, name+" checksum")
-	}
-	stored := binary.LittleEndian.Uint32(buf[:])
-	if stored != c.crc {
-		return corruptf("%s section checksum mismatch (stored %08x, computed %08x)", name, stored, c.crc)
-	}
-	c.crc = 0
-	return nil
-}
-
 // Write serializes the store to w. Terms are written in sorted order,
 // which the loader enforces, so two stores with the same contents are
 // byte-identical on disk.
 func (s *Store) Write(w io.Writer) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	bw := bufio.NewWriterSize(w, 1<<20)
-	if _, err := bw.WriteString(storeMagic); err != nil {
-		return err
-	}
-	cw := &cwriter{bw: bw}
-	cw.uvarint(storeVersion)
-	cw.float(s.radius)
-	cw.varint(s.epoch)
-	cw.uvarint(uint64(s.g.NumNodes()))
-	cw.uvarint(uint64(s.g.NumEdges()))
-	cw.uvarint(uint64(len(s.terms)))
-	cw.endSection()
+	cw := artifact.NewWriter(w, storeMagic)
+	cw.Uvarint(storeVersion)
+	cw.Float(s.radius)
+	cw.Varint(s.epoch)
+	cw.Uvarint(uint64(s.g.NumNodes()))
+	cw.Uvarint(uint64(s.g.NumEdges()))
+	cw.Uvarint(uint64(len(s.terms)))
+	cw.EndSection()
 
 	terms := make([]string, 0, len(s.terms))
 	for t := range s.terms {
@@ -194,27 +77,24 @@ func (s *Store) Write(w io.Writer) error {
 	sortStrings(terms)
 	for _, t := range terms {
 		e := s.terms[t]
-		cw.uvarint(uint64(len(t)))
-		cw.write([]byte(t))
-		cw.uvarint(uint64(len(e.seeds)))
+		cw.Uvarint(uint64(len(t)))
+		cw.Bytes([]byte(t))
+		cw.Uvarint(uint64(len(e.seeds)))
 		prev := int64(-1)
 		for _, v := range e.seeds {
-			cw.uvarint(uint64(int64(v) - prev)) // strictly increasing: delta ≥ 1
+			cw.Uvarint(uint64(int64(v) - prev)) // strictly increasing: delta ≥ 1
 			prev = int64(v)
 		}
-		cw.uvarint(uint64(len(e.visited)))
+		cw.Uvarint(uint64(len(e.visited)))
 		for i, v := range e.visited {
-			cw.uvarint(uint64(v))
-			cw.float(e.dist[i])
-			cw.uvarint(uint64(e.src[i]))
-			cw.uvarint(uint64(e.via[i]))
+			cw.Uvarint(uint64(v))
+			cw.Float(e.dist[i])
+			cw.Uvarint(uint64(e.src[i]))
+			cw.Uvarint(uint64(e.via[i]))
 		}
 	}
-	cw.endSection()
-	if _, err := bw.WriteString(storeFooter); err != nil {
-		return err
-	}
-	return bw.Flush()
+	cw.EndSection()
+	return cw.Finish(storeFooter)
 }
 
 // ReadInto deserializes a store written by Write, attaching it to the
@@ -227,34 +107,29 @@ func (s *Store) Write(w io.Writer) error {
 // and no store. It never panics on hostile input.
 func ReadInto(r io.Reader, ft *fulltext.Index) (*Store, error) {
 	g := ft.Graph()
-	br := bufio.NewReaderSize(r, 1<<20)
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, readErr(err, "magic")
+	cr, err := artifact.NewReader(r, storeMagic, "kwcache", ErrCorruptStore)
+	if err != nil {
+		return nil, err
 	}
-	if string(magic) != storeMagic {
-		return nil, corruptf("bad magic %q", magic)
-	}
-	cr := &creader{br: br}
-	ver, err := cr.uvarint("version")
+	ver, err := cr.Uvarint("version")
 	if err != nil {
 		return nil, err
 	}
 	if ver != storeVersion {
-		return nil, corruptf("unsupported version %d (want %d; rebuild the artifacts)", ver, storeVersion)
+		return nil, cr.Corruptf("unsupported version %d (want %d; rebuild the artifacts)", ver, storeVersion)
 	}
-	radius, err := cr.float("radius")
+	radius, err := cr.Float("radius")
 	if err != nil {
 		return nil, err
 	}
 	if math.IsNaN(radius) || math.IsInf(radius, 0) || radius < 0 {
-		return nil, corruptf("non-finite or negative radius %v", radius)
+		return nil, cr.Corruptf("non-finite or negative radius %v", radius)
 	}
-	epoch, err := cr.varint("epoch")
+	epoch, err := cr.Varint("epoch")
 	if err != nil {
 		return nil, err
 	}
-	nodes, err := cr.uvarint("node count")
+	nodes, err := cr.Uvarint("node count")
 	if err != nil {
 		return nil, err
 	}
@@ -262,7 +137,7 @@ func ReadInto(r io.Reader, ft *fulltext.Index) (*Store, error) {
 		return nil, fmt.Errorf("%w: built over %d nodes, graph has %d",
 			ErrStoreMismatch, nodes, g.NumNodes())
 	}
-	edges, err := cr.uvarint("edge count")
+	edges, err := cr.Uvarint("edge count")
 	if err != nil {
 		return nil, err
 	}
@@ -270,11 +145,11 @@ func ReadInto(r io.Reader, ft *fulltext.Index) (*Store, error) {
 		return nil, fmt.Errorf("%w: built over %d edges, graph has %d",
 			ErrStoreMismatch, edges, g.NumEdges())
 	}
-	termCount, err := cr.uvarint("term count")
+	termCount, err := cr.Uvarint("term count")
 	if err != nil {
 		return nil, err
 	}
-	if err := cr.endSection("header"); err != nil {
+	if err := cr.EndSection("header"); err != nil {
 		return nil, err
 	}
 
@@ -293,43 +168,43 @@ func ReadInto(r io.Reader, ft *fulltext.Index) (*Store, error) {
 	prevTerm := ""
 	for t := uint64(0); t < termCount; t++ {
 		stamp := int32(t) + 1
-		tl, err := cr.uvarint("term length")
+		tl, err := cr.Uvarint("term length")
 		if err != nil {
 			return nil, err
 		}
 		if tl > 1<<16 {
-			return nil, corruptf("term %d length %d is implausible", t, tl)
+			return nil, cr.Corruptf("term %d length %d is implausible", t, tl)
 		}
 		tb := make([]byte, tl)
-		if err := cr.full(tb); err != nil {
-			return nil, readErr(err, "term")
+		if err := cr.Bytes(tb, "term"); err != nil {
+			return nil, err
 		}
 		term := string(tb)
 		if toks := fulltext.Tokenize(term); len(toks) != 1 || toks[0] != term {
-			return nil, corruptf("term %d %q is not a normalized single term", t, term)
+			return nil, cr.Corruptf("term %d %q is not a normalized single term", t, term)
 		}
 		if t > 0 && term <= prevTerm {
-			return nil, corruptf("term %q breaks sorted order after %q", term, prevTerm)
+			return nil, cr.Corruptf("term %q breaks sorted order after %q", term, prevTerm)
 		}
 		prevTerm = term
 
-		seedCount, err := cr.uvarint("seed count")
+		seedCount, err := cr.Uvarint("seed count")
 		if err != nil {
 			return nil, err
 		}
 		if int64(seedCount) > n {
-			return nil, corruptf("term %q claims %d seeds in a graph of %d nodes", term, seedCount, n)
+			return nil, cr.Corruptf("term %q claims %d seeds in a graph of %d nodes", term, seedCount, n)
 		}
 		seeds := make([]graph.NodeID, 0, seedCount)
 		prev := int64(-1)
 		for i := uint64(0); i < seedCount; i++ {
-			d, err := cr.uvarint("seed delta")
+			d, err := cr.Uvarint("seed delta")
 			if err != nil {
 				return nil, err
 			}
 			v := prev + int64(d)
 			if d == 0 || v >= n {
-				return nil, corruptf("term %q seed %d (%d) out of bounds or order", term, i, v)
+				return nil, cr.Corruptf("term %q seed %d (%d) out of bounds or order", term, i, v)
 			}
 			prev = v
 			seeds = append(seeds, graph.NodeID(v))
@@ -344,12 +219,12 @@ func ReadInto(r io.Reader, ft *fulltext.Index) (*Store, error) {
 				ErrStoreMismatch, term, len(seeds), len(live))
 		}
 
-		visCount, err := cr.uvarint("settle count")
+		visCount, err := cr.Uvarint("settle count")
 		if err != nil {
 			return nil, err
 		}
 		if int64(visCount) > n {
-			return nil, corruptf("term %q settles %d nodes in a graph of %d", term, visCount, n)
+			return nil, cr.Corruptf("term %q settles %d nodes in a graph of %d", term, visCount, n)
 		}
 		e := &entry{
 			seeds:   seeds,
@@ -360,38 +235,38 @@ func ReadInto(r io.Reader, ft *fulltext.Index) (*Store, error) {
 		}
 		prevDist := 0.0
 		for i := uint64(0); i < visCount; i++ {
-			v64, err := cr.uvarint("settled node")
+			v64, err := cr.Uvarint("settled node")
 			if err != nil {
 				return nil, err
 			}
-			d, err := cr.float("settled distance")
+			d, err := cr.Float("settled distance")
 			if err != nil {
 				return nil, err
 			}
-			src64, err := cr.uvarint("settled source")
+			src64, err := cr.Uvarint("settled source")
 			if err != nil {
 				return nil, err
 			}
-			via64, err := cr.uvarint("settled via")
+			via64, err := cr.Uvarint("settled via")
 			if err != nil {
 				return nil, err
 			}
 			v, src, via := int64(v64), int64(src64), int64(via64)
 			if v >= n || src >= n || via >= n {
-				return nil, corruptf("term %q settle %d (%d,%d,%d) outside graph of %d nodes", term, i, v, src, via, n)
+				return nil, cr.Corruptf("term %q settle %d (%d,%d,%d) outside graph of %d nodes", term, i, v, src, via, n)
 			}
 			if settled[v] == stamp {
-				return nil, corruptf("term %q settles node %d twice", term, v)
+				return nil, cr.Corruptf("term %q settles node %d twice", term, v)
 			}
 			if math.IsNaN(d) || d < prevDist || d > radius {
-				return nil, corruptf("term %q settle %d distance %v breaks order (prev %v, radius %v)",
+				return nil, cr.Corruptf("term %q settle %d distance %v breaks order (prev %v, radius %v)",
 					term, i, d, prevDist, radius)
 			}
 			prevDist = d
 			if via == v {
 				// A self-via is a seed settled at its seed distance (zero).
 				if d != 0 || src != v || !containsNode(seeds, graph.NodeID(v)) {
-					return nil, corruptf("term %q settle %d: node %d self-via but not a zero-distance seed", term, i, v)
+					return nil, cr.Corruptf("term %q settle %d: node %d self-via but not a zero-distance seed", term, i, v)
 				}
 			} else {
 				// The via chain gate: via must already be settled, the
@@ -400,7 +275,7 @@ func ReadInto(r io.Reader, ft *fulltext.Index) (*Store, error) {
 				// reproduce the stored distance exactly — a wrong-generation
 				// graph fails here even with intact checksums.
 				if settled[via] != stamp {
-					return nil, corruptf("term %q settle %d: via %d not settled before %d", term, i, via, v)
+					return nil, cr.Corruptf("term %q settle %d: via %d not settled before %d", term, i, via, v)
 				}
 				w, ok := g.EdgeWeight(graph.NodeID(v), graph.NodeID(via))
 				if !ok {
@@ -416,7 +291,7 @@ func ReadInto(r io.Reader, ft *fulltext.Index) (*Store, error) {
 						ErrStoreMismatch, term, v, d, via, w, want)
 				}
 				if graph.NodeID(src) != srcOf[via] {
-					return nil, corruptf("term %q node %d source %d disagrees with via %d's source %d",
+					return nil, cr.Corruptf("term %q node %d source %d disagrees with via %d's source %d",
 						term, v, src, via, srcOf[via])
 				}
 			}
@@ -432,26 +307,16 @@ func ReadInto(r io.Reader, ft *fulltext.Index) (*Store, error) {
 		// always within a non-negative radius).
 		for _, sd := range seeds {
 			if settled[sd] != stamp {
-				return nil, corruptf("term %q seed %d missing from its settle sequence", term, sd)
+				return nil, cr.Corruptf("term %q seed %d missing from its settle sequence", term, sd)
 			}
 		}
 		s.terms[term] = e
 	}
-	if err := cr.endSection("terms"); err != nil {
+	if err := cr.EndSection("terms"); err != nil {
 		return nil, err
 	}
-	footer := make([]byte, 4)
-	if _, err := io.ReadFull(br, footer); err != nil {
-		return nil, readErr(err, "footer")
-	}
-	if string(footer) != storeFooter {
-		return nil, corruptf("bad footer %q", footer)
-	}
-	if _, err := br.ReadByte(); err != io.EOF {
-		if err != nil {
-			return nil, readErr(err, "end of file")
-		}
-		return nil, corruptf("trailing garbage after footer")
+	if err := cr.Finish(storeFooter); err != nil {
+		return nil, err
 	}
 	return s, nil
 }

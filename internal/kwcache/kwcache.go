@@ -1,11 +1,11 @@
-// Package kwcache is the keyword neighbor-set artifact store: tier 1 of
-// the semantic cache. A query keyword's full-set run Neighbor(V_i) — the
-// bounded reverse Dijkstra from every node containing the keyword — is
-// query-independent: it depends only on the graph, the keyword and the
-// radius. The store computes those runs once at a fixed radius R
-// (typically the index radius, the largest Rmax the server admits),
-// keeps the settle sequences, and serves any query with Rmax ≤ R by
-// truncation, turning engine init for hot keywords into a memory read.
+// Package kwcache is the keyword neighbor-set artifact store. A query
+// keyword's full-set run Neighbor(V_i) — the bounded reverse Dijkstra
+// from every node containing the keyword — is query-independent: it
+// depends only on the graph, the keyword and the radius. The store
+// computes those runs once at a fixed radius R (typically the index
+// radius, the largest Rmax the server admits), keeps the settle
+// sequences, and serves any query with Rmax ≤ R by truncation, turning
+// engine init for hot keywords into a memory read.
 //
 // Soundness of the truncation rests on two properties:
 //

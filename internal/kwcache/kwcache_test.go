@@ -2,7 +2,9 @@ package kwcache
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"testing"
 
 	"commdb/internal/core"
@@ -133,6 +135,13 @@ func TestWriteReadRoundtrip(t *testing.T) {
 	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
 		t.Fatal("two writes of the same store differ")
 	}
+	// The on-disk format is pinned to the bytes its first implementation
+	// wrote: moving the framing between packages cannot drift it without
+	// a version bump.
+	const golden = "bb852d9534a985fb162ea82016a12b15d3d68ce5128aad713ea5edcbd33969b9"
+	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); buf.Len() != 368 || got != golden {
+		t.Fatalf("paper-example store is %d bytes, sha256 %s; want 368 bytes, %s", buf.Len(), got, golden)
+	}
 
 	got, err := ReadInto(bytes.NewReader(buf.Bytes()), ft)
 	if err != nil {
@@ -185,6 +194,8 @@ func TestReadRejectsCorruption(t *testing.T) {
 		}
 	}
 	mustReject(append(append([]byte(nil), blob...), 0), "trailing garbage")
+	// An 11-byte uvarint: the decoder, not the reader, reports it.
+	mustReject([]byte(storeMagic+"\xe2\xde\xde\xde\xde\xde\xde\xde\xde\xde\xff0"), "overlong varint")
 }
 
 // TestReadRejectsWrongGraph: a structurally intact store fails closed

@@ -1,95 +1,23 @@
 package server
 
-// The result cache is pluggable: every implementation answers the same
-// Cache interface (Get/Put/Stats plus epoch invalidation), so the
-// server's serving path, stats block, metrics families and memory
-// ledger are implementation-agnostic. Three implementations ship:
-//
-//   - "exact": the classic fingerprint-keyed LRU — a hit requires the
-//     exact (keywords, cost, compact, Rmax, k, epoch) identity.
-//   - "semantic": the Rmax-monotone cache — on an exact miss it probes
-//     answers of the same keyword group at a larger radius (or larger
-//     k) and downfilters them, serving byte-identical records without
-//     an engine execution. See semantic.go for the soundness rules.
-//   - "layered": a small exact LRU in front of the semantic tier, so
-//     repeated identical queries skip even the downfilter walk.
-//
-// commserve selects one with -cache=, embedders via Config.CacheMode
-// or by injecting Config.Cache.
-
 import (
 	"container/list"
-	"fmt"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 
-	"commdb"
 	"commdb/internal/obs"
 )
 
-// CacheKey identifies one cacheable top-k answer. Group collects the
-// radius-independent identity — normalized keywords, cost aggregate,
-// record shape (compact) — while Rmax, K and Epoch vary per request.
-// The split is what enables semantic serving: answers sharing a Group
-// and Epoch describe the same community family at different radii, and
-// the Rmax-monotone containment property relates them.
-type CacheKey struct {
-	// Group is the radius-independent query identity (injective over
-	// normalized keyword lists, like Query.Fingerprint).
-	Group string
-	// Epoch is the snapshot epoch the answer was produced under. Epoch
-	// is part of every key, so a stale epoch's answers can never serve
-	// a request leased to a newer one.
-	Epoch int64
-	// Rmax is the query radius the answer was produced at.
-	Rmax float64
-	// K is the number of communities the producing request asked for.
-	K int
-}
-
-// newCacheKey derives the cache key for one top-k request.
-func newCacheKey(q commdb.Query, k int, compact bool, epoch int64) CacheKey {
-	n := q.Normalized()
-	var b strings.Builder
-	b.WriteString("g1|cost=")
-	b.WriteString(strconv.Itoa(int(n.Cost)))
-	for _, kw := range n.Keywords {
-		b.WriteByte('|')
-		b.WriteString(strconv.Itoa(len(kw)))
-		b.WriteByte(':')
-		b.WriteString(kw)
-	}
-	if compact {
-		b.WriteString("|compact")
-	}
-	return CacheKey{Group: b.String(), Epoch: epoch, Rmax: n.Rmax, K: k}
-}
-
-// groupKey is the map key for same-family answers: Group plus Epoch.
-func (k CacheKey) groupKey() string {
-	return k.Group + "|e" + strconv.FormatInt(k.Epoch, 10)
-}
-
-// String renders the exact-entry identity; it doubles as the
-// singleflight key so concurrent identical misses coalesce.
-func (k CacheKey) String() string {
-	return k.groupKey() + "|rmax=" + strconv.FormatFloat(k.Rmax, 'g', -1, 64) +
-		"|k=" + strconv.Itoa(k.K)
-}
-
-// RecordMeta carries the reuse radii of one cached record, copied from
-// the materialized community. They drive the semantic tier's keep/drop
-// classification when downfiltering to a smaller Rmax.
-type RecordMeta struct {
-	// ReuseRadius: the record is byte-identical at any radius in
-	// [ReuseRadius, producing Rmax].
-	ReuseRadius float64
-	// CoreRadius: below it the record's core admits no community at
-	// all. Radii in (CoreRadius, ReuseRadius) shrink the community —
-	// not servable from cache.
-	CoreRadius float64
+// cacheKey identifies one cacheable top-k answer: the query's answer-set
+// identity, how many communities were asked for, the record shape, and
+// the snapshot epoch the answer was produced under. The epoch is part of
+// every key, so a stale epoch's answers can never serve a request leased
+// to a newer one.
+type cacheKey struct {
+	fingerprint string // commdb.Query.Fingerprint()
+	k           int
+	compact     bool
+	epoch       int64
 }
 
 // CachedAnswer is one cached top-k answer: wire-ready records from a
@@ -100,83 +28,21 @@ type CachedAnswer struct {
 	Records  []CommunityRecord
 	Complete bool   // the enumeration was not cut short by a limit
 	Reason   string // stop reason when !Complete (never set on cached values)
-	// Exhausted marks that the enumeration ended before producing K
-	// records: Records holds every community of the query, so the
-	// answer can serve any k and downfilters need no boundary guard.
-	Exhausted bool
-	// Rmax and K echo the producing key, for semantic serving.
-	Rmax float64
-	K    int
-	// Meta aligns with Records; nil answers cannot be downfiltered.
-	Meta  []RecordMeta
-	Bytes int64
+	Bytes    int64
 	// Trace is the producing execution's summary. It is returned only
 	// to the flight's direct waiters when they asked for a trace; cache
 	// hits never surface it (they reflect no execution).
 	Trace *obs.Summary
 }
 
-// CacheStats is the uniform observability contract every Cache
-// implementation answers: the /statsz cache block, the
-// commdb_cache_* metric families and the /debug/memz result_cache
-// component all read it.
+// CacheStats is the result cache's observability view: the /statsz
+// cache block, the commdb_cache_* metric families and the /debug/memz
+// result_cache component all read it.
 type CacheStats struct {
-	// Hits counts every served answer, semantic ones included.
-	Hits int64 `json:"hits"`
-	// SemanticHits counts the subset of Hits served by downfiltering a
-	// same-group answer rather than by exact identity.
-	SemanticHits int64 `json:"semantic_hits"`
-	Misses       int64 `json:"misses"`
-	Entries      int   `json:"entries"`
-	Bytes        int64 `json:"bytes"`
-}
-
-// Cache is the pluggable result cache. Implementations must be safe
-// for concurrent use and must only ever return answers byte-identical
-// to what an uncached execution of the keyed query would produce.
-type Cache interface {
-	// Get returns an answer able to serve key. semantic reports the
-	// answer was derived from a same-group entry at a different radius
-	// or k (the records are still byte-identical to a live run).
-	Get(key CacheKey) (val *CachedAnswer, semantic bool, ok bool)
-	// Put offers a cleanly completed answer for key. Implementations
-	// ignore incomplete answers.
-	Put(key CacheKey, val *CachedAnswer)
-	// InvalidateEpochs drops every entry from an epoch other than
-	// current. The epoch inside each key already prevents stale
-	// serving; invalidation just frees the memory promptly after a
-	// reload instead of waiting for LRU churn.
-	InvalidateEpochs(current int64)
-	Stats() CacheStats
-}
-
-// NewCache builds a cache by mode name: "exact", "semantic",
-// "layered", or "off". maxEntries < 0 also disables caching entirely.
-func NewCache(mode string, maxEntries int, maxBytes int64) (Cache, error) {
-	if maxEntries < 0 {
-		mode = "off"
-	}
-	switch mode {
-	case "", "exact":
-		return &exactCache{lru: newLRUCache(maxEntries, maxBytes)}, nil
-	case "semantic":
-		return newSemanticCache(maxEntries, maxBytes), nil
-	case "layered":
-		// The exact front absorbs repeated identical queries with a
-		// fraction of the semantic tier's capacity.
-		l1 := maxEntries / 4
-		if l1 < 16 {
-			l1 = 16
-		}
-		return &layeredCache{
-			l1: &exactCache{lru: newLRUCache(l1, maxBytes/4)},
-			l2: newSemanticCache(maxEntries, maxBytes),
-		}, nil
-	case "off":
-		return nullCache{}, nil
-	default:
-		return nil, fmt.Errorf("commserve: unknown cache mode %q (want exact, semantic, layered or off)", mode)
-	}
+	Hits    int64 `json:"hits"`
+	Misses  int64 `json:"misses"`
+	Entries int   `json:"entries"`
+	Bytes   int64 `json:"bytes"`
 }
 
 // sizeOf estimates the logical footprint of a cached answer, for the
@@ -194,162 +60,71 @@ func sizeOf(records []CommunityRecord) int64 {
 	return b
 }
 
-// nullCache is mode "off": every Get misses, Put is a no-op. Misses
-// are still counted so dashboards see the traffic shape.
-type nullCache struct{}
-
-var nullMisses atomic.Int64
-
-func (nullCache) Get(CacheKey) (*CachedAnswer, bool, bool) {
-	nullMisses.Add(1)
-	return nil, false, false
-}
-func (nullCache) Put(CacheKey, *CachedAnswer) {}
-func (nullCache) InvalidateEpochs(int64)      {}
-func (nullCache) Stats() CacheStats           { return CacheStats{Misses: nullMisses.Load()} }
-
-// exactCache is the classic behavior: an LRU keyed on the full exact
-// identity, no cross-key derivation.
-type exactCache struct {
-	lru          *lruCache
-	hits, misses atomic.Int64
-}
-
-func (c *exactCache) Get(key CacheKey) (*CachedAnswer, bool, bool) {
-	val, ok := c.lru.Get(key.String())
-	if ok {
-		c.hits.Add(1)
-	} else {
-		c.misses.Add(1)
-	}
-	return val, false, ok
-}
-
-func (c *exactCache) Put(key CacheKey, val *CachedAnswer) {
-	if val == nil || !val.Complete {
-		return
-	}
-	c.lru.Put(key.String(), val)
-}
-
-func (c *exactCache) InvalidateEpochs(current int64) {
-	c.lru.DropOtherEpochs(current)
-}
-
-func (c *exactCache) Stats() CacheStats {
-	return CacheStats{
-		Hits:    c.hits.Load(),
-		Misses:  c.misses.Load(),
-		Entries: c.lru.Len(),
-		Bytes:   c.lru.Bytes(),
-	}
-}
-
-// layeredCache stacks a small exact LRU (L1) over the semantic tier
-// (L2). Gets probe L1's exact identity first; L2 hits — semantic or
-// not — are promoted into L1 under the requested key, so the next
-// identical query costs one map lookup.
-type layeredCache struct {
-	l1 *exactCache
-	l2 *semanticCache
-}
-
-func (c *layeredCache) Get(key CacheKey) (*CachedAnswer, bool, bool) {
-	if val, _, ok := c.l1.Get(key); ok {
-		return val, false, true
-	}
-	val, semantic, ok := c.l2.Get(key)
-	if ok {
-		c.l1.Put(key, val)
-	}
-	return val, semantic, ok
-}
-
-func (c *layeredCache) Put(key CacheKey, val *CachedAnswer) {
-	c.l1.Put(key, val)
-	c.l2.Put(key, val)
-}
-
-func (c *layeredCache) InvalidateEpochs(current int64) {
-	c.l1.InvalidateEpochs(current)
-	c.l2.InvalidateEpochs(current)
-}
-
-// Stats merges the layers: Hits counts answers served from either
-// layer, Misses counts true misses (both layers missed), and the
-// resident totals sum (a promoted answer is resident twice).
-func (c *layeredCache) Stats() CacheStats {
-	s1, s2 := c.l1.Stats(), c.l2.Stats()
-	return CacheStats{
-		Hits:         s1.Hits + s2.Hits,
-		SemanticHits: s2.SemanticHits,
-		Misses:       s2.Misses,
-		Entries:      s1.Entries + s2.Entries,
-		Bytes:        s1.Bytes + s2.Bytes,
-	}
-}
-
-// lruCache is the size-bounded LRU primitive under the exact cache. It
-// bounds both the entry count and the approximate resident bytes;
-// inserting past either bound evicts least-recently-used entries. Safe
-// for concurrent use.
-type lruCache struct {
+// resultCache is the top-k result cache: a size-bounded LRU holding one
+// answer per cacheKey. It bounds both the entry count and the
+// approximate resident bytes; inserting past either bound evicts
+// least-recently-used entries. Safe for concurrent use.
+type resultCache struct {
 	mu         sync.Mutex
 	maxEntries int
 	maxBytes   int64
 	bytes      int64
 	ll         *list.List // front = most recent
-	items      map[string]*list.Element
+	items      map[cacheKey]*list.Element
+
+	hits, misses atomic.Int64
 }
 
 type lruEntry struct {
-	key string
+	key cacheKey
 	val *CachedAnswer
 }
 
-// newLRUCache returns a cache bounded to maxEntries entries and
+// newResultCache returns a cache bounded to maxEntries entries and
 // maxBytes approximate bytes; either bound may be 0 for "no bound on
-// this axis". A cache with maxEntries < 0 is disabled: Get always
-// misses and Put is a no-op.
-func newLRUCache(maxEntries int, maxBytes int64) *lruCache {
-	return &lruCache{
+// this axis". A cache with maxEntries < 0 is disabled: Put is a no-op,
+// so Get always misses (and still counts the miss, so dashboards see
+// the traffic shape).
+func newResultCache(maxEntries int, maxBytes int64) *resultCache {
+	return &resultCache{
 		maxEntries: maxEntries,
 		maxBytes:   maxBytes,
 		ll:         list.New(),
-		items:      make(map[string]*list.Element),
+		items:      make(map[cacheKey]*list.Element),
 	}
 }
 
-func (c *lruCache) disabled() bool { return c.maxEntries < 0 }
-
-// Get returns the cached answer for key and marks it most recently
+// Get returns the answer cached for key and marks it most recently
 // used.
-func (c *lruCache) Get(key string) (*CachedAnswer, bool) {
-	if c.disabled() {
-		return nil, false
-	}
+func (c *resultCache) Get(key cacheKey) (*CachedAnswer, bool) {
+	var val *CachedAnswer
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
+	if el, ok := c.items[key]; ok {
+		c.ll.MoveToFront(el)
+		val = el.Value.(*lruEntry).val
+	}
+	c.mu.Unlock()
+	if val == nil {
+		c.misses.Add(1)
 		return nil, false
 	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*lruEntry).val, true
+	c.hits.Add(1)
+	return val, true
 }
 
-// Put inserts (or refreshes) an answer and evicts LRU entries until
-// both bounds hold again. An answer larger than the whole byte bound is
-// not cached.
-func (c *lruCache) Put(key string, val *CachedAnswer) {
-	if c.disabled() || (c.maxBytes > 0 && val.Bytes > c.maxBytes) {
+// Put inserts (or refreshes) a cleanly completed answer and evicts LRU
+// entries until both bounds hold again. An answer larger than the whole
+// byte bound is not cached.
+func (c *resultCache) Put(key cacheKey, val *CachedAnswer) {
+	if c.maxEntries < 0 || !val.Complete || (c.maxBytes > 0 && val.Bytes > c.maxBytes) {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
-		c.bytes += val.Bytes - el.Value.(*lruEntry).val.Bytes
-		el.Value.(*lruEntry).val = val
+		ent := el.Value.(*lruEntry)
+		c.bytes += val.Bytes - ent.val.Bytes
+		ent.val = val
 		c.ll.MoveToFront(el)
 	} else {
 		c.items[key] = c.ll.PushFront(&lruEntry{key: key, val: val})
@@ -358,46 +133,43 @@ func (c *lruCache) Put(key string, val *CachedAnswer) {
 	for c.ll.Len() > 0 &&
 		((c.maxEntries > 0 && c.ll.Len() > c.maxEntries) ||
 			(c.maxBytes > 0 && c.bytes > c.maxBytes)) {
-		el := c.ll.Back()
-		ent := el.Value.(*lruEntry)
-		c.ll.Remove(el)
-		delete(c.items, ent.key)
-		c.bytes -= ent.val.Bytes
+		c.remove(c.ll.Back())
 	}
 }
 
-// DropOtherEpochs removes every entry whose key carries an epoch tag
-// other than current's. Exact keys embed "|e<epoch>|" (groupKey's
-// suffix followed by the rmax segment), so a substring check suffices.
-func (c *lruCache) DropOtherEpochs(current int64) {
-	if c.disabled() {
-		return
-	}
-	keep := "|e" + strconv.FormatInt(current, 10) + "|"
+// remove unlinks one entry. Callers hold the mutex.
+func (c *resultCache) remove(el *list.Element) {
+	ent := el.Value.(*lruEntry)
+	c.ll.Remove(el)
+	delete(c.items, ent.key)
+	c.bytes -= ent.val.Bytes
+}
+
+// DropOtherEpochs removes every entry from an epoch other than current.
+// The epoch inside each key already prevents stale serving;
+// invalidation just frees the memory promptly after a reload instead of
+// waiting for LRU churn.
+func (c *resultCache) DropOtherEpochs(current int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var next *list.Element
 	for el := c.ll.Front(); el != nil; el = next {
 		next = el.Next()
-		ent := el.Value.(*lruEntry)
-		if !strings.Contains(ent.key, keep) {
-			c.ll.Remove(el)
-			delete(c.items, ent.key)
-			c.bytes -= ent.val.Bytes
+		if el.Value.(*lruEntry).key.epoch != current {
+			c.remove(el)
 		}
 	}
 }
 
-// Len reports the current entry count.
-func (c *lruCache) Len() int {
+// Stats snapshots the counters and the resident totals.
+func (c *resultCache) Stats() CacheStats {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
-
-// Bytes reports the current approximate resident bytes.
-func (c *lruCache) Bytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.bytes
+	entries, bytes := c.ll.Len(), c.bytes
+	c.mu.Unlock()
+	return CacheStats{
+		Hits:    c.hits.Load(),
+		Misses:  c.misses.Load(),
+		Entries: entries,
+		Bytes:   bytes,
+	}
 }

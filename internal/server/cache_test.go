@@ -16,30 +16,36 @@ func recordsOfSize(n int) []CommunityRecord {
 	return out
 }
 
+// keyOf is a cache key differing only in its fingerprint.
+func keyOf(fp string) cacheKey { return cacheKey{fingerprint: fp} }
+
+// answerOf is a complete cached answer of n records.
+func answerOf(n int) *CachedAnswer {
+	recs := recordsOfSize(n)
+	return &CachedAnswer{Records: recs, Complete: true, Bytes: sizeOf(recs)}
+}
+
 // TestLRUEntryBound: inserting past the entry bound evicts the least
 // recently used key, and Get refreshes recency.
 func TestLRUEntryBound(t *testing.T) {
-	c := newLRUCache(2, 0)
-	put := func(key string) {
-		recs := recordsOfSize(1)
-		c.Put(key, &CachedAnswer{Records: recs, Complete: true, Bytes: sizeOf(recs)})
-	}
+	c := newResultCache(2, 0)
+	put := func(fp string) { c.Put(keyOf(fp), answerOf(1)) }
 	put("a")
 	put("b")
-	if _, ok := c.Get("a"); !ok { // refresh "a": "b" is now LRU
+	if _, ok := c.Get(keyOf("a")); !ok { // refresh "a": "b" is now LRU
 		t.Fatal("a missing before any eviction")
 	}
 	put("c")
-	if _, ok := c.Get("b"); ok {
+	if _, ok := c.Get(keyOf("b")); ok {
 		t.Fatal("b should have been evicted as LRU")
 	}
 	for _, k := range []string{"a", "c"} {
-		if _, ok := c.Get(k); !ok {
+		if _, ok := c.Get(keyOf(k)); !ok {
 			t.Fatalf("%s evicted unexpectedly", k)
 		}
 	}
-	if c.Len() != 2 {
-		t.Fatalf("len = %d, want 2", c.Len())
+	if n := c.Stats().Entries; n != 2 {
+		t.Fatalf("entries = %d, want 2", n)
 	}
 }
 
@@ -47,35 +53,74 @@ func TestLRUEntryBound(t *testing.T) {
 // bound, and an answer larger than the whole bound is not cached.
 func TestLRUByteBound(t *testing.T) {
 	unit := sizeOf(recordsOfSize(1))
-	c := newLRUCache(100, 3*unit)
+	c := newResultCache(100, 3*unit)
 	for i := 0; i < 4; i++ {
-		recs := recordsOfSize(1)
-		c.Put(fmt.Sprint(i), &CachedAnswer{Records: recs, Bytes: sizeOf(recs)})
+		c.Put(keyOf(fmt.Sprint(i)), answerOf(1))
 	}
-	if c.Len() != 3 {
-		t.Fatalf("len = %d, want 3 under the byte bound", c.Len())
+	if st := c.Stats(); st.Entries != 3 || st.Bytes > 3*unit {
+		t.Fatalf("entries = %d bytes = %d, want 3 entries within %d bytes", st.Entries, st.Bytes, 3*unit)
 	}
-	if _, ok := c.Get("0"); ok {
+	if _, ok := c.Get(keyOf("0")); ok {
 		t.Fatal("oldest entry survived byte-bound eviction")
 	}
-	if c.Bytes() > 3*unit {
-		t.Fatalf("bytes = %d exceeds bound %d", c.Bytes(), 3*unit)
-	}
 
-	huge := recordsOfSize(1000)
-	c.Put("huge", &CachedAnswer{Records: huge, Bytes: sizeOf(huge)})
-	if _, ok := c.Get("huge"); ok {
+	c.Put(keyOf("huge"), answerOf(1000))
+	if _, ok := c.Get(keyOf("huge")); ok {
 		t.Fatal("an answer larger than the byte bound was cached")
 	}
 }
 
-// TestLRUDisabled: a negative entry bound disables the cache entirely.
+// TestLRUDisabled: a negative entry bound disables the cache entirely,
+// and its misses are still counted per cache, not per process.
 func TestLRUDisabled(t *testing.T) {
-	c := newLRUCache(-1, 0)
-	recs := recordsOfSize(1)
-	c.Put("a", &CachedAnswer{Records: recs, Bytes: sizeOf(recs)})
-	if _, ok := c.Get("a"); ok {
+	c := newResultCache(-1, 0)
+	c.Put(keyOf("a"), answerOf(1))
+	if _, ok := c.Get(keyOf("a")); ok {
 		t.Fatal("disabled cache returned a hit")
+	}
+	if st := c.Stats(); st.Misses != 1 || st.Entries != 0 {
+		t.Fatalf("disabled cache stats = %+v, want exactly its own 1 miss", st)
+	}
+	if st := newResultCache(-1, 0).Stats(); st.Misses != 0 {
+		t.Fatalf("a second disabled cache starts with %d misses", st.Misses)
+	}
+}
+
+// TestLRUExactKey: k and the record shape are part of the identity, a
+// Put under a resident key replaces the answer and the byte total
+// follows it, and an incomplete answer is never cached.
+func TestLRUExactKey(t *testing.T) {
+	c := newResultCache(10, 0)
+	key := cacheKey{fingerprint: "q", k: 20}
+	c.Put(key, answerOf(20))
+	for _, other := range []cacheKey{{fingerprint: "q", k: 10}, {fingerprint: "q", k: 20, compact: true}} {
+		if _, ok := c.Get(other); ok {
+			t.Fatalf("%+v served from the %+v entry", other, key)
+		}
+	}
+	c.Put(key, answerOf(7))
+	if st := c.Stats(); st.Entries != 1 || st.Bytes != sizeOf(recordsOfSize(7)) {
+		t.Fatalf("after the second Put: %+v, want 1 entry of 7 records", st)
+	}
+	c.Put(key, &CachedAnswer{Records: recordsOfSize(50)})
+	if val, ok := c.Get(key); !ok || len(val.Records) != 7 {
+		t.Fatal("an incomplete answer was cached")
+	}
+}
+
+// TestLRUDropOtherEpochs: the epoch sweep removes exactly the entries
+// keyed under another epoch.
+func TestLRUDropOtherEpochs(t *testing.T) {
+	c := newResultCache(10, 0)
+	for epoch := int64(1); epoch <= 3; epoch++ {
+		c.Put(cacheKey{fingerprint: "q", epoch: epoch}, answerOf(1))
+	}
+	c.DropOtherEpochs(2)
+	if st := c.Stats(); st.Entries != 1 || st.Bytes != sizeOf(recordsOfSize(1)) {
+		t.Fatalf("after the sweep: %+v, want the one epoch-2 entry", st)
+	}
+	if _, ok := c.Get(cacheKey{fingerprint: "q", epoch: 2}); !ok {
+		t.Fatal("the current epoch's entry was dropped")
 	}
 }
 

@@ -27,7 +27,14 @@ type flightGroup struct {
 	base  context.Context // ancestor of every execution context
 	joins atomic.Int64    // callers that attached to an existing flight
 	mu    sync.Mutex
-	m     map[string]*flight
+	m     map[flightKey]*flight
+}
+
+// flightKey identifies one coalescable execution: the cache identity
+// plus whether the run must produce a trace.
+type flightKey struct {
+	cacheKey
+	trace bool
 }
 
 type flight struct {
@@ -39,7 +46,7 @@ type flight struct {
 }
 
 func newFlightGroup(base context.Context) *flightGroup {
-	return &flightGroup{base: base, m: make(map[string]*flight)}
+	return &flightGroup{base: base, m: make(map[flightKey]*flight)}
 }
 
 // Do returns the result of fn for key, sharing one execution among all
@@ -48,7 +55,7 @@ func newFlightGroup(base context.Context) *flightGroup {
 // the shared execution finishes, Do detaches and returns ctx's cause;
 // the execution keeps running for the remaining waiters (and is
 // canceled when none remain).
-func (g *flightGroup) Do(ctx context.Context, key string, fn func(ctx context.Context) (*CachedAnswer, error)) (val *CachedAnswer, shared bool, err error) {
+func (g *flightGroup) Do(ctx context.Context, key flightKey, fn func(ctx context.Context) (*CachedAnswer, error)) (val *CachedAnswer, shared bool, err error) {
 	g.mu.Lock()
 	f, joined := g.m[key]
 	if !joined {
@@ -75,7 +82,7 @@ func (g *flightGroup) Do(ctx context.Context, key string, fn func(ctx context.Co
 // run executes fn and publishes the outcome. The flight leaves the map
 // before done is signaled, so late arrivals start a fresh execution
 // (result reuse across time is the cache's job, not the group's).
-func (g *flightGroup) run(key string, f *flight, fctx context.Context, fn func(ctx context.Context) (*CachedAnswer, error)) {
+func (g *flightGroup) run(key flightKey, f *flight, fctx context.Context, fn func(ctx context.Context) (*CachedAnswer, error)) {
 	defer func() {
 		if p := recover(); p != nil {
 			f.err = fmt.Errorf("commserve: query execution panicked: %v", p)

@@ -75,10 +75,8 @@ func newMetrics(s *Server) *metrics {
 		func() float64 { return float64(s.stats.queriesStarted.Load() - s.stats.queriesCompleted.Load()) })
 	reg.CounterFunc("commdb_streams_started_total", "streaming (all) requests admitted",
 		s.stats.streamsStarted.Load)
-	reg.CounterFunc("commdb_cache_hits_total", "top-k result cache hits (semantic hits included)",
+	reg.CounterFunc("commdb_cache_hits_total", "top-k result cache hits",
 		func() int64 { return s.cache.Stats().Hits })
-	reg.CounterFunc("commdb_cache_semantic_hits_total", "top-k result cache hits served by downfiltering a larger-radius answer",
-		func() int64 { return s.cache.Stats().SemanticHits })
 	reg.CounterFunc("commdb_cache_misses_total", "top-k result cache misses",
 		func() int64 { return s.cache.Stats().Misses })
 	reg.GaugeFunc("commdb_cache_entries", "top-k result cache resident entries",

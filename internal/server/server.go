@@ -70,17 +70,8 @@ type Config struct {
 	// (default 256; -1 disables the cache).
 	CacheEntries int
 	// CacheBytes bounds the cache's approximate resident bytes
-	// (default 64 MiB; 0 with CacheEntries ≥ 0 means unbounded bytes).
+	// (default 64 MiB, which 0 selects).
 	CacheBytes int64
-	// CacheMode selects the result-cache implementation: "exact" (the
-	// default fingerprint-keyed LRU), "semantic" (the Rmax-monotone
-	// cache that downfilters same-keyword answers cached at a larger
-	// radius), "layered" (an exact front over the semantic tier), or
-	// "off". Ignored when Cache is set.
-	CacheMode string
-	// Cache, when non-nil, injects a custom Cache implementation and
-	// overrides CacheMode/CacheEntries/CacheBytes.
-	Cache Cache
 	// MaxK caps the per-request k (default 1000).
 	MaxK int
 	// MaxLimits clamps every request's Limits field-by-field: where a
@@ -179,7 +170,7 @@ type Server struct {
 	snaps *snapshot.Manager
 	cfg   Config
 	adm   *admission
-	cache Cache
+	cache *resultCache
 	// cacheEpoch tracks the last epoch a top-k request served from, so
 	// an epoch change triggers one cache invalidation sweep.
 	cacheEpoch atomic.Int64
@@ -204,26 +195,16 @@ func New(s *commdb.Searcher, cfg Config) *Server {
 }
 
 // NewWithEngine builds a server over any Engine; tests use it to
-// inject controllable engines. An unknown Config.CacheMode panics —
-// it is a static configuration error, caught at construction like a
-// malformed mux pattern would be.
+// inject controllable engines.
 func NewWithEngine(eng Engine, cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	cache := cfg.Cache
-	if cache == nil {
-		var err error
-		cache, err = NewCache(cfg.CacheMode, cfg.CacheEntries, cfg.CacheBytes)
-		if err != nil {
-			panic(err)
-		}
-	}
 	baseCtx, cancel := context.WithCancelCause(context.Background())
 	s := &Server{
 		eng:        eng,
 		snaps:      cfg.Snapshots,
 		cfg:        cfg,
 		adm:        newAdmission(cfg.MaxConcurrent, cfg.MaxQueue, cfg.QueueWait),
-		cache:      cache,
+		cache:      newResultCache(cfg.CacheEntries, cfg.CacheBytes),
 		flights:    newFlightGroup(baseCtx),
 		baseCtx:    baseCtx,
 		cancelBase: cancel,
@@ -328,7 +309,6 @@ func (s *Server) Stats() StatsSnapshot {
 	snap := s.stats.snapshot()
 	cs := s.cache.Stats()
 	snap.CacheHits = cs.Hits
-	snap.CacheSemanticHits = cs.SemanticHits
 	snap.CacheMisses = cs.Misses
 	snap.CacheEntries = cs.Entries
 	snap.CacheBytes = cs.Bytes
@@ -549,12 +529,12 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	// never serve a request leased to a newer epoch.
 	eng, epoch, release := s.lease()
 	defer release()
-	key := newCacheKey(q, k, req.Compact, epoch)
+	key := cacheKey{fingerprint: q.Fingerprint(), k: k, compact: req.Compact, epoch: epoch}
 	// One invalidation sweep per observed epoch change frees the prior
 	// epoch's answers promptly (the epoch inside every key already
 	// prevents stale serving either way).
 	if old := s.cacheEpoch.Swap(epoch); old != epoch {
-		s.cache.InvalidateEpochs(epoch)
+		s.cache.DropOtherEpochs(epoch)
 	}
 
 	// Cache hits bypass admission: they consume no engine resources,
@@ -563,14 +543,14 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	// a real execution.
 	cstart := time.Now()
 	if !req.Trace {
-		if val, semantic, hit := s.cache.Get(key); hit {
+		if val, hit := s.cache.Get(key); hit {
 			s.logQuery(qid, "topk", q, 0, len(val.Records), "", true)
 			// Cache hits bypass observeQuery (no execution, no trace), but
 			// they are still workload: the flight recorder journals them so a
 			// replay reproduces the traffic the cache absorbed.
-			s.observeCacheHit(qid, q, k, epoch, val, time.Since(cstart))
+			s.observeCacheHit(qid, q, key, val, time.Since(cstart))
 			writeJSON(w, http.StatusOK, TopKResponse{Results: val.Records, Complete: val.Complete,
-				Cached: true, Semantic: semantic, Epoch: epoch})
+				Cached: true, Epoch: epoch})
 			return
 		}
 	}
@@ -588,10 +568,7 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	// shutdown) propagate to every waiter of the flight. Trace
 	// requests coalesce only among themselves, so a trace follower is
 	// guaranteed a leader that produced one.
-	fkey := key.String()
-	if req.Trace {
-		fkey += "|trace"
-	}
+	fkey := flightKey{cacheKey: key, trace: req.Trace}
 	start := time.Now()
 	val, _, err := s.flights.Do(ctx, fkey, func(fctx context.Context) (*CachedAnswer, error) {
 		if err := s.adm.acquire(fctx); err != nil {
@@ -633,7 +610,7 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 // Every execution runs under an internal trace whose summary feeds the
 // process metrics; the summary also rides the response when the
 // request asked for it.
-func (s *Server) runTopK(ctx context.Context, eng Engine, epoch int64, q commdb.Query, k int, compact bool, key CacheKey, qid string) (*CachedAnswer, error) {
+func (s *Server) runTopK(ctx context.Context, eng Engine, epoch int64, q commdb.Query, k int, compact bool, key cacheKey, qid string) (*CachedAnswer, error) {
 	s.stats.queriesStarted.Add(1)
 	tr := obs.NewTrace(qid)
 	if s.snaps != nil {
@@ -661,14 +638,12 @@ func (s *Server) runTopK(ctx context.Context, eng Engine, epoch int64, q commdb.
 	defer st.Close()
 	g := eng.Graph()
 	records := make([]CommunityRecord, 0, k)
-	meta := make([]RecordMeta, 0, k)
 	for len(records) < k {
 		c, ok := st.Next()
 		if !ok {
 			break
 		}
 		records = append(records, NewRecord(len(records)+1, c, g, compact))
-		meta = append(meta, RecordMeta{ReuseRadius: c.ReuseRadius, CoreRadius: c.CoreRadius})
 	}
 	if len(records) < k {
 		stopErr = st.Err()
@@ -680,18 +655,10 @@ func (s *Server) runTopK(ctx context.Context, eng Engine, epoch int64, q commdb.
 		Records:  records,
 		Complete: stopErr == nil,
 		Reason:   StopReason(stopErr),
-		// Fewer than k records with a clean stop means the enumeration
-		// ran dry: the answer holds every community of the query.
-		Exhausted: stopErr == nil && len(records) < k,
-		Rmax:      key.Rmax,
-		K:         k,
-		Meta:      meta,
-		Bytes:     sizeOf(records),
-		Trace:     tr.Summary(),
+		Bytes:    sizeOf(records),
+		Trace:    tr.Summary(),
 	}
-	if stopErr == nil {
-		s.cache.Put(key, val)
-	}
+	s.cache.Put(key, val)
 	return val, nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -16,6 +17,8 @@ import (
 	"time"
 
 	"commdb"
+	"commdb/internal/fault"
+	"commdb/internal/snapshot"
 )
 
 // fakeCommunity builds a distinguishable community for fake engines.
@@ -334,37 +337,99 @@ func TestE2EShutdownDrain(t *testing.T) {
 }
 
 // TestE2ECacheIdenticalResults runs against the real engine on the
-// paper's graph: a repeated query — reordered and re-cased — is served
-// from the cache with results identical to the uncached run.
+// paper's graph and a small DBLP over a k sweep: whatever the cache
+// serves — a repeat of the same query at the same k, reordered and
+// re-cased — is byte-identical to an uncached server's answer, a
+// different k is a different entry, and an epoch bump misses.
 func TestE2ECacheIdenticalResults(t *testing.T) {
-	srv, ts := newPaperServer(t, Config{})
+	paper, _ := commdb.PaperExampleGraph()
+	db, err := commdb.GenerateDBLP(1000, 2026)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dblp, _, err := commdb.GraphFromDatabase(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name     string
+		g        *commdb.Graph
+		keywords [2][]string // a query and a reordered, re-cased spelling of it
+		rmax     float64
+	}{
+		{"paper", paper, [2][]string{{"a", "b", "c"}, {"C", "b", "A"}}, 8},
+		{"dblp", dblp, [2][]string{{"web", "parallel"}, {"Parallel", "WEB"}}, 12},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := commdb.Open(tc.g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mgr := snapshot.New(s, snapshot.Config{
+				Load: func(*fault.Injector) (*commdb.Searcher, error) { return commdb.Open(tc.g) },
+			})
+			srv := New(s, Config{Snapshots: mgr})
+			ts := httptest.NewServer(srv.Handler())
+			defer ts.Close()
+			ref := httptest.NewServer(New(s, Config{CacheEntries: -1}).Handler())
+			defer ref.Close()
 
-	ask := func(keywords []string) TopKResponse {
-		resp := postJSON(t, ts.URL+"/v1/search/topk",
-			searchBody(t, keywords, map[string]any{"k": 10}))
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("status = %d, want 200", resp.StatusCode)
-		}
-		return decodeTopK(t, resp)
-	}
-	first := ask([]string{"a", "b", "c"})
-	if first.Cached {
-		t.Fatal("first query claims a cache hit")
-	}
-	if len(first.Results) != 5 || !first.Complete {
-		t.Fatalf("paper query returned %d results (complete=%v), want all 5", len(first.Results), first.Complete)
-	}
-	second := ask([]string{"C", "b", "A"}) // same query, different order and case
-	if !second.Cached {
-		t.Fatal("reordered/re-cased repeat missed the cache")
-	}
-	if !reflect.DeepEqual(first.Results, second.Results) {
-		t.Fatalf("cached results differ from uncached:\n%+v\n%+v", first.Results, second.Results)
-	}
-	snap := srv.Stats()
-	if snap.CacheHits != 1 || snap.CacheMisses != 1 || snap.QueriesStarted != 1 {
-		t.Fatalf("hits=%d misses=%d executions=%d, want 1/1/1",
-			snap.CacheHits, snap.CacheMisses, snap.QueriesStarted)
+			ask := func(url string, keywords []string, k int) (results string, n int, cached bool) {
+				resp := postJSON(t, url+"/v1/search/topk",
+					searchBody(t, keywords, map[string]any{"k": k, "rmax": tc.rmax}))
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("status = %d, want 200", resp.StatusCode)
+				}
+				defer resp.Body.Close()
+				var out struct {
+					Results  json.RawMessage `json:"results"`
+					Complete bool            `json:"complete"`
+					Cached   bool            `json:"cached"`
+				}
+				if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+					t.Fatalf("decoding topk response: %v", err)
+				}
+				var records []json.RawMessage
+				if err := json.Unmarshal(out.Results, &records); err != nil || !out.Complete {
+					t.Fatalf("k=%d: complete=%v, results %v", k, out.Complete, err)
+				}
+				return string(out.Results), len(records), out.Cached
+			}
+			step := func(keywords []string, k int, wantCached bool) {
+				t.Helper()
+				got, _, cached := ask(ts.URL, keywords, k)
+				want, n, refCached := ask(ref.URL, keywords, k)
+				if refCached {
+					t.Fatal("the CacheEntries: -1 server claims a cache hit")
+				}
+				if got != want {
+					t.Fatalf("k=%d (cached=%v) differs from the uncached answer:\n%s\n%s", k, cached, got, want)
+				}
+				if cached != wantCached {
+					t.Fatalf("k=%d (%d results): cached=%v, want %v", k, n, cached, wantCached)
+				}
+			}
+			step(tc.keywords[0], 20, false)
+			step(tc.keywords[0], 10, false)
+			step(tc.keywords[0], 5, false)
+			step(tc.keywords[1], 20, true)
+			step(tc.keywords[0], 40, false)
+			step(tc.keywords[1], 5, true)
+
+			snap := srv.Stats()
+			if snap.CacheHits != 2 || snap.CacheMisses != 4 || snap.QueriesStarted != 4 || snap.CacheEntries != 4 {
+				t.Fatalf("hits=%d misses=%d executions=%d entries=%d, want 2/4/4/4",
+					snap.CacheHits, snap.CacheMisses, snap.QueriesStarted, snap.CacheEntries)
+			}
+
+			if out, err := mgr.Reload(context.Background()); err != nil || out != snapshot.OutcomeSuccess {
+				t.Fatalf("reload: %s %v", out, err)
+			}
+			step(tc.keywords[0], 5, false)
+			if n := srv.Stats().CacheEntries; n != 1 {
+				t.Fatalf("%d cache entries after the epoch bump, want only the new epoch's", n)
+			}
+		})
 	}
 }
 
@@ -476,9 +541,16 @@ func TestStatszHealthz(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sresp.Body.Close()
+	body, err := io.ReadAll(sresp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var snap StatsSnapshot
-	if err := json.NewDecoder(sresp.Body).Decode(&snap); err != nil {
+	if err := json.Unmarshal(body, &snap); err != nil {
 		t.Fatalf("decoding statsz: %v", err)
+	}
+	if !bytes.Contains(body, []byte(`"cache_hits"`)) || bytes.Contains(body, []byte("semantic")) {
+		t.Fatalf("statsz must carry cache_hits and no semantic counter: %s", body)
 	}
 	if snap.QueriesStarted != 1 || snap.QueriesCompleted != 1 {
 		t.Fatalf("statsz executions = %d/%d, want 1/1", snap.QueriesStarted, snap.QueriesCompleted)

@@ -92,16 +92,11 @@ type LatencyBucket struct {
 
 // StatsSnapshot is the JSON body of GET /statsz.
 type StatsSnapshot struct {
-	QueriesStarted   int64 `json:"queries_started"`
-	QueriesCompleted int64 `json:"queries_completed"`
-	QueriesInFlight  int64 `json:"queries_in_flight"`
-	StreamsStarted   int64 `json:"streams_started"`
-	CacheHits        int64 `json:"cache_hits"`
-	// CacheSemanticHits counts the subset of CacheHits served by the
-	// semantic tier: a same-keyword answer cached at a larger radius
-	// (or larger k) downfiltered to this request, byte-identical to a
-	// live run. Always 0 under the exact cache.
-	CacheSemanticHits   int64 `json:"cache_semantic_hits"`
+	QueriesStarted      int64 `json:"queries_started"`
+	QueriesCompleted    int64 `json:"queries_completed"`
+	QueriesInFlight     int64 `json:"queries_in_flight"`
+	StreamsStarted      int64 `json:"streams_started"`
+	CacheHits           int64 `json:"cache_hits"`
 	CacheMisses         int64 `json:"cache_misses"`
 	CacheEntries        int   `json:"cache_entries"`
 	CacheBytes          int64 `json:"cache_bytes"`

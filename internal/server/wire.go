@@ -92,22 +92,22 @@ func ClampLimits(req, max commdb.Limits) commdb.Limits {
 	}
 }
 
-// Query converts the request to a normalized engine query (without
-// limits, which the server clamps separately).
+// Query converts the request to a normalized engine query with its
+// ranker always set (without limits, which the server clamps
+// separately).
 func (r *SearchRequest) Query() (commdb.Query, error) {
-	var cost commdb.CostFunction
+	ranker := commdb.SumRanker()
 	switch r.Cost {
 	case "", "sum":
-		cost = commdb.CostSumDistances
 	case "max":
-		cost = commdb.CostMaxDistance
+		ranker = commdb.MaxRanker()
 	default:
 		return commdb.Query{}, fmt.Errorf("unknown cost function %q (want sum or max)", r.Cost)
 	}
 	if len(r.Keywords) == 0 {
 		return commdb.Query{}, errors.New("keywords are required")
 	}
-	q := commdb.Query{Keywords: r.Keywords, Rmax: r.Rmax, Cost: cost}
+	q := commdb.Query{Keywords: r.Keywords, Rmax: r.Rmax, Ranker: ranker}
 	return q.Normalized(), nil
 }
 
@@ -227,12 +227,7 @@ type TopKResponse struct {
 	// Reason is the stop reason when Complete is false.
 	Reason string `json:"reason,omitempty"`
 	// Cached reports the response was served from the result cache.
-	Cached bool `json:"cached"`
-	// Semantic reports a cached response was derived by the semantic
-	// tier — downfiltered from a same-keyword answer cached at a larger
-	// radius or k — rather than matched by exact identity. The records
-	// are still byte-identical to an uncached execution's.
-	Semantic  bool  `json:"semantic,omitempty"`
+	Cached    bool  `json:"cached"`
 	ElapsedMS int64 `json:"elapsed_ms"`
 	// Epoch is the snapshot epoch that answered (0 without snapshot
 	// reload). Cached answers carry the epoch too: the cache is keyed

@@ -5,7 +5,7 @@ package server
 // counters when durable recording is on. Where /debug/queries answers
 // "what were the slowest queries", workloadz answers "which keywords
 // is this workload paying engine-init for" — the ranking a keyword
-// warm-up or semantic cache would feed on.
+// warm-up feeds on.
 
 import (
 	"fmt"
@@ -57,14 +57,6 @@ func (s *Server) handleWorkloadz(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// costWord renders a cost function in its wire spelling.
-func costWord(c commdb.CostFunction) string {
-	if c == commdb.CostMaxDistance {
-		return "max"
-	}
-	return "sum"
-}
-
 // entryLimits converts effective (clamped) engine limits to the
 // journal's wire form; nil when no limit is set.
 func entryLimits(l commdb.Limits) *workload.Limits {
@@ -88,7 +80,7 @@ func entryLimits(l commdb.Limits) *workload.Limits {
 func (s *Server) observeWorkload(rec *obs.QueryRecord, q commdb.Query, algo string) {
 	e := workload.EntryFromRecord(rec)
 	e.Algo = algo
-	e.Cost = costWord(q.Cost)
+	e.Cost = q.Ranker.Name()
 	e.Limits = entryLimits(q.Limits)
 	if tr := rec.Trace; tr != nil {
 		if ep := tr.Labels["epoch"]; ep != "" {
@@ -102,18 +94,18 @@ func (s *Server) observeWorkload(rec *obs.QueryRecord, q commdb.Query, algo stri
 // execution and no init spend, but the hit still belongs to the
 // workload — a replay that skipped it would re-run the engine work the
 // cache saved. Indexedness comes from the cached execution's trace.
-func (s *Server) observeCacheHit(qid string, q commdb.Query, k int, epoch int64, val *CachedAnswer, elapsed time.Duration) {
+func (s *Server) observeCacheHit(qid string, q commdb.Query, key cacheKey, val *CachedAnswer, elapsed time.Duration) {
 	e := workload.Entry{
 		UnixMS:      time.Now().UnixMilli(),
 		QueryID:     qid,
-		Fingerprint: q.Fingerprint(),
+		Fingerprint: key.fingerprint,
 		Keywords:    q.Keywords,
 		Rmax:        q.Rmax,
-		Cost:        costWord(q.Cost),
+		Cost:        q.Ranker.Name(),
 		Algo:        workload.AlgoTopK,
-		K:           k,
+		K:           key.k,
 		Limits:      entryLimits(q.Limits),
-		Epoch:       epoch,
+		Epoch:       key.epoch,
 		CacheHit:    true,
 		Results:     len(val.Records),
 		Complete:    val.Complete,

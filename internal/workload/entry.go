@@ -6,13 +6,13 @@
 // # Journal
 //
 // One Entry per completed query (cache hits included), one JSON object
-// per line. Records carry a monotone sequence number and a CRC so a
-// reader can prove integrity; a torn final line — the normal result of
-// a crash mid-append — is silently dropped on read, mirroring the
-// internal/delta mutation log. The journal rotates once, keeping the
-// current file plus one predecessor (path + ".1"), and supports a
-// deterministic 1-in-M sampling policy so high-QPS servers bound the
-// recording cost.
+// per line, framed by internal/seqlog — the same sequence number and
+// CRC the internal/delta mutation log carries — so a reader can prove
+// integrity; a torn final line — the normal result of a crash
+// mid-append — is silently dropped on read. The journal rotates once,
+// keeping the current file plus one predecessor (path + ".1"), and
+// supports a deterministic 1-in-M sampling policy so high-QPS servers
+// bound the recording cost.
 //
 // # Attribution
 //
@@ -21,18 +21,16 @@
 // and therefore shared by every query mentioning the keyword. The
 // Attribution aggregator folds each query's per-keyword init costs
 // (obs.Summary.KeywordInit) into rolling hot-keyword and query-class
-// tables: the exact ranking a semantic cache or precomputed keyword
-// artifact would want to warm from.
+// tables: the exact ranking a precomputed keyword artifact would want
+// to warm from.
 package workload
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
-	"strconv"
 
 	"commdb/internal/obs"
+	"commdb/internal/seqlog"
 )
 
 // Limits is the wire form of a query's resource limits, mirroring the
@@ -59,12 +57,11 @@ const (
 
 // Entry is one journal record: the query's identity (canonical
 // fingerprint, keywords, operating point), how it was served, its
-// outcome, and the per-keyword engine-init spend. The CRC field is
-// always last on the wire (the encoder splices it in before the
-// closing brace), covering every preceding byte of the line.
+// outcome, and the per-keyword engine-init spend.
 type Entry struct {
-	// Seq is the journal-assigned monotone sequence number.
-	Seq int64 `json:"seq"`
+	// Seq is the journal-assigned sequence number; on the wire it rides
+	// the line's seqlog frame.
+	Seq int64 `json:"-"`
 	// UnixMS is the query's completion time. Synthetic workloads (the
 	// benchmark's canonical journal) use fixed values so journal bytes
 	// are machine-independent.
@@ -101,64 +98,21 @@ type Entry struct {
 	InitMS float64 `json:"init_ms,omitempty"`
 	// KeywordInit is the keyword-separable init spend, sorted by term.
 	KeywordInit []obs.KeywordCost `json:"keyword_init,omitempty"`
-	// CRC is the IEEE-Castagnoli checksum of the encoded line with this
-	// field absent. Zero in memory; set by the encoder, verified by the
-	// decoder.
-	CRC uint32 `json:"crc,omitempty"`
 }
 
-// crcTable is Castagnoli, matching the delta log and the index format.
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-var crcKey = []byte(`,"crc":`)
-
-// EncodeEntry renders e as one journal line (no trailing newline). The
-// CRC is computed over the CRC-less encoding and spliced in before the
-// closing brace, so the decoder can verify without re-marshaling (and
-// without float round-trip hazards).
+// EncodeEntry renders e as one journal line (no trailing newline).
 func EncodeEntry(e Entry) ([]byte, error) {
-	e.CRC = 0 // omitempty: the field is absent from the checksummed bytes
 	b, err := json.Marshal(e)
 	if err != nil {
 		return nil, err
 	}
-	sum := crc32.Checksum(b, crcTable)
-	line := make([]byte, 0, len(b)+len(crcKey)+11)
-	line = append(line, b[:len(b)-1]...) // up to but excluding the final '}'
-	line = append(line, crcKey...)
-	line = strconv.AppendUint(line, uint64(sum), 10)
-	line = append(line, '}')
-	return line, nil
+	return seqlog.Seal(b, e.Seq), nil
 }
 
-// DecodeEntry parses and verifies one journal line. The CRC suffix is
-// located positionally (it is always the final field, so the last
-// `,"crc":` occurrence is the real one even if a keyword contains the
-// literal), stripped, and recomputed over the remaining bytes.
-func DecodeEntry(line []byte) (Entry, error) {
-	var e Entry
-	i := bytes.LastIndex(line, crcKey)
-	if i < 0 {
-		return e, fmt.Errorf("workload: record has no crc field")
-	}
-	digits := line[i+len(crcKey):]
-	if len(digits) < 2 || digits[len(digits)-1] != '}' {
-		return e, fmt.Errorf("workload: malformed crc suffix")
-	}
-	digits = digits[:len(digits)-1]
-	want, err := strconv.ParseUint(string(digits), 10, 32)
-	if err != nil {
-		return e, fmt.Errorf("workload: malformed crc suffix: %v", err)
-	}
-	// Reconstitute the checksummed bytes: everything before the suffix
-	// plus the closing brace.
-	buf := make([]byte, 0, i+1)
-	buf = append(buf, line[:i]...)
-	buf = append(buf, '}')
-	if got := crc32.Checksum(buf, crcTable); got != uint32(want) {
-		return e, fmt.Errorf("workload: crc mismatch (record %08x, computed %08x)", uint32(want), got)
-	}
-	if err := json.Unmarshal(line, &e); err != nil {
+// entryOf parses one verified journal object.
+func entryOf(obj []byte, seq int64) (Entry, error) {
+	e := Entry{Seq: seq}
+	if err := json.Unmarshal(obj, &e); err != nil {
 		return e, fmt.Errorf("workload: undecodable record: %v", err)
 	}
 	return e, nil

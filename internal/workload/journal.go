@@ -1,14 +1,14 @@
 package workload
 
 import (
-	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"sync"
 	"time"
+
+	"commdb/internal/seqlog"
 )
 
 // JournalConfig tunes the flight recorder's durable half.
@@ -78,8 +78,9 @@ type Journal struct {
 	closed      bool
 }
 
-// OpenJournal opens (creating if absent) the journal at cfg.Path and
-// resumes the sequence from the existing tail.
+// OpenJournal opens (creating if absent) the journal at cfg.Path,
+// truncates a torn final line and resumes the sequence from the
+// existing tail.
 func OpenJournal(cfg JournalConfig) (*Journal, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Path == "" {
@@ -90,76 +91,11 @@ func OpenJournal(cfg JournalConfig) (*Journal, error) {
 		return nil, err
 	}
 	j := &Journal{cfg: cfg, f: f}
-	info, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	j.size = info.Size()
-	if j.seq, j.size, err = resumeTail(f, j.size); err != nil {
+	if j.seq, j.size, err = seqlog.Resume(f); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("workload: resuming %s: %v", cfg.Path, err)
 	}
 	return j, nil
-}
-
-// resumeTail scans the tail of an existing journal for the last
-// complete, valid record, truncates any torn final line (a crashed
-// writer's half-append) so new records start at a line boundary, and
-// returns the resumed sequence number plus the file's usable size.
-// Only a bounded tail window is read, so reopening a large journal
-// stays cheap.
-func resumeTail(f *os.File, size int64) (seq, newSize int64, err error) {
-	const window = 1 << 20
-	off := size - window
-	if off < 0 {
-		off = 0
-	}
-	buf := make([]byte, size-off)
-	if _, err := f.ReadAt(buf, off); err != nil && err != io.EOF {
-		return 0, size, err
-	}
-	end := bytes.LastIndexByte(buf, '\n')
-	if end < 0 {
-		if off > 0 {
-			// A torn line longer than the window: leave the file alone and
-			// keep appending (pathological; a reader will stop at the tear).
-			return 0, size, nil
-		}
-		// Entirely torn (or empty): start the file over.
-		if size > 0 {
-			if err := f.Truncate(0); err != nil {
-				return 0, size, err
-			}
-		}
-		return 0, 0, nil
-	}
-	if keep := off + int64(end) + 1; keep < size {
-		if err := f.Truncate(keep); err != nil {
-			return 0, size, err
-		}
-		size = keep
-	}
-	buf = buf[:end+1]
-	if off > 0 {
-		// Landed mid-line: skip to the first boundary inside the window.
-		nl := bytes.IndexByte(buf, '\n')
-		if nl < 0 {
-			return 0, size, nil
-		}
-		buf = buf[nl+1:]
-	}
-	for len(buf) > 0 {
-		nl := bytes.IndexByte(buf, '\n')
-		if nl < 0 {
-			break
-		}
-		if e, err := DecodeEntry(buf[:nl]); err == nil {
-			seq = e.Seq
-		}
-		buf = buf[nl+1:]
-	}
-	return seq, size, nil
 }
 
 // Offer submits one entry to the journal. The sampling policy may drop
@@ -181,8 +117,7 @@ func (j *Journal) Offer(e Entry) {
 		j.sampledOut++
 		return
 	}
-	j.seq++
-	e.Seq = j.seq
+	e.Seq = j.seq + 1
 	if e.UnixMS == 0 {
 		e.UnixMS = j.cfg.now().UnixMilli()
 	}
@@ -201,6 +136,9 @@ func (j *Journal) Offer(e Entry) {
 		j.writeErrors++
 		return
 	}
+	// A sequence number is spent only by a line that reached the file:
+	// readers take a gap for a lost line.
+	j.seq = e.Seq
 	j.records++
 }
 
@@ -276,34 +214,24 @@ func (j *Journal) Stats() JournalStats {
 }
 
 // ReadJournal reads every valid entry from r. A final line without a
-// newline — the torn tail of a crashed writer — is silently ignored,
-// mirroring delta.ReadOps. A complete line that fails CRC or decode is
-// an error: unlike a torn tail, it means corruption, not a crash.
-// Sequence numbers must be strictly increasing (rotation means a file
-// need not start at 1).
+// newline — the torn tail of a crashed writer — is silently ignored. A
+// complete line that fails its CRC or decode, or whose sequence number
+// does not follow its predecessor's, is an error naming the line: unlike
+// a torn tail, it means corruption, not a crash. (Rotation means a file
+// need not start at 1.)
 func ReadJournal(r io.Reader) ([]Entry, error) {
-	br := bufio.NewReader(r)
 	var out []Entry
-	var lastSeq int64
-	for lineNo := 1; ; lineNo++ {
-		line, err := br.ReadBytes('\n')
-		if err == io.EOF {
-			// No trailing newline: the record never committed. Drop it.
-			return out, nil
+	_, _, err := seqlog.Scan(r, 0, func(obj []byte, seq int64) error {
+		e, err := entryOf(obj, seq)
+		if err == nil {
+			out = append(out, e)
 		}
-		if err != nil {
-			return out, err
-		}
-		e, derr := DecodeEntry(bytes.TrimSuffix(line, []byte("\n")))
-		if derr != nil {
-			return out, fmt.Errorf("workload: line %d: %v", lineNo, derr)
-		}
-		if e.Seq <= lastSeq {
-			return out, fmt.Errorf("workload: line %d: sequence %d not after %d", lineNo, e.Seq, lastSeq)
-		}
-		lastSeq = e.Seq
-		out = append(out, e)
+		return err
+	})
+	if err != nil {
+		return out, fmt.Errorf("workload: %w", err)
 	}
+	return out, nil
 }
 
 // ReadJournalFile reads one journal file.

@@ -116,17 +116,20 @@ func TestKeywordArtifactsFallback(t *testing.T) {
 	}
 }
 
-// TestWithRankerEndpoints: the ranker seam reproduces both built-in
-// cost functions exactly at its endpoints — WithRanker(SumRanker) and
-// BalancedRanker(1) match the default, BalancedRanker(0) and MaxRanker
-// match CostMaxDistance — so the default behavior is provably
-// unchanged by the API redesign.
-func TestWithRankerEndpoints(t *testing.T) {
+// TestRankerEndpoints: the blended ranker reproduces both built-in
+// aggregates exactly at its endpoints — SumRanker and BalancedRanker(1)
+// match the nil-Ranker default, BalancedRanker(0) matches MaxRanker —
+// and the max-ranked answer is the paper example's known one.
+func TestRankerEndpoints(t *testing.T) {
 	g, _ := PaperExampleGraph()
-	qSum := Query{Keywords: []string{"a", "b", "c"}, Rmax: 8}
-	qMax := Query{Keywords: []string{"a", "b", "c"}, Rmax: 8, Cost: CostMaxDistance}
-	wantSum := collectFull(t, mustOpen(t, g), qSum)
-	wantMax := collectFull(t, mustOpen(t, g), qMax)
+	s := mustOpen(t, g)
+	q := Query{Keywords: []string{"a", "b", "c"}, Rmax: 8}
+	wantSum := collectFull(t, s, q)
+	q.Ranker = MaxRanker()
+	wantMax := collectFull(t, s, q)
+	if wantSum[0].Cost != 7 || wantMax[0].Cost != 4 {
+		t.Fatalf("best costs sum=%v max=%v, want 7 and 4", wantSum[0].Cost, wantMax[0].Cost)
+	}
 
 	balanced1, err := BalancedRanker(1)
 	if err != nil {
@@ -139,19 +142,14 @@ func TestWithRankerEndpoints(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		r    Ranker
-		q    Query
 		want []*Community
 	}{
-		{"sum ranker", SumRanker(), qSum, wantSum},
-		{"balanced alpha=1", balanced1, qSum, wantSum},
-		{"max ranker", MaxRanker(), qSum, wantMax},
-		{"balanced alpha=0", balanced0, qSum, wantMax},
+		{"sum ranker", SumRanker(), wantSum},
+		{"balanced alpha=1", balanced1, wantSum},
+		{"balanced alpha=0", balanced0, wantMax},
 	} {
-		s, err := Open(g, WithRanker(tc.r))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := collectFull(t, s, tc.q)
+		q.Ranker = tc.r
+		got := collectFull(t, s, q)
 		if len(got) != len(tc.want) {
 			t.Fatalf("%s: %d communities, want %d", tc.name, len(got), len(tc.want))
 		}
@@ -180,11 +178,7 @@ func TestBalancedRankerOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	g, _ := PaperExampleGraph()
-	s, err := Open(g, WithRanker(r))
-	if err != nil {
-		t.Fatal(err)
-	}
-	it, err := s.TopK(Query{Keywords: []string{"a", "b", "c"}, Rmax: 8})
+	it, err := mustOpen(t, g).TopK(Query{Keywords: []string{"a", "b", "c"}, Rmax: 8, Ranker: r})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,12 +212,9 @@ func TestRankerWithArtifacts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := Query{Keywords: []string{"a", "b", "c"}, Rmax: 8}
-	coldS, err := Open(g, WithRanker(r))
-	if err != nil {
-		t.Fatal(err)
-	}
-	warmS, err := Open(g, WithRanker(r), WithKeywordArtifactStore(8))
+	q := Query{Keywords: []string{"a", "b", "c"}, Rmax: 8, Ranker: r}
+	coldS := mustOpen(t, g)
+	warmS, err := Open(g, WithKeywordArtifactStore(8))
 	if err != nil {
 		t.Fatal(err)
 	}

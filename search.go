@@ -24,35 +24,24 @@ import (
 	"commdb/internal/sssp"
 )
 
-// CostFunction selects how a community's cost aggregates its
-// center→knode distances; see the constants.
-type CostFunction = core.CostFunction
-
-// Cost function choices. The paper's ranking uses the summed distances;
-// the max-distance variant demonstrates the paper's claim that the
-// algorithms do not depend on a specific cost function.
-const (
-	CostSumDistances = core.CostSumDistances
-	CostMaxDistance  = core.CostMaxDistance
-)
-
-// Ranker is a pluggable community cost aggregate, installed with
-// Open(..., WithRanker(...)): it folds a candidate center's
-// per-keyword shortest-path distances into one score, lower being
-// better. Implementations must be monotone in every component (the
+// Ranker is a community cost aggregate, chosen per query with
+// Query.Ranker: it folds a candidate center's per-keyword
+// shortest-path distances into one score, lower being better. The
+// paper notes its algorithms do not depend on a specific cost function;
+// implementations must be monotone in every component (the
 // enumeration-order guarantees of both algorithms rely on it), must be
-// pure functions safe for concurrent calls, and must not retain the
-// distance slice. See SumRanker, MaxRanker and BalancedRanker for the
-// built-ins.
+// pure functions safe for concurrent calls, must not retain the
+// distance slice, and must have a Name that identifies the aggregate
+// (Query.Fingerprint keys on it). See SumRanker, MaxRanker and
+// BalancedRanker for the built-ins.
 type Ranker = core.Ranker
 
 // SumRanker returns the paper's default cost: the summed
-// center→knode distances. Installing it is equivalent to the default
-// behavior with Query.Cost = CostSumDistances.
+// center→knode distances.
 func SumRanker() Ranker { return core.SumRanker() }
 
-// MaxRanker returns the max-distance (radius) aggregate, equivalent to
-// Query.Cost = CostMaxDistance.
+// MaxRanker returns the max-distance (radius) aggregate: the largest
+// single center→knode distance.
 func MaxRanker() Ranker { return core.MaxRanker() }
 
 // BalancedRanker blends the paper's summed-distance cost with the
@@ -151,8 +140,9 @@ type Query struct {
 	// Rmax is the radius: every center must reach every core node
 	// within this total edge weight.
 	Rmax float64
-	// Cost selects the ranking aggregate (default: summed distances).
-	Cost CostFunction
+	// Ranker is the ranking aggregate; nil means SumRanker(), the
+	// paper's summed distances.
+	Ranker Ranker
 	// Limits bounds the query's resources; the zero value is
 	// unlimited. When a limit trips mid-enumeration the iterator stops
 	// early — the results already returned are valid, and Err reports
@@ -166,7 +156,7 @@ type Query struct {
 // reordering keywords only permutes the per-keyword core positions, so
 // a normalized query answers with the same community set as the
 // original (cores ordered by the sorted keyword list). Limits, Rmax and
-// Cost are preserved unchanged.
+// Ranker are preserved unchanged.
 //
 // A keyword that does not tokenize to exactly one term (which the
 // engine rejects) is kept verbatim apart from trimming and lowercasing,
@@ -200,7 +190,11 @@ func (q Query) Fingerprint() string {
 	b.WriteString("q1|rmax=")
 	b.WriteString(strconv.FormatFloat(n.Rmax, 'g', -1, 64))
 	b.WriteString("|cost=")
-	b.WriteString(strconv.Itoa(int(n.Cost)))
+	if n.Ranker == nil {
+		b.WriteString(SumRanker().Name())
+	} else {
+		b.WriteString(n.Ranker.Name())
+	}
 	for _, kw := range n.Keywords {
 		b.WriteByte('|')
 		b.WriteString(strconv.Itoa(len(kw)))
@@ -232,8 +226,6 @@ type Searcher struct {
 	par int
 	// col, when non-nil, observes every finished query.
 	col *obs.Collector
-	// ranker, when non-nil, overrides Query.Cost on every query.
-	ranker core.Ranker
 	// kc, when non-nil, serves precomputed keyword neighbor sets to
 	// eligible sessions (un-indexed execution, no work-shape limits,
 	// Rmax within the store radius).
@@ -249,7 +241,6 @@ type openConfig struct {
 	indexReader io.Reader
 	parallelism int
 	collector   *obs.Collector
-	ranker      core.Ranker
 	kwReader    io.Reader
 	kwRadius    float64
 	kwEnable    bool
@@ -290,15 +281,6 @@ func WithParallelism(n int) Option {
 // observed. Share one collector across searchers to aggregate.
 func WithCollector(col *Collector) Option {
 	return func(c *openConfig) { c.collector = col }
-}
-
-// WithRanker installs a custom community cost aggregate for every
-// query on the searcher, overriding Query.Cost. Without this option
-// behavior is unchanged: Query.Cost selects between the two built-in
-// aggregates exactly as before. The ranker must satisfy the Ranker
-// contract (per-component monotone, concurrency-safe, pure).
-func WithRanker(r Ranker) Option {
-	return func(c *openConfig) { c.ranker = r }
 }
 
 // WithKeywordArtifacts loads a keyword neighbor-set artifact store
@@ -348,7 +330,7 @@ func Open(g *Graph, opts ...Option) (*Searcher, error) {
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
 	}
-	s := &Searcher{g: g, pool: sssp.NewPool(), par: par, col: cfg.collector, ranker: cfg.ranker}
+	s := &Searcher{g: g, pool: sssp.NewPool(), par: par, col: cfg.collector}
 	switch {
 	case cfg.buildIndex:
 		ix, err := index.Build(g, index.BuildOptions{R: cfg.indexRmax})
@@ -577,10 +559,7 @@ func (s *Searcher) newSession(ctx context.Context, q Query) (*session, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng.SetCostFunction(q.Cost)
-	if s.ranker != nil {
-		eng.SetRanker(s.ranker)
-	}
+	eng.SetRanker(q.Ranker)
 	eng.SetBudget(bud)
 	eng.SetTrace(tr)
 	// Fan the per-keyword full-set Dijkstras across the workers now,
@@ -614,10 +593,6 @@ func (sess *session) mapBack(r *Community) *Community {
 		Cnodes: mapIDs(r.Cnodes, toParent),
 		Pnodes: mapIDs(r.Pnodes, toParent),
 		Nodes:  mapIDs(r.Nodes, toParent),
-		// The radii are distance-derived and the projection preserves
-		// all relevant distances, so they carry over unchanged.
-		ReuseRadius: r.ReuseRadius,
-		CoreRadius:  r.CoreRadius,
 	}
 	for i, v := range r.Core {
 		mapped.Core[i] = toParent[v]
