@@ -61,10 +61,6 @@ type replayBenchReport struct {
 	Throughput    float64       `json:"throughput_rps"`
 	TopK          endpointStats `json:"topk"`
 	Stream        endpointStats `json:"stream"`
-	// HotKeywords is the replay target's per-keyword init attribution
-	// (in-process replays only): which keywords this workload makes
-	// expensive. Informational, never gated.
-	HotKeywords []workload.KeywordStats `json:"hot_keywords,omitempty"`
 }
 
 // endpointStats summarizes one endpoint's replay latencies.
@@ -284,7 +280,6 @@ func runReplay(journalPath string, authors int, seed int64, boost float64, serve
 	rep := replayBenchReport{Journal: journalPath, Queries: len(entries)}
 	base := serverURL
 	client := http.DefaultClient
-	var app *server.Server
 	if serverURL == "" {
 		fmt.Fprintf(os.Stderr, "building DBLP dataset (authors=%d, boost=%gx)...\n", authors, boost)
 		d, err := bench.BuildDBLPBoosted(authors, seed, boost)
@@ -297,8 +292,7 @@ func runReplay(journalPath string, authors int, seed int64, boost float64, serve
 		if err != nil {
 			return err
 		}
-		app = server.New(s, server.Config{})
-		ts := httptest.NewServer(app.Handler())
+		ts := httptest.NewServer(server.New(s, server.Config{}).Handler())
 		defer ts.Close()
 		base, client = ts.URL, ts.Client()
 		rep.Dataset, rep.Authors = d.Name, authors
@@ -334,11 +328,6 @@ func runReplay(journalPath string, authors int, seed int64, boost float64, serve
 	rep.Throughput = float64(len(outs)) / elapsed.Seconds()
 	rep.TopK = summarize(topkLat)
 	rep.Stream = summarize(allLat)
-	if app != nil {
-		if wl := app.Stats().Workload; wl != nil {
-			rep.HotKeywords = wl.HotKeywords
-		}
-	}
 
 	fmt.Fprintf(os.Stderr, "done in %v: %.1f req/s, %d errors, digest %s\n",
 		elapsed.Round(time.Millisecond), rep.Throughput, rep.Errors, rep.OutcomeDigest[:16])
@@ -346,12 +335,6 @@ func runReplay(journalPath string, authors int, seed int64, boost float64, serve
 		rep.TopK.Count, rep.CacheHits, rep.TopK.MeanMS, rep.TopK.P95MS)
 	fmt.Fprintf(os.Stderr, "  stream: n=%d mean=%.2fms p95=%.2fms\n",
 		rep.Stream.Count, rep.Stream.MeanMS, rep.Stream.P95MS)
-	for i, kw := range rep.HotKeywords {
-		if i >= 5 {
-			break
-		}
-		fmt.Fprintf(os.Stderr, "  hot keyword %-16s queries=%d init=%.2fms\n", kw.Term, kw.Queries, kw.InitWallMS)
-	}
 
 	enc := json.NewEncoder(out)
 	enc.SetIndent("", "  ")

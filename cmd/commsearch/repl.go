@@ -13,7 +13,6 @@ import (
 	"commdb/internal/fault"
 	"commdb/internal/obs"
 	"commdb/internal/snapshot"
-	"commdb/internal/workload"
 )
 
 // repl runs the interactive session: the user issues queries and then
@@ -39,13 +38,9 @@ func repl(g *commdb.Graph, s *commdb.Searcher, rmax float64, lim commdb.Limits, 
 		fmt.Fprintf(out, "warning: emission SLO breach on %s — max gap %.2fms vs median %.2fms\n",
 			rec.QueryID, rec.MaxEmissionDelayMS, rec.MedianEmissionDelayMS)
 	})
-	// The session workload tracker behind `hot`: the same per-keyword
-	// engine-init attribution the server serves at /debug/workloadz,
-	// sized down to one session (in-memory only, no journal).
-	wl := workload.NewTracker(workload.AttributionConfig{}, nil)
 	var pending *replQuery
 	flush := func() {
-		pending.flush(col, wl, it, shown)
+		pending.flush(col, it, shown)
 		pending = nil
 	}
 
@@ -84,7 +79,6 @@ func repl(g *commdb.Graph, s *commdb.Searcher, rmax float64, lim commdb.Limits, 
 			fmt.Fprintln(out, "  mem              memory footprint of the serving artifacts (graph, index, dictionary)")
 			fmt.Fprintln(out, "  stats            trace of the current query: stages, counters, emission delays")
 			fmt.Fprintln(out, "  slowlog          session slow-query log: captured traces, classes, SLO breaches")
-			fmt.Fprintln(out, "  hot              hottest keywords by attributed engine-init cost this session")
 			fmt.Fprintln(out, "  reload <file>    swap in a new index artifact (fail-closed: a bad file is rejected)")
 			fmt.Fprintln(out, "  quit             exit")
 		case "quit", "exit":
@@ -146,12 +140,8 @@ func repl(g *commdb.Graph, s *commdb.Searcher, rmax float64, lim commdb.Limits, 
 				fmt.Fprintln(out, "error:", err)
 				// Even a query that failed to start enters the log: errored
 				// queries are always retained.
-				rec := obs.NewQueryRecord(tr.QueryID(), "repl", fields[1:], rmax, 0, false,
-					0, err, err.Error(), begin, time.Since(begin), tr.Summary())
-				col.Observe(rec)
-				e := workload.EntryFromRecord(rec)
-				e.Algo = workload.AlgoTopK
-				wl.Observe(e)
+				col.Observe(obs.NewQueryRecord(tr.QueryID(), "repl", fields[1:], rmax, 0, false,
+					0, err, err.Error(), begin, time.Since(begin), tr.Summary()))
 				it, lastTr = nil, nil
 				continue
 			}
@@ -193,9 +183,6 @@ func repl(g *commdb.Graph, s *commdb.Searcher, rmax float64, lim commdb.Limits, 
 		case "slowlog":
 			flush() // finalize the current query so it appears too
 			printSlowlog(out, col)
-		case "hot":
-			flush() // finalize the current query so its init spend counts
-			printHot(out, wl)
 		case "more":
 			if it == nil {
 				fmt.Fprintln(out, "no active query — use q first")
@@ -249,10 +236,9 @@ type replQuery struct {
 	tr       *obs.Trace
 }
 
-// flush finalizes the query into the collector and the workload
-// tracker: trace summary, stop reason from the iterator, results shown
-// so far. Safe on nil.
-func (p *replQuery) flush(col *obs.Collector, wl *workload.Tracker, it *commdb.Results, shown int) {
+// flush finalizes the query into the collector: trace summary, stop
+// reason from the iterator, results shown so far. Safe on nil.
+func (p *replQuery) flush(col *obs.Collector, it *commdb.Results, shown int) {
 	if p == nil {
 		return
 	}
@@ -265,32 +251,8 @@ func (p *replQuery) flush(col *obs.Collector, wl *workload.Tracker, it *commdb.R
 			reason = stopReason(stop)
 		}
 	}
-	rec := obs.NewQueryRecord(p.qid, "repl", p.keywords, p.rmax, 0, indexed,
-		shown, stop, reason, p.start, p.active, sum)
-	col.Observe(rec)
-	e := workload.EntryFromRecord(rec)
-	e.Algo = workload.AlgoTopK
-	wl.Observe(e)
-}
-
-// printHot renders the session's per-keyword init attribution: the
-// REPL view of the server's GET /debug/workloadz.
-func printHot(out io.Writer, wl *workload.Tracker) {
-	snap := wl.Snapshot(10)
-	fmt.Fprintf(out, "workload: %d queries observed, %d keywords tracked\n",
-		snap.Observed, snap.TrackedKeywords)
-	if len(snap.HotKeywords) == 0 {
-		fmt.Fprintln(out, "  no keyword init spend yet — run a query first")
-		return
-	}
-	for _, kw := range snap.HotKeywords {
-		fmt.Fprintf(out, "  %-16s queries=%-3d init: runs=%-3d visits=%-6d relax=%-6d wall=%.3fms\n",
-			kw.Term, kw.Queries, kw.InitRuns, kw.InitVisits, kw.InitRelax, kw.InitWallMS)
-	}
-	for _, c := range snap.Classes {
-		fmt.Fprintf(out, "  class %-12s queries=%-3d init=%.3fms keyword=%.3fms shared=%.3fms\n",
-			c.Class, c.Queries, c.InitMS, c.KeywordMS, c.SharedInitMS)
-	}
+	col.Observe(obs.NewQueryRecord(p.qid, "repl", p.keywords, p.rmax, 0, indexed,
+		shown, stop, reason, p.start, p.active, sum))
 }
 
 // printSlowlog renders the session's capture ring and per-class

@@ -158,31 +158,6 @@ func TestReplSlowlog(t *testing.T) {
 	}
 }
 
-// TestReplHot: 'hot' renders the session's per-keyword engine-init
-// attribution — each queried term with its charged Dijkstra spend plus
-// the per-class init split.
-func TestReplHot(t *testing.T) {
-	out := runReplScript(t, "q a b c\nq a\nhot\nquit\n")
-	if !strings.Contains(out, "workload: 2 queries observed, 3 keywords tracked") {
-		t.Fatalf("hot header missing or wrong:\n%s", out)
-	}
-	for _, term := range []string{"a", "b", "c"} {
-		if !strings.Contains(out, term+" ") || !strings.Contains(out, "init: runs=") {
-			t.Fatalf("hot row for %q missing:\n%s", term, out)
-		}
-	}
-	if !strings.Contains(out, "class kw3/") || !strings.Contains(out, "class kw1/") {
-		t.Fatalf("per-class init rows missing:\n%s", out)
-	}
-	// Help advertises the command; before any query it is a clean no-op.
-	if help := runReplScript(t, "help\nquit\n"); !strings.Contains(help, "hot") {
-		t.Fatalf("help does not mention hot:\n%s", help)
-	}
-	if empty := runReplScript(t, "hot\nquit\n"); !strings.Contains(empty, "no keyword init spend yet") {
-		t.Fatalf("empty hot output wrong:\n%s", empty)
-	}
-}
-
 // TestReplSlowlogEmpty: slowlog before any query is a clean no-op.
 func TestReplSlowlogEmpty(t *testing.T) {
 	out := runReplScript(t, "slowlog\nquit\n")

@@ -32,14 +32,12 @@
 // in-memory ring, listed at GET /debug/profilez and fetched at
 // GET /debug/profilez/{id} (both token-authenticated).
 //
-// The workload flight recorder is always on in memory: every completed
-// query (cache hits included) feeds per-keyword engine-init cost
-// attribution, readable at GET /debug/workloadz, as the "workload"
-// block in /statsz, and as the commdb_keyword_* / commdb_workload_*
-// metric families. -workload-log additionally journals each query as
-// one CRC-framed NDJSON line (with -workload-log-max-bytes rotation
-// and deterministic 1-in-N -workload-sample), which
-// benchrunner -replay can re-execute deterministically.
+// -workload-log turns on the workload flight recorder: every completed
+// query (cache hits included) is journaled as one CRC-framed NDJSON
+// line (with -workload-log-max-bytes rotation and deterministic 1-in-N
+// -workload-sample), which benchrunner -replay can re-execute
+// deterministically; its counters are the "workload_journal" block in
+// /statsz and the commdb_workload_journal_* families.
 //
 // Per-request limits are clamped to the -max-* flags, so one client
 // cannot monopolize the query governor's budget. On SIGINT/SIGTERM the
@@ -70,13 +68,11 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"log/slog"
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"syscall"
 	"time"
 
@@ -105,9 +101,6 @@ func main() {
 		cacheBytes    = flag.Int64("cache-bytes", 64<<20, "top-k result cache approximate byte bound")
 		maxK          = flag.Int("max-k", 1000, "largest per-request k")
 
-		kwcachePath     = flag.String("kwcache", "", "keyword neighbor-set artifact file: loaded at boot when present (falling back to an empty store if it does not match the graph), persisted after every warm-up round (empty disables)")
-		kwcacheWarmEach = flag.Duration("kwcache-warm-every", 30*time.Second, "how often the warmer folds /debug/workloadz hot keywords into the artifact store (0 disables warming)")
-
 		maxTimeout = flag.Duration("max-timeout", 30*time.Second, "per-query wall-clock ceiling (0 = unlimited)")
 		maxVisited = flag.Int64("max-visited", 0, "per-query shortest-path work ceiling (0 = unlimited)")
 		maxResults = flag.Int64("max-results", 100000, "per-query result-count ceiling (0 = unlimited)")
@@ -128,10 +121,9 @@ func main() {
 		profileCPU   = flag.Duration("profile-cpu", 5*time.Second, "continuous profiling: CPU sample length per round (clamped to half the interval)")
 		profileKeep  = flag.Int("profile-keep", 4, "continuous profiling: captures retained per profile kind")
 
-		workloadLog      = flag.String("workload-log", "", "workload flight recorder: append one NDJSON entry per completed query (cache hits included) to this journal file; replay it with benchrunner -replay (empty disables)")
-		workloadLogMax   = flag.Int64("workload-log-max-bytes", 64<<20, "workload journal size bound; on overflow the file rotates once to <path>.1")
-		workloadSample   = flag.Int("workload-sample", 1, "workload journal sampling: record 1 in every N completed queries (1 = all)")
-		workloadKeywords = flag.Int("workload-keywords", 0, "hot-keyword attribution table bound for /debug/workloadz (0 = default 512)")
+		workloadLog    = flag.String("workload-log", "", "workload flight recorder: append one NDJSON entry per completed query (cache hits included) to this journal file; replay it with benchrunner -replay (empty disables)")
+		workloadLogMax = flag.Int64("workload-log-max-bytes", 64<<20, "workload journal size bound; on overflow the file rotates once to <path>.1")
+		workloadSample = flag.Int("workload-sample", 1, "workload journal sampling: record 1 in every N completed queries (1 = all)")
 	)
 	flag.Parse()
 	if *adminToken == "" {
@@ -154,10 +146,9 @@ func main() {
 			MaxRelaxations: *maxVisited,
 			MaxResults:     *maxResults,
 		},
-		Logger:           logger,
-		Pprof:            *pprofEnable,
-		AdminToken:       *adminToken,
-		WorkloadKeywords: *workloadKeywords,
+		Logger:     logger,
+		Pprof:      *pprofEnable,
+		AdminToken: *adminToken,
 	}
 	var journal *workload.Journal
 	if *workloadLog != "" {
@@ -185,7 +176,7 @@ func main() {
 		dbPath: *dbPath, mutationLog: *mutationLog, deltaDebounce: *deltaDebounce,
 		useIndex: *useIndex, rmaxMax: *rmaxMax, parallelism: *parallelism,
 		cfg: cfg, grace: *shutdownGrace, watchEvery: *reloadWatch,
-		journal: journal, kwcachePath: *kwcachePath, kwcacheWarmEach: *kwcacheWarmEach,
+		journal: journal,
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "commserve:", err)
 		os.Exit(1)
@@ -203,8 +194,6 @@ type runOptions struct {
 	cfg                                 server.Config
 	grace, watchEvery                   time.Duration
 	journal                             *workload.Journal
-	kwcachePath                         string
-	kwcacheWarmEach                     time.Duration
 }
 
 func run(o runOptions) error {
@@ -234,14 +223,11 @@ func run(o runOptions) error {
 	case o.mutationLog != "":
 		return fmt.Errorf("-mutation-log requires -db")
 	default:
-		s, err = buildSearcher(o.graphPath, o.indexPath, o.example, o.useIndex, o.rmaxMax, o.parallelism, o.kwcachePath)
+		s, err = buildSearcher(o.graphPath, o.indexPath, o.example, o.useIndex, o.rmaxMax, o.parallelism)
 		if err != nil {
 			return err
 		}
 		loader = buildLoader(o.graphPath, o.indexPath, o.useIndex, o.rmaxMax, o.parallelism)
-	}
-	if o.kwcachePath != "" && o.dbPath != "" {
-		log.Printf("kwcache: ignored in delta mode (epochs are rebuilt from the mutation log)")
 	}
 	log.Printf("graph: %d nodes, %d edges (indexed=%v)", s.Graph().NumNodes(), s.Graph().NumEdges(), s.Indexed())
 
@@ -275,42 +261,6 @@ func run(o runOptions) error {
 		}
 		log.Printf("watching %s (every %v)", watchPath, o.watchEvery)
 		go snaps.Watch(watchCtx, watchPath, o.watchEvery)
-	}
-	if ka := s.KeywordArtifacts(); ka.Enabled && o.kwcacheWarmEach > 0 {
-		// The warmer closes the loop the flight recorder opened: the
-		// hot-keyword attribution ranks which keywords pay engine-init,
-		// WarmKeywords turns each one's full-set Dijkstra into a stored
-		// artifact, and the store is persisted so the next boot starts
-		// warm. Warming targets the boot searcher; epochs created by hot
-		// reload serve without artifacts (live execution) until restart.
-		go func() {
-			t := time.NewTicker(o.kwcacheWarmEach)
-			defer t.Stop()
-			for {
-				select {
-				case <-watchCtx.Done():
-					return
-				case <-t.C:
-				}
-				snap := app.Stats()
-				if snap.Workload == nil {
-					continue
-				}
-				terms := make([]string, 0, len(snap.Workload.HotKeywords))
-				for _, ks := range snap.Workload.HotKeywords {
-					terms = append(terms, ks.Term)
-				}
-				if n := s.WarmKeywords(terms); n > 0 {
-					ka := s.KeywordArtifacts()
-					log.Printf("kwcache: warmed %d keywords (%d stored, %d KB)", n, ka.Terms, ka.Bytes/1024)
-					if o.kwcachePath != "" {
-						if err := writeAtomic(o.kwcachePath, s.WriteKeywordArtifacts); err != nil {
-							log.Printf("kwcache: persist failed: %v", err)
-						}
-					}
-				}
-			}
-		}()
 	}
 	if pipe != nil && o.mutationLog != "" {
 		log.Printf("tailing %s (debounce %v)", o.mutationLog, o.deltaDebounce)
@@ -368,15 +318,6 @@ loop:
 	if err := o.journal.Close(); err != nil {
 		log.Printf("workload journal close: %v", err)
 	}
-	// Persist whatever the warmer accumulated, so the next boot starts
-	// with the artifacts this run paid for.
-	if ka := s.KeywordArtifacts(); o.kwcachePath != "" && ka.Enabled && ka.Terms > 0 {
-		if err := writeAtomic(o.kwcachePath, s.WriteKeywordArtifacts); err != nil {
-			log.Printf("kwcache: final persist failed: %v", err)
-		} else {
-			log.Printf("kwcache: %d keyword artifacts persisted to %s", ka.Terms, o.kwcachePath)
-		}
-	}
 	log.Printf("drained cleanly")
 	return nil
 }
@@ -385,7 +326,7 @@ loop:
 // index, freshly built index, or per-query scans. The searcher's
 // workspace pool is shared by concurrent requests and by each query's
 // parallel workers.
-func buildSearcher(graphPath, indexPath, example string, useIndex bool, rmaxMax float64, parallelism int, kwcachePath string) (*commdb.Searcher, error) {
+func buildSearcher(graphPath, indexPath, example string, useIndex bool, rmaxMax float64, parallelism int) (*commdb.Searcher, error) {
 	g, err := loadGraph(graphPath, example)
 	if err != nil {
 		return nil, err
@@ -402,28 +343,7 @@ func buildSearcher(graphPath, indexPath, example string, useIndex bool, rmaxMax 
 	case useIndex:
 		opts = append(opts, commdb.WithIndex(rmaxMax))
 	}
-	if kwcachePath == "" {
-		return commdb.Open(g, opts...)
-	}
-	// Keyword artifacts fail open: a file that is corrupt or belongs to
-	// a different graph generation is logged and replaced by an empty
-	// store (queries fall back to live Dijkstra), never served.
-	if f, err := os.Open(kwcachePath); err == nil {
-		s, lerr := commdb.Open(g, append(append([]commdb.Option{}, opts...), commdb.WithKeywordArtifacts(f))...)
-		f.Close()
-		if lerr == nil {
-			ka := s.KeywordArtifacts()
-			log.Printf("kwcache: %d keyword artifacts loaded from %s (radius %g)", ka.Terms, kwcachePath, ka.Radius)
-			return s, nil
-		}
-		if !errors.Is(lerr, commdb.ErrCorruptKeywordArtifacts) && !errors.Is(lerr, commdb.ErrKeywordArtifactsMismatch) {
-			return nil, lerr
-		}
-		log.Printf("kwcache: %s rejected, starting an empty store: %v", kwcachePath, lerr)
-	} else if !os.IsNotExist(err) {
-		return nil, err
-	}
-	return commdb.Open(g, append(opts, commdb.WithKeywordArtifactStore(rmaxMax))...)
+	return commdb.Open(g, opts...)
 }
 
 // buildLoader returns the snapshot loader matching the serving flags,
@@ -443,40 +363,6 @@ func buildLoader(graphPath, indexPath string, useIndex bool, rmaxMax float64, pa
 		r = rmaxMax
 	}
 	return snapshot.GraphFileLoader(graphPath, r, opts...)
-}
-
-// writeAtomic publishes an artifact with the temp-file + fsync +
-// rename discipline (same as indexbuild): a concurrent reader at out
-// sees either the previous complete file or the new one, never a torn
-// write.
-func writeAtomic(out string, write func(io.Writer) error) error {
-	tmp, err := os.CreateTemp(filepath.Dir(out), filepath.Base(out)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if tmp != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-		}
-	}()
-	if err := tmp.Chmod(0o644); err != nil {
-		return err
-	}
-	if err := write(tmp); err != nil {
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), out); err != nil {
-		return err
-	}
-	tmp = nil
-	return nil
 }
 
 func loadGraph(graphPath, example string) (*commdb.Graph, error) {

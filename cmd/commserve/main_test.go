@@ -16,7 +16,7 @@ import (
 // TestBuildSearcher covers the three searcher flavours and the flag
 // validation paths.
 func TestBuildSearcher(t *testing.T) {
-	s, err := buildSearcher("", "", "paper", false, 8, 0, "")
+	s, err := buildSearcher("", "", "paper", false, 8, 0)
 	if err != nil {
 		t.Fatalf("example searcher: %v", err)
 	}
@@ -24,7 +24,7 @@ func TestBuildSearcher(t *testing.T) {
 		t.Fatal("plain searcher claims an index")
 	}
 
-	s, err = buildSearcher("", "", "paper", true, 8, 0, "")
+	s, err = buildSearcher("", "", "paper", true, 8, 0)
 	if err != nil {
 		t.Fatalf("indexed searcher: %v", err)
 	}
@@ -32,13 +32,13 @@ func TestBuildSearcher(t *testing.T) {
 		t.Fatal("indexed searcher lost its index")
 	}
 
-	if _, err := buildSearcher("", "", "", false, 8, 0, ""); err == nil {
+	if _, err := buildSearcher("", "", "", false, 8, 0); err == nil {
 		t.Fatal("no graph source should error")
 	}
-	if _, err := buildSearcher("x", "", "paper", false, 8, 0, ""); err == nil {
+	if _, err := buildSearcher("x", "", "paper", false, 8, 0); err == nil {
 		t.Fatal("-graph with -example should error")
 	}
-	if _, err := buildSearcher("/does/not/exist", "", "", false, 8, 0, ""); err == nil {
+	if _, err := buildSearcher("/does/not/exist", "", "", false, 8, 0); err == nil {
 		t.Fatal("missing graph file should error")
 	}
 }
@@ -69,7 +69,7 @@ func TestLoadGraphRoundTrip(t *testing.T) {
 // TestServeSmoke boots the full serving stack the binary assembles —
 // indexed searcher, server, handler — and runs one query end to end.
 func TestServeSmoke(t *testing.T) {
-	s, err := buildSearcher("", "", "paper", true, 8, 0, "")
+	s, err := buildSearcher("", "", "paper", true, 8, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strings"
 	"syscall"
 	"time"
 
@@ -44,95 +43,33 @@ func main() {
 		outGraph  = flag.String("out-graph", "", "output graph file (required with -follow, optional with -db)")
 		follow    = flag.String("follow", "", "mutation-log file to tail (requires -db); republishes on change")
 		debounce  = flag.Duration("debounce", 500*time.Millisecond, "quiet period before a tailed batch is applied and republished")
-
-		kwOut   = flag.String("kwcache-out", "", "also prebuild a keyword neighbor-set artifact store and write it here (requires -graph and -kwcache-terms)")
-		kwTerms = flag.String("kwcache-terms", "", "comma-separated keywords to prebuild artifacts for (the hot set from /debug/workloadz?format=json)")
-		kwRmax  = flag.Float64("kwcache-rmax", 0, "artifact radius: the largest query Rmax the store can serve (0 = -rmax)")
 	)
 	flag.Parse()
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
-	if err := run(ctx, *graphPath, *dbPath, *rmax, *out, *outGraph, *follow, *debounce,
-		*kwOut, *kwTerms, *kwRmax); err != nil {
+	if err := run(ctx, *graphPath, *dbPath, *rmax, *out, *outGraph, *follow, *debounce); err != nil {
 		fmt.Fprintln(os.Stderr, "indexbuild:", err)
 		os.Exit(1)
 	}
 }
 
-func run(ctx context.Context, graphPath, dbPath string, rmax float64, out, outGraph, follow string, debounce time.Duration, kwOut, kwTerms string, kwRmax float64) error {
+func run(ctx context.Context, graphPath, dbPath string, rmax float64, out, outGraph, follow string, debounce time.Duration) error {
 	if out == "" {
 		return fmt.Errorf("-out is required")
 	}
 	switch {
 	case graphPath != "" && dbPath != "":
 		return fmt.Errorf("-graph and -db are mutually exclusive")
-	case kwOut != "" && graphPath == "":
-		return fmt.Errorf("-kwcache-out requires -graph (artifacts belong to one fixed graph generation)")
 	case dbPath != "":
 		return runFromDB(ctx, dbPath, rmax, out, outGraph, follow, debounce)
 	case graphPath != "":
 		if follow != "" {
 			return fmt.Errorf("-follow requires -db (mutations replay against the database, not the graph)")
 		}
-		if err := runFromGraph(graphPath, rmax, out); err != nil {
-			return err
-		}
-		if kwOut == "" {
-			return nil
-		}
-		if kwRmax <= 0 {
-			kwRmax = rmax
-		}
-		return buildKwcache(graphPath, kwOut, kwTerms, kwRmax)
+		return runFromGraph(graphPath, rmax, out)
 	default:
 		return fmt.Errorf("provide -graph FILE or -db FILE")
 	}
-}
-
-// buildKwcache prebuilds the keyword neighbor-set artifact store: one
-// bounded reverse Dijkstra per requested term, persisted with the same
-// atomic-rename discipline as the index. The store is built over a
-// plain (unprojected) searcher — artifacts apply to unindexed serving,
-// where engine init pays the full-set Dijkstra the store replaces.
-func buildKwcache(graphPath, kwOut, kwTerms string, kwRmax float64) error {
-	terms := splitTerms(kwTerms)
-	if len(terms) == 0 {
-		return fmt.Errorf("-kwcache-out requires -kwcache-terms (comma-separated keywords to prebuild)")
-	}
-	f, err := os.Open(graphPath)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	g, err := commdb.ReadGraph(f)
-	if err != nil {
-		return err
-	}
-	s, err := commdb.Open(g, commdb.WithKeywordArtifactStore(kwRmax))
-	if err != nil {
-		return err
-	}
-	start := time.Now()
-	n := s.WarmKeywords(terms)
-	ka := s.KeywordArtifacts()
-	fmt.Printf("kwcache: %d/%d keywords materialized in %v (radius %g, %d KB)\n",
-		n, len(terms), time.Since(start).Round(time.Millisecond), kwRmax, ka.Bytes/1024)
-	if err := writeAtomic(kwOut, s.WriteKeywordArtifacts); err != nil {
-		return err
-	}
-	fmt.Printf("kwcache written to %s\n", kwOut)
-	return nil
-}
-
-// splitTerms parses the comma-separated -kwcache-terms list.
-func splitTerms(s string) []string {
-	var out []string
-	for _, t := range strings.Split(s, ",") {
-		if t = strings.TrimSpace(t); t != "" {
-			out = append(out, t)
-		}
-	}
-	return out
 }
 
 // runFromGraph is the classic one-shot build.

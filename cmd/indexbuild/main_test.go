@@ -40,7 +40,7 @@ func TestIndexBuildEndToEnd(t *testing.T) {
 	f.Close()
 
 	// Build + save the index.
-	if err := run(context.Background(), graphPath, "", 7, indexPath, "", "", 0, "", "", 0); err != nil {
+	if err := run(context.Background(), graphPath, "", 7, indexPath, "", "", 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -72,22 +72,22 @@ func TestIndexBuildEndToEnd(t *testing.T) {
 
 func TestIndexBuildErrors(t *testing.T) {
 	ctx := context.Background()
-	if err := run(ctx, "", "", 8, "x", "", "", 0, "", "", 0); err == nil {
+	if err := run(ctx, "", "", 8, "x", "", "", 0); err == nil {
 		t.Fatal("missing inputs should error")
 	}
-	if err := run(ctx, "x", "", 8, "", "", "", 0, "", "", 0); err == nil {
+	if err := run(ctx, "x", "", 8, "", "", "", 0); err == nil {
 		t.Fatal("missing out should error")
 	}
-	if err := run(ctx, "/nonexistent", "", 8, filepath.Join(t.TempDir(), "x"), "", "", 0, "", "", 0); err == nil {
+	if err := run(ctx, "/nonexistent", "", 8, filepath.Join(t.TempDir(), "x"), "", "", 0); err == nil {
 		t.Fatal("missing graph file should error")
 	}
-	if err := run(ctx, "a", "b", 8, "x", "", "", 0, "", "", 0); err == nil {
+	if err := run(ctx, "a", "b", 8, "x", "", "", 0); err == nil {
 		t.Fatal("-graph with -db should error")
 	}
-	if err := run(ctx, "a", "", 8, "x", "", "muts", 0, "", "", 0); err == nil {
+	if err := run(ctx, "a", "", 8, "x", "", "muts", 0); err == nil {
 		t.Fatal("-follow without -db should error")
 	}
-	if err := run(ctx, "", "a", 8, "x", "", "muts", 0, "", "", 0); err == nil {
+	if err := run(ctx, "", "a", 8, "x", "", "muts", 0); err == nil {
 		t.Fatal("-follow without -out-graph should error")
 	}
 }
@@ -112,7 +112,7 @@ func TestIndexBuildFromDump(t *testing.T) {
 
 	outIx := filepath.Join(dir, "db.index")
 	outG := filepath.Join(dir, "db.graph")
-	if err := run(context.Background(), "", dumpPath, 5, outIx, outG, "", 0, "", "", 0); err != nil {
+	if err := run(context.Background(), "", dumpPath, 5, outIx, outG, "", 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -177,7 +177,7 @@ func TestIndexBuildFollow(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		done <- run(ctx, "", dumpPath, 4, outIx, outG, logPath, 30*time.Millisecond, "", "", 0)
+		done <- run(ctx, "", dumpPath, 4, outIx, outG, logPath, 30*time.Millisecond)
 	}()
 
 	// Wait for the initial publish.

@@ -101,8 +101,15 @@ func GraphStatsOf(g *Graph) GraphStats { return graph.ComputeStats(g) }
 // WriteGraph serializes a graph in the package's binary format.
 func WriteGraph(w io.Writer, g *Graph) error { return graph.Write(w, g) }
 
-// ReadGraph deserializes a graph written by WriteGraph.
+// ReadGraph deserializes a graph written by WriteGraph. A damaged file
+// — truncated, a flipped byte, an older format — fails with an error
+// wrapping ErrCorruptGraph; it never loads as a different graph.
 func ReadGraph(r io.Reader) (*Graph, error) { return graph.Read(r) }
+
+// ErrCorruptGraph is returned by ReadGraph when the serialized graph
+// fails validation. The error is permanent for that file — reading the
+// same bytes again cannot succeed. Match with errors.Is.
+var ErrCorruptGraph = graph.ErrCorruptGraph
 
 // PaperExampleGraph returns the 13-node running example of the paper
 // (Fig. 4): keywords "a", "b", "c" with Rmax 8 yield exactly the five

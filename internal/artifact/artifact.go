@@ -1,6 +1,6 @@
 // Package artifact is the checksummed section framing shared by the
-// repo's fail-closed binary artifacts (the invertedE index, the keyword
-// artifact store):
+// repo's fail-closed binary artifacts (the invertedE index, the graph
+// file):
 //
 //	magic (4 bytes)
 //	section … | CRC32-C of the section's bytes   (one or more)
@@ -33,6 +33,9 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 type Writer struct {
 	bw  *bufio.Writer
 	crc uint32
+	// buf is the encode scratch: a local array would escape through
+	// Bytes and cost an allocation per value.
+	buf [binary.MaxVarintLen64]byte
 }
 
 // NewWriter starts an artifact on w with its 4-byte magic.
@@ -49,19 +52,16 @@ func (w *Writer) Bytes(p []byte) {
 }
 
 func (w *Writer) Uvarint(v uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	w.Bytes(buf[:binary.PutUvarint(buf[:], v)])
+	w.Bytes(w.buf[:binary.PutUvarint(w.buf[:], v)])
 }
 
 func (w *Writer) Varint(v int64) {
-	var buf [binary.MaxVarintLen64]byte
-	w.Bytes(buf[:binary.PutVarint(buf[:], v)])
+	w.Bytes(w.buf[:binary.PutVarint(w.buf[:], v)])
 }
 
 func (w *Writer) Float(f float64) {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], math.Float64bits(f))
-	w.Bytes(buf[:])
+	binary.LittleEndian.PutUint64(w.buf[:8], math.Float64bits(f))
+	w.Bytes(w.buf[:8])
 }
 
 // EndSection emits the section's CRC (not itself checksummed) and
@@ -90,6 +90,7 @@ type Reader struct {
 	ioErr   error // first error br returned to ReadByte (a load stops at its first error)
 	pkg     string
 	corrupt error
+	buf     [8]byte // decode scratch, for the reason Writer.buf exists
 }
 
 // NewReader starts reading an artifact from r and checks its magic. pkg
@@ -130,8 +131,8 @@ func (c *Reader) ReadByte() (byte, error) {
 		c.ioErr = err
 		return b, err
 	}
-	one := [1]byte{b}
-	c.crc = crc32.Update(c.crc, castagnoli, one[:])
+	c.buf[0] = b
+	c.crc = crc32.Update(c.crc, castagnoli, c.buf[:1])
 	return b, nil
 }
 
@@ -171,11 +172,10 @@ func (c *Reader) varintErr(err error, what string) error {
 }
 
 func (c *Reader) Float(what string) (float64, error) {
-	var buf [8]byte
-	if err := c.Bytes(buf[:], what); err != nil {
+	if err := c.Bytes(c.buf[:], what); err != nil {
 		return 0, err
 	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(buf[:])), nil
+	return math.Float64frombits(binary.LittleEndian.Uint64(c.buf[:])), nil
 }
 
 // EndSection reads the stored CRC (not fed to the accumulator),

@@ -6,7 +6,6 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"commdb/internal/fulltext"
 	"commdb/internal/govern"
@@ -40,8 +39,7 @@ type Engine struct {
 	// keywordNodes[i] is V_i: all nodes containing keyword i.
 	keywordNodes [][]graph.NodeID
 	// keywordTerms[i] is keyword i's normalized (tokenized) term — the
-	// key under which the full-set run Neighbor(V_i) is charged in the
-	// trace's per-keyword init costs.
+	// key the neighbor source is probed with.
 	keywordTerms []string
 
 	// nbr[i] is the current neighborSet N_i: a bounded reverse-Dijkstra
@@ -461,8 +459,7 @@ func (e *Engine) setSlotSingle(i int, v graph.NodeID) {
 // artifact path is charged exactly like a live run — one neighbor-run
 // budget charge, one neighbor_runs trace count — so governance and
 // machine-independent cost measures are unaffected by where the set
-// came from; it skips the per-keyword init attribution (no Dijkstra
-// ran) and counts a kwcache_hits trace marker instead. A tripped
+// came from; it counts a kwcache_hits trace marker on top. A tripped
 // budget yields an empty result on both paths.
 func (e *Engine) fullSetResult(i int, ws *sssp.Workspace) *sssp.Result {
 	res := sssp.NewResult(e.g.NumNodes())
@@ -475,19 +472,10 @@ func (e *Engine) fullSetResult(i int, ws *sssp.Workspace) *sssp.Result {
 		e.tr.Add("kwcache_hits", 1)
 		return res
 	}
-	var t0 time.Time
-	if e.tr.Enabled() {
-		t0 = time.Now()
-	}
 	e.budget.ChargeNeighborRun() // a tripped budget empties the run
 	ws.RunFromNodes(sssp.Reverse, e.keywordNodes[i], e.rmax, res)
 	e.neighborRuns.Add(1)
 	e.tr.Add("neighbor_runs", 1)
-	if e.tr.Enabled() {
-		// The full-set run is query-independent: charge its spend to the
-		// keyword so workload attribution can rank terms.
-		e.tr.AddKeywordInit(e.keywordTerms[i], ws.LastRun(), time.Since(t0))
-	}
 	return res
 }
 

@@ -2,11 +2,13 @@ package graph
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 )
 
 // FuzzRead hardens the binary graph reader: arbitrary input must yield
-// a clean error or a valid graph, never a panic or runaway allocation.
+// a valid graph or an error wrapping ErrCorruptGraph (a bytes.Reader has
+// no transient failures), never a panic or runaway allocation.
 func FuzzRead(f *testing.F) {
 	// Seed with a valid serialized graph and a few mutations.
 	b := NewBuilder()
@@ -42,6 +44,12 @@ func FuzzRead(f *testing.F) {
 		}
 		g, err := Read(bytes.NewReader(data))
 		if err != nil {
+			if g != nil {
+				t.Fatal("error AND partial graph returned")
+			}
+			if !errors.Is(err, ErrCorruptGraph) {
+				t.Fatalf("error %v does not wrap ErrCorruptGraph", err)
+			}
 			return
 		}
 		// A successfully parsed graph must be internally consistent.

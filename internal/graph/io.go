@@ -1,122 +1,126 @@
 package graph
 
 import (
-	"bufio"
-	"encoding/binary"
-	"fmt"
+	"errors"
 	"io"
 	"math"
+
+	"commdb/internal/artifact"
 )
 
-// Binary serialization of graphs. The format is a simple
-// length-prefixed layout:
+// Binary serialization of graphs, on internal/artifact's checksummed
+// section framing (the index file's):
 //
-//	magic "CDBG" | version u32 | n u32 | m u32 | dict | labels | terms | edges
+//	magic "CDBG"
+//	header section:  version | n | m | node-weight flag [| n weights]
+//	strings section: dictionary size, words, then the n labels
+//	terms section:   per node, term count then term ids
+//	edges section:   per node, out-degree then (delta-coded to, weight)
+//	footer magic "GBDC", then EOF
 //
-// Varints are used for all counts and IDs; edge weights are stored as
-// IEEE-754 bits. The format is written and read only by this package,
-// so no cross-version compatibility machinery is needed beyond the
-// version check.
-
+// Every section ends in its CRC32-C, so a flipped byte anywhere — in a
+// label, a weight — fails the load with ErrCorruptGraph instead of
+// loading as a different graph. Counts and IDs are varints; weights are
+// IEEE-754 bits. v2 files (no checksums) are rejected; regenerate them
+// with cmd/datagen.
 const (
 	ioMagic   = "CDBG"
-	ioVersion = 2
+	ioFooter  = "GBDC"
+	ioVersion = 3
 )
+
+// ErrCorruptGraph marks a serialized graph that failed validation:
+// truncated or flipped bytes, checksum mismatches, out-of-range ids,
+// trailing garbage, an older format version. It is permanent for the
+// file — reading the same bytes again cannot succeed; match with
+// errors.Is. Other I/O failures pass through unwrapped.
+var ErrCorruptGraph = errors.New("graph: corrupt graph file")
 
 // Write serializes g to w.
 func Write(w io.Writer, g *Graph) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	if _, err := bw.WriteString(ioMagic); err != nil {
-		return err
-	}
-	writeUvarint(bw, ioVersion)
+	cw := artifact.NewWriter(w, ioMagic)
 	n := g.NumNodes()
-	writeUvarint(bw, uint64(n))
-	writeUvarint(bw, uint64(g.NumEdges()))
-
-	// Node weights: flag byte then raw float bits when present.
+	cw.Uvarint(ioVersion)
+	cw.Uvarint(uint64(n))
+	cw.Uvarint(uint64(g.NumEdges()))
 	if g.nodeWeight == nil {
-		bw.WriteByte(0)
+		cw.Uvarint(0)
 	} else {
-		bw.WriteByte(1)
+		cw.Uvarint(1)
 		for _, wt := range g.nodeWeight {
-			var buf [8]byte
-			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(wt))
-			if _, err := bw.Write(buf[:]); err != nil {
-				return err
-			}
+			cw.Float(wt)
 		}
 	}
-	// Dictionary.
-	writeUvarint(bw, uint64(g.dict.Size()))
+	cw.EndSection()
+
+	cw.Uvarint(uint64(g.dict.Size()))
 	for _, word := range g.dict.words {
-		writeString(bw, word)
+		putString(cw, word)
 	}
-	// Labels.
 	for _, l := range g.labels {
-		writeString(bw, l)
+		putString(cw, l)
 	}
-	// Terms per node.
+	cw.EndSection()
+
 	for v := 0; v < n; v++ {
 		ts := g.Terms(NodeID(v))
-		writeUvarint(bw, uint64(len(ts)))
+		cw.Uvarint(uint64(len(ts)))
 		for _, t := range ts {
-			writeUvarint(bw, uint64(t))
+			cw.Uvarint(uint64(t))
 		}
 	}
-	// Edges: per node, out-adjacency with delta-coded destinations.
+	cw.EndSection()
+
 	for v := 0; v < n; v++ {
 		es := g.OutEdges(NodeID(v))
-		writeUvarint(bw, uint64(len(es)))
+		cw.Uvarint(uint64(len(es)))
 		prev := int64(0)
 		for _, e := range es {
 			// Destinations are sorted ascending, so deltas are >= 0
-			// except possibly between parallel edges (delta 0).
-			writeUvarint(bw, uint64(int64(e.To)-prev))
+			// (0 between parallel edges).
+			cw.Uvarint(uint64(int64(e.To) - prev))
 			prev = int64(e.To)
-			var buf [8]byte
-			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(e.Weight))
-			if _, err := bw.Write(buf[:]); err != nil {
-				return err
-			}
+			cw.Float(e.Weight)
 		}
 	}
-	return bw.Flush()
+	cw.EndSection()
+	return cw.Finish(ioFooter)
 }
 
-// Read deserializes a graph written by Write.
+// Read deserializes a graph written by Write. Loading is fail-closed:
+// truncation, a checksum mismatch, an out-of-range id or count, or
+// trailing bytes return an error wrapping ErrCorruptGraph and no graph.
+// It never panics on hostile input.
 func Read(r io.Reader) (*Graph, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("graph: reading magic: %w", err)
+	cr, err := artifact.NewReader(r, ioMagic, "graph", ErrCorruptGraph)
+	if err != nil {
+		return nil, err
 	}
-	if string(magic) != ioMagic {
-		return nil, fmt.Errorf("graph: bad magic %q", magic)
-	}
-	ver, err := binary.ReadUvarint(br)
+	ver, err := cr.Uvarint("version")
 	if err != nil {
 		return nil, err
 	}
 	if ver != ioVersion {
-		return nil, fmt.Errorf("graph: unsupported format version %d", ver)
+		return nil, cr.Corruptf("unsupported format version %d (want %d; regenerate with cmd/datagen)", ver, ioVersion)
 	}
-	n64, err := binary.ReadUvarint(br)
+	n64, err := cr.Uvarint("node count")
 	if err != nil {
 		return nil, err
 	}
-	m64, err := binary.ReadUvarint(br)
+	m64, err := cr.Uvarint("edge count")
 	if err != nil {
 		return nil, err
 	}
-	if n64 > 1<<40 || m64 > 1<<40 {
-		return nil, fmt.Errorf("graph: implausible sizes n=%d m=%d", n64, m64)
+	if n64 > math.MaxInt32 || m64 > 1<<40 { // node ids are int32
+		return nil, cr.Corruptf("implausible sizes n=%d m=%d", n64, m64)
 	}
 	n, m := int(n64), int(m64)
-
-	hasWeights, err := br.ReadByte()
+	hasWeights, err := cr.Uvarint("node-weight flag")
 	if err != nil {
 		return nil, err
+	}
+	if hasWeights > 1 {
+		return nil, cr.Corruptf("node-weight flag %d", hasWeights)
 	}
 	// Counts come from untrusted input: never pre-allocate by claimed
 	// size (a hostile header would OOM the reader); grow with the bytes
@@ -125,113 +129,128 @@ func Read(r io.Reader) (*Graph, error) {
 	if hasWeights == 1 {
 		nodeWeights = make([]float64, 0, clampCap(n))
 		for i := 0; i < n; i++ {
-			var buf [8]byte
-			if _, err := io.ReadFull(br, buf[:]); err != nil {
+			wt, err := cr.Float("node weight")
+			if err != nil {
 				return nil, err
 			}
-			nodeWeights = append(nodeWeights, math.Float64frombits(binary.LittleEndian.Uint64(buf[:])))
+			nodeWeights = append(nodeWeights, wt)
 		}
+	}
+	if err := cr.EndSection("header"); err != nil {
+		return nil, err
 	}
 
 	dict := NewDict()
-	dn, err := binary.ReadUvarint(br)
+	dn, err := cr.Uvarint("dictionary size")
 	if err != nil {
 		return nil, err
 	}
 	for i := uint64(0); i < dn; i++ {
-		w, err := readString(br)
+		w, err := getString(cr, "dictionary word")
 		if err != nil {
 			return nil, err
 		}
 		dict.Intern(w)
 	}
-
 	b := NewBuilderWithDict(dict)
 	labels := make([]string, 0, clampCap(n))
 	for i := 0; i < n; i++ {
-		l, err := readString(br)
+		l, err := getString(cr, "label")
 		if err != nil {
 			return nil, err
 		}
 		labels = append(labels, l)
 	}
+	if err := cr.EndSection("strings"); err != nil {
+		return nil, err
+	}
+
 	for i := 0; i < n; i++ {
-		tn, err := binary.ReadUvarint(br)
+		tn, err := cr.Uvarint("term count")
 		if err != nil {
 			return nil, err
 		}
 		ts := make([]int32, 0, clampCap(int(tn)))
 		for j := uint64(0); j < tn; j++ {
-			t, err := binary.ReadUvarint(br)
+			t, err := cr.Uvarint("term id")
 			if err != nil {
 				return nil, err
 			}
 			if t >= uint64(dict.Size()) {
-				return nil, fmt.Errorf("graph: term id %d outside dictionary", t)
+				return nil, cr.Corruptf("term id %d outside dictionary", t)
 			}
 			ts = append(ts, int32(t))
 		}
 		b.AddNodeTermIDs(labels[i], ts)
 	}
+	if err := cr.EndSection("terms"); err != nil {
+		return nil, err
+	}
+
 	total := 0
 	for v := 0; v < n; v++ {
-		en, err := binary.ReadUvarint(br)
+		en, err := cr.Uvarint("out-degree")
 		if err != nil {
 			return nil, err
 		}
-		prev := int64(0)
+		prev := uint64(0)
 		for j := uint64(0); j < en; j++ {
-			delta, err := binary.ReadUvarint(br)
+			delta, err := cr.Uvarint("edge target")
 			if err != nil {
 				return nil, err
 			}
-			to := prev + int64(delta)
-			prev = to
-			var buf [8]byte
-			if _, err := io.ReadFull(br, buf[:]); err != nil {
+			if delta >= n64 || prev+delta >= n64 {
+				return nil, cr.Corruptf("edge (%d,%d+%d) outside graph of %d nodes", v, prev, delta, n)
+			}
+			prev += delta
+			w, err := cr.Float("edge weight")
+			if err != nil {
 				return nil, err
 			}
-			w := math.Float64frombits(binary.LittleEndian.Uint64(buf[:]))
-			b.AddEdge(NodeID(v), NodeID(to), w)
+			b.AddEdge(NodeID(v), NodeID(prev), w)
 			total++
 		}
 	}
 	if total != m {
-		return nil, fmt.Errorf("graph: header says %d edges, body has %d", m, total)
+		return nil, cr.Corruptf("header says %d edges, body has %d", m, total)
+	}
+	if err := cr.EndSection("edges"); err != nil {
+		return nil, err
+	}
+	if err := cr.Finish(ioFooter); err != nil {
+		return nil, err
 	}
 	for i, wt := range nodeWeights {
 		if wt != 0 {
 			b.SetNodeWeight(NodeID(i), wt)
 		}
 	}
-	return b.Freeze()
+	g, err := b.Freeze()
+	if err != nil {
+		return nil, cr.Corruptf("%v", err)
+	}
+	return g, nil
 }
 
-func writeUvarint(w *bufio.Writer, v uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	w.Write(buf[:n])
-}
-
-func writeString(w *bufio.Writer, s string) {
-	writeUvarint(w, uint64(len(s)))
-	w.WriteString(s)
+func putString(w *artifact.Writer, s string) {
+	w.Uvarint(uint64(len(s)))
+	w.Bytes([]byte(s))
 }
 
 // maxStringLen bounds any serialized string (labels, dictionary words);
 // longer length prefixes indicate corruption.
 const maxStringLen = 1 << 24
 
-func readString(r *bufio.Reader) (string, error) {
-	n, err := binary.ReadUvarint(r)
+func getString(r *artifact.Reader, what string) (string, error) {
+	n, err := r.Uvarint(what + " length")
 	if err != nil {
 		return "", err
 	}
 	if n > maxStringLen {
-		return "", fmt.Errorf("graph: string length %d exceeds limit", n)
+		return "", r.Corruptf("%s length %d exceeds limit", what, n)
 	}
 	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
+	if err := r.Bytes(buf, what); err != nil {
 		return "", err
 	}
 	return string(buf), nil

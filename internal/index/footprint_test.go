@@ -2,8 +2,10 @@ package index
 
 import (
 	"testing"
+	"unsafe"
 
 	"commdb/internal/core"
+	"commdb/internal/graph"
 	"commdb/internal/prof"
 )
 
@@ -41,7 +43,7 @@ func TestIndexFootprintExact(t *testing.T) {
 	wantE := prof.SliceBytes(cap(ix.edges), 24)
 	var edgeItems int64
 	for _, es := range ix.edges {
-		wantE += int64(cap(es)) * 16
+		wantE += int64(cap(es)) * int64(unsafe.Sizeof(graph.EdgePair{})) // 8: two int32s, no weight
 		edgeItems += int64(len(es))
 	}
 	if ftE.Bytes != wantE || ftE.Items != edgeItems {

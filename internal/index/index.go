@@ -29,14 +29,6 @@ import (
 	"commdb/internal/sssp"
 )
 
-// WeightedEdge is an invertedE posting: one graph edge with its weight,
-// self-contained so a projected graph can be rebuilt from the index
-// alone (the paper notes G_D itself is then not needed).
-type WeightedEdge struct {
-	From, To graph.NodeID
-	Weight   float64
-}
-
 // NodeDist records one settled node of a term's bounded Dijkstra with
 // its shortest distance to the term's carriers. Lists are sorted by
 // node ID for binary search and ordered merging.
@@ -53,8 +45,11 @@ type Index struct {
 
 	// nodes is invertedN, shared with full-text search.
 	nodes *fulltext.Index
-	// edges is invertedE, indexed by interned term ID.
-	edges [][]WeightedEdge
+	// edges is invertedE, indexed by interned term ID: each posting
+	// names one graph edge by its endpoints. Weights live in the graph
+	// (projection and serialization read them from there), so a posting
+	// cannot go stale when a delta batch reweights an edge it keeps.
+	edges [][]graph.EdgePair
 
 	// dists, when built with KeepDistances, holds per term the settled
 	// set of its bounded Dijkstra (every node within R of the term's
@@ -118,7 +113,7 @@ func Build(g *graph.Graph, opt BuildOptions) (*Index, error) {
 		g:     g,
 		r:     opt.R,
 		nodes: ft,
-		edges: make([][]WeightedEdge, g.Dict().Size()),
+		edges: make([][]graph.EdgePair, g.Dict().Size()),
 	}
 	if opt.KeepDistances {
 		ix.dists = make([][]NodeDist, g.Dict().Size())
@@ -171,20 +166,18 @@ func Build(g *graph.Graph, opt BuildOptions) (*Index, error) {
 
 // buildEdgeList computes invertedE for one term: every edge whose both
 // endpoints reach a node of post within R.
-func buildEdgeList(g *graph.Graph, ws *sssp.Workspace, res *sssp.Result, post []graph.NodeID, r float64) []WeightedEdge {
+func buildEdgeList(g *graph.Graph, ws *sssp.Workspace, res *sssp.Result, post []graph.NodeID, r float64) []graph.EdgePair {
 	ws.RunFromNodes(sssp.Reverse, post, r, res)
-	var out []WeightedEdge
+	var out []graph.EdgePair
 	for _, u := range res.Visited() {
 		prev := graph.NodeID(-1)
 		for _, e := range g.OutEdges(u) {
 			if e.To == prev {
-				continue // parallel edge: adjacency is sorted by (To,
-				// Weight), so the first occurrence carries the minimum
-				// weight, which is the only one shortest paths can use.
+				continue // parallel edge: one posting names them all
 			}
 			prev = e.To
 			if res.Contains(e.To) {
-				out = append(out, WeightedEdge{From: u, To: e.To, Weight: e.Weight})
+				out = append(out, graph.EdgePair{From: u, To: e.To})
 			}
 		}
 	}
@@ -198,9 +191,9 @@ func buildEdgeList(g *graph.Graph, ws *sssp.Workspace, res *sssp.Result, post []
 // sortPostings orders a posting list by (From, To). A concrete
 // sort.Interface rather than sort.Slice: the reflective swapper showed
 // up as a top allocator in build profiles, and this runs once per term.
-func sortPostings(out []WeightedEdge) { sort.Sort(byFromTo(out)) }
+func sortPostings(out []graph.EdgePair) { sort.Sort(byFromTo(out)) }
 
-type byFromTo []WeightedEdge
+type byFromTo []graph.EdgePair
 
 func (s byFromTo) Len() int      { return len(s) }
 func (s byFromTo) Swap(i, j int) { s[i], s[j] = s[j], s[i] }
@@ -247,7 +240,7 @@ func (ix *Index) BuildTime() time.Duration { return ix.buildTime }
 
 // EdgePostings returns invertedE for a term, or nil when the term was
 // not indexed.
-func (ix *Index) EdgePostings(term string) []WeightedEdge {
+func (ix *Index) EdgePostings(term string) []graph.EdgePair {
 	id, ok := ix.g.Dict().ID(term)
 	if !ok {
 		return nil
@@ -263,7 +256,7 @@ func (ix *Index) Bytes() int64 { return ix.Footprint().Bytes }
 
 // Footprint returns the exact accounting tree for the index:
 // invertedN (delegated to fulltext), invertedE (24-byte slice headers
-// in the outer array plus 16 bytes per weighted-edge posting), and the
+// in the outer array plus 8 bytes per (From, To) posting), and the
 // KeepDistances sidecar when present. Indexes are immutable once
 // built, so the tree is computed once and cached.
 func (ix *Index) Footprint() prof.Footprint {
@@ -273,7 +266,7 @@ func (ix *Index) Footprint() prof.Footprint {
 			Bytes: prof.SliceBytes(cap(ix.edges), 24),
 		}
 		for _, es := range ix.edges {
-			ftE.Bytes += int64(cap(es)) * 16
+			ftE.Bytes += int64(cap(es)) * 8
 			ftE.Items += int64(len(es))
 		}
 		parts := []prof.Footprint{ix.nodes.Footprint(), ftE}

@@ -26,7 +26,8 @@ import (
 //	header section:  version | R bits | term count | node count
 //	                 | CRC32-C of the section
 //	postings section: per term, posting count then (from, to, weight)
-//	                 triples sorted by (from, to), from delta-coded
+//	                 triples sorted by (from, to), from delta-coded;
+//	                 the weight is the graph's (postings hold none)
 //	                 | CRC32-C of the section
 //	footer magic "XBDC", then EOF (trailing bytes are corruption)
 //
@@ -58,6 +59,12 @@ var ErrIndexMismatch = errors.New("index: index does not match graph")
 // itself is serialized separately (graph.Write); ReadInto checks that
 // the two match. Postings are written in the sorted (From, To) order
 // Build produces, which the loader verifies as a monotonicity gate.
+// Each posting's weight comes from the graph: within a run of equal
+// From, postings and g.OutEdges(From) are both sorted by To, so one
+// forward cursor finds every edge, and the first of a group of parallel
+// edges carries the minimum weight (adjacency is sorted by (To,
+// Weight)) — the only one shortest paths use and the one the load gate
+// re-derives.
 func (ix *Index) Write(w io.Writer) error {
 	cw := artifact.NewWriter(w, idxMagic)
 	cw.Uvarint(idxVersion)
@@ -68,11 +75,21 @@ func (ix *Index) Write(w io.Writer) error {
 	for _, posts := range ix.edges {
 		cw.Uvarint(uint64(len(posts)))
 		prevFrom := int64(0)
-		for _, e := range posts {
+		var adj []graph.Edge
+		for i, e := range posts {
+			if i == 0 || int64(e.From) != prevFrom {
+				adj = ix.g.OutEdges(e.From)
+			}
+			for len(adj) > 0 && adj[0].To != e.To {
+				adj = adj[1:]
+			}
+			if len(adj) == 0 {
+				return fmt.Errorf("index: posting (%d,%d) is not an edge of the indexed graph", e.From, e.To)
+			}
 			cw.Varint(int64(e.From) - prevFrom)
 			prevFrom = int64(e.From)
 			cw.Uvarint(uint64(e.To))
-			cw.Float(e.Weight)
+			cw.Float(adj[0].Weight)
 		}
 	}
 	cw.EndSection()
@@ -129,7 +146,7 @@ func ReadInto(r io.Reader, g *graph.Graph) (*Index, error) {
 		g:     g,
 		r:     radius,
 		nodes: fulltext.Build(g),
-		edges: make([][]WeightedEdge, terms),
+		edges: make([][]graph.EdgePair, terms),
 	}
 	n := int64(g.NumNodes())
 	for t := uint64(0); t < terms; t++ {
@@ -144,7 +161,7 @@ func ReadInto(r io.Reader, g *graph.Graph) (*Index, error) {
 		if capHint > 1<<16 {
 			capHint = 1 << 16
 		}
-		posts := make([]WeightedEdge, 0, capHint)
+		posts := make([]graph.EdgePair, 0, capHint)
 		prevFrom, prevTo := int64(0), int64(-1)
 		for i := uint64(0); i < cnt; i++ {
 			df, err := cr.Varint("posting delta")
@@ -178,7 +195,7 @@ func ReadInto(r io.Reader, g *graph.Graph) (*Index, error) {
 				return nil, fmt.Errorf("%w: term %d posting (%d,%d,%v) is not an edge of the live graph",
 					ErrIndexMismatch, t, from, to, wt)
 			}
-			posts = append(posts, WeightedEdge{From: graph.NodeID(from), To: graph.NodeID(to), Weight: wt})
+			posts = append(posts, graph.EdgePair{From: graph.NodeID(from), To: graph.NodeID(to)})
 		}
 		ix.edges[t] = posts
 	}

@@ -257,3 +257,44 @@ func TestIndexIOEmptyPostings(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestIndexIOParallelEdgesMinWeight: postings carry no weight, so Write
+// takes it from the graph — for parallel edges that must be the minimum
+// (the only one shortest paths use, and the one the load gate checks).
+// The bytes are the ones the weight-carrying implementation wrote, and
+// they reload through the live-graph gate.
+func TestIndexIOParallelEdgesMinWeight(t *testing.T) {
+	b := graph.NewBuilder()
+	u := b.AddNode("u", "x")
+	v := b.AddNode("v", "y")
+	w := b.AddNode("w", "x")
+	for _, e := range []struct {
+		from, to graph.NodeID
+		wt       float64
+	}{{u, v, 5}, {u, v, 2}, {u, v, 3}, {u, w, 4}, {u, w, 1}, {v, w, 1}, {v, w, 1}, {w, u, 7}} {
+		b.AddEdge(e.from, e.to, e.wt)
+	}
+	g, err := b.Freeze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := Build(g, BuildOptions{R: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := ix.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	const want = "77d715027f93f63a24a89da5b10942a82a7b9f7dadd3e3616db76f30e2e7a835"
+	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); buf.Len() != 79 || got != want {
+		t.Fatalf("parallel-edge index is %d bytes, sha256 %s; want 79 bytes, %s", buf.Len(), got, want)
+	}
+	back, err := ReadInto(bytes.NewReader(buf.Bytes()), g)
+	if err != nil {
+		t.Fatalf("reload through the gate: %v", err)
+	}
+	if !back.Equal(ix) {
+		t.Fatal("reloaded index differs")
+	}
+}

@@ -150,7 +150,7 @@ func RebuildPartial(g *graph.Graph, opt BuildOptions, old *Index, perm []graph.N
 		g:     g,
 		r:     opt.R,
 		nodes: ft,
-		edges: make([][]WeightedEdge, g.Dict().Size()),
+		edges: make([][]graph.EdgePair, g.Dict().Size()),
 	}
 	if opt.KeepDistances {
 		ix.dists = make([][]NodeDist, g.Dict().Size())
@@ -213,13 +213,13 @@ func RebuildPartial(g *graph.Graph, opt BuildOptions, old *Index, perm []graph.N
 		st.RemappedTerms++
 		posts := old.edges[t0]
 		if len(posts) > 0 {
-			out := make([]WeightedEdge, len(posts))
+			out := make([]graph.EdgePair, len(posts))
 			for i, e := range posts {
 				nf, nt := perm[e.From], perm[e.To]
 				if nf < 0 || nt < 0 {
 					return nil, st, fmt.Errorf("index: partial rebuild: clean term %q posting (%d,%d) lost an endpoint", word, e.From, e.To)
 				}
-				out[i] = WeightedEdge{From: nf, To: nt, Weight: e.Weight}
+				out[i] = graph.EdgePair{From: nf, To: nt}
 			}
 			ix.edges[t] = out
 			st.RemappedPostings += int64(len(posts))
@@ -351,8 +351,8 @@ func RebuildPartial(g *graph.Graph, opt BuildOptions, old *Index, perm []graph.N
 // list is bit-identical to a recomputed one — the golden tests assert
 // this end to end.
 func patchTerm(g *graph.Graph, ws *sssp.Workspace, res *sssp.Result, post []graph.NodeID, r float64,
-	oldD []NodeDist, oldPost []WeightedEdge, look *oldDistLookup, perm, invPerm []graph.NodeID,
-	region []bool, exits []exitEdge, keep bool, stages *prof.Stages) ([]WeightedEdge, []NodeDist) {
+	oldD []NodeDist, oldPost []graph.EdgePair, look *oldDistLookup, perm, invPerm []graph.NodeID,
+	region []bool, exits []exitEdge, keep bool, stages *prof.Stages) ([]graph.EdgePair, []NodeDist) {
 
 	seeds := make([]sssp.Seed, 0, len(exits)+8)
 	for _, c := range post {
@@ -380,10 +380,8 @@ func patchTerm(g *graph.Graph, ws *sssp.Workspace, res *sssp.Result, post []grap
 
 	// Re-derive every posting with an endpoint in the region: edges
 	// leaving a repaired node, plus edges entering one from outside.
-	// Parallel-edge handling mirrors buildEdgeList: adjacency is sorted
-	// by (neighbor, weight), so the first occurrence carries the
-	// minimum weight.
-	var adds []WeightedEdge
+	// Parallel edges collapse to one posting, as in buildEdgeList.
+	var adds []graph.EdgePair
 	for _, u := range res.Visited() {
 		prev := graph.NodeID(-1)
 		for _, e := range g.OutEdges(u) {
@@ -392,7 +390,7 @@ func patchTerm(g *graph.Graph, ws *sssp.Workspace, res *sssp.Result, post []grap
 			}
 			prev = e.To
 			if member(e.To) {
-				adds = append(adds, WeightedEdge{From: u, To: e.To, Weight: e.Weight})
+				adds = append(adds, graph.EdgePair{From: u, To: e.To})
 			}
 		}
 		prev = -1
@@ -402,26 +400,25 @@ func patchTerm(g *graph.Graph, ws *sssp.Workspace, res *sssp.Result, post []grap
 			}
 			prev = e.To
 			if !region[e.To] && member(e.To) {
-				adds = append(adds, WeightedEdge{From: e.To, To: u, Weight: e.Weight})
+				adds = append(adds, graph.EdgePair{From: e.To, To: u})
 			}
 		}
 	}
 	sortPostings(adds)
 
-	// Untouched postings: both endpoints survived outside the region.
-	// Their membership and weight are unchanged (a weight change means
-	// the head's in-edge set changed, putting it among the changed
-	// tuples). perm is monotone, so the kept run stays sorted; kept and
+	// Untouched postings: both endpoints survived outside the region, so
+	// their membership is unchanged (postings carry no weight to go
+	// stale). perm is monotone, so the kept run stays sorted; kept and
 	// added postings partition the result by "touches the region", so a
 	// single ordered merge reproduces the canonical (From, To) order.
 	mergeEnd := stages.Timer("merge")
-	kept := make([]WeightedEdge, 0, len(oldPost))
+	kept := make([]graph.EdgePair, 0, len(oldPost))
 	for _, e := range oldPost {
 		nf, nt := perm[e.From], perm[e.To]
 		if nf < 0 || nt < 0 || region[nf] || region[nt] {
 			continue
 		}
-		kept = append(kept, WeightedEdge{From: nf, To: nt, Weight: e.Weight})
+		kept = append(kept, graph.EdgePair{From: nf, To: nt})
 	}
 	out := mergePostings(kept, adds)
 
@@ -443,11 +440,11 @@ func patchTerm(g *graph.Graph, ws *sssp.Workspace, res *sssp.Result, post []grap
 
 // mergePostings merges two (From, To)-sorted, key-disjoint posting
 // lists into one.
-func mergePostings(a, b []WeightedEdge) []WeightedEdge {
+func mergePostings(a, b []graph.EdgePair) []graph.EdgePair {
 	if len(a) == 0 && len(b) == 0 {
 		return nil
 	}
-	out := make([]WeightedEdge, 0, len(a)+len(b))
+	out := make([]graph.EdgePair, 0, len(a)+len(b))
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		if a[i].From < b[j].From || (a[i].From == b[j].From && a[i].To < b[j].To) {

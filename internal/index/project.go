@@ -57,10 +57,10 @@ func (ix *Index) ProjectTrace(keywords []string, rmax float64, bud *govern.Budge
 	// Per-keyword gather (Algorithm 6 lines 2-9): W_i from invertedN,
 	// E_i from invertedE, V_i = W_i ∪ endpoints(E_i); running unions
 	// W', E', V' and the candidate-center intersection V_c.
-	nodeSet := map[graph.NodeID]struct{}{}  // V'
-	wSet := map[graph.NodeID]struct{}{}     // W'
-	edgeSet := map[graph.EdgePair]float64{} // E'
-	var vc map[graph.NodeID]struct{}        // V_c
+	nodeSet := map[graph.NodeID]struct{}{}   // V'
+	wSet := map[graph.NodeID]struct{}{}      // W'
+	edgeSet := map[graph.EdgePair]struct{}{} // E'
+	var vc map[graph.NodeID]struct{}         // V_c
 
 	for _, kw := range keywords {
 		terms := fulltext.Tokenize(kw)
@@ -85,7 +85,7 @@ func (ix *Index) ProjectTrace(keywords []string, rmax float64, bud *govern.Budge
 			return nil, fmt.Errorf("index: projection aborted: %w", err)
 		}
 		for _, e := range ix.EdgePostings(terms[0]) {
-			edgeSet[graph.EdgePair{From: e.From, To: e.To}] = e.Weight
+			edgeSet[e] = struct{}{}
 			vi[e.From] = struct{}{}
 			vi[e.To] = struct{}{}
 			nodeSet[e.From] = struct{}{}

@@ -17,11 +17,9 @@
 //     live run at rmax would produce. The engine's downstream state is
 //     therefore byte-identical to cold execution.
 //
-// Artifacts persist to disk in a CRC-checked, fail-closed format
-// (io.go) versioned by the data epoch, mirroring the v2 index format.
-// A store is safe for concurrent use: lookups take a read lock, the
-// warmer inserts under a write lock, and entries are immutable once
-// published.
+// The store is in-memory only and serves un-indexed execution only. It
+// is safe for concurrent use: lookups take a read lock, Warm inserts
+// under a write lock, and entries are immutable once published.
 package kwcache
 
 import (
@@ -42,7 +40,6 @@ type Store struct {
 	ft     *fulltext.Index
 	g      *graph.Graph
 	radius float64
-	epoch  int64
 
 	mu    sync.RWMutex
 	terms map[string]*entry
@@ -65,12 +62,8 @@ func (e *entry) bytes() int64 {
 	return int64(len(e.seeds))*4 + int64(len(e.visited))*(4+8+4+4) + 64
 }
 
-// New returns an empty store over ft's graph at the given radius. epoch
-// is the data generation the artifacts describe; it is persisted with
-// the store and surfaced on load so operators can tell artifact
-// generations apart (correctness against the live graph is enforced
-// structurally by ReadInto, not by the epoch number).
-func New(ft *fulltext.Index, radius float64, epoch int64) (*Store, error) {
+// New returns an empty store over ft's graph at the given radius.
+func New(ft *fulltext.Index, radius float64) (*Store, error) {
 	if math.IsNaN(radius) || math.IsInf(radius, 0) || radius < 0 {
 		return nil, fmt.Errorf("kwcache: non-finite or negative radius %v", radius)
 	}
@@ -78,7 +71,6 @@ func New(ft *fulltext.Index, radius float64, epoch int64) (*Store, error) {
 		ft:     ft,
 		g:      ft.Graph(),
 		radius: radius,
-		epoch:  epoch,
 		terms:  make(map[string]*entry),
 	}, nil
 }
@@ -88,12 +80,6 @@ func New(ft *fulltext.Index, radius float64, epoch int64) (*Store, error) {
 // live execution.
 func (s *Store) Radius() float64 { return s.radius }
 
-// Epoch reports the data generation recorded at build time.
-func (s *Store) Epoch() int64 { return s.epoch }
-
-// Graph returns the graph the artifacts were computed over.
-func (s *Store) Graph() *graph.Graph { return s.g }
-
 // Len reports the number of cached keywords.
 func (s *Store) Len() int {
 	s.mu.RLock()
@@ -101,20 +87,8 @@ func (s *Store) Len() int {
 	return len(s.terms)
 }
 
-// Terms returns the cached keywords, sorted.
-func (s *Store) Terms() []string {
-	s.mu.RLock()
-	out := make([]string, 0, len(s.terms))
-	for t := range s.terms {
-		out = append(out, t)
-	}
-	s.mu.RUnlock()
-	sort.Strings(out)
-	return out
-}
-
-// Has reports whether term's artifact is present.
-func (s *Store) Has(term string) bool {
+// has reports whether term's artifact is present.
+func (s *Store) has(term string) bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	_, ok := s.terms[term]
@@ -152,7 +126,7 @@ func (s *Store) Warm(keywords []string) int {
 		if len(toks) != 1 {
 			continue
 		}
-		if term := toks[0]; !s.Has(term) {
+		if term := toks[0]; !s.has(term) {
 			todo = append(todo, term)
 		}
 	}
@@ -163,7 +137,7 @@ func (s *Store) Warm(keywords []string) int {
 	res := sssp.NewResult(s.g.NumNodes())
 	added := 0
 	for _, term := range todo {
-		if s.Has(term) { // raced with another warmer
+		if s.has(term) { // raced with another warmer
 			continue
 		}
 		s.put(term, buildEntry(ws, s.ft, term, s.radius, res))

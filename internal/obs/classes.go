@@ -78,14 +78,14 @@ func (c ClassesConfig) withDefaults() ClassesConfig {
 
 // classSlice is one time slice of one class's window.
 type classSlice struct {
-	epoch   int64 // which slice interval this data covers
-	count   int64
-	errors  int64
-	latHist [len(classLatencyBucketsMS) + 1]int64
-	latSum  float64
-	emitN   int64
-	emitSum float64
-	emitMax float64
+	epoch     int64 // which slice interval this data covers
+	count     int64
+	errors    int64
+	latCounts [len(classLatencyBucketsMS) + 1]int64
+	latSum    float64
+	emitN     int64
+	emitSum   float64
+	emitMax   float64
 }
 
 // classAgg is one class's full state: cumulative counters plus the
@@ -154,7 +154,7 @@ func (c *Classes) Observe(rec *QueryRecord) {
 		sl.errors++
 	}
 	i := sort.SearchFloat64s(classLatencyBucketsMS[:], rec.TotalMS)
-	sl.latHist[i]++
+	sl.latCounts[i]++
 	sl.latSum += rec.TotalMS
 	if rec.MaxEmissionDelayMS > 0 {
 		sl.emitN++
@@ -229,15 +229,15 @@ func (c *Classes) Snapshot() []ClassSnapshot {
 				snap.EmissionMaxMS = sl.emitMax
 			}
 			for b := range hist {
-				hist[b] += sl.latHist[b]
+				hist[b] += sl.latCounts[b]
 			}
 		}
 		if snap.WindowCount > 0 {
 			snap.RatePerSec = float64(snap.WindowCount) / c.cfg.Window.Seconds()
 			snap.MeanMS = latSum / float64(snap.WindowCount)
-			snap.P50MS = logHistQuantile(hist[:], snap.WindowCount, 0.50)
-			snap.P95MS = logHistQuantile(hist[:], snap.WindowCount, 0.95)
-			snap.P99MS = logHistQuantile(hist[:], snap.WindowCount, 0.99)
+			snap.P50MS = HistQuantile(classLatencyBucketsMS[:], hist[:], 0.50)
+			snap.P95MS = HistQuantile(classLatencyBucketsMS[:], hist[:], 0.95)
+			snap.P99MS = HistQuantile(classLatencyBucketsMS[:], hist[:], 0.99)
 		}
 		if emitN > 0 {
 			snap.EmissionMeanMaxMS = emitSum / float64(emitN)
@@ -247,33 +247,4 @@ func (c *Classes) Snapshot() []ClassSnapshot {
 	c.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Class < out[j].Class })
 	return out
-}
-
-// logHistQuantile estimates a quantile from the class histogram by
-// linear interpolation within the containing bucket; the +Inf bucket
-// reports its lower bound.
-func logHistQuantile(counts []int64, total int64, q float64) float64 {
-	if total == 0 {
-		return 0
-	}
-	rank := q * float64(total)
-	var cum int64
-	for i, c := range counts {
-		if float64(cum+c) >= rank {
-			lo := 0.0
-			if i > 0 {
-				lo = classLatencyBucketsMS[i-1]
-			}
-			if i >= len(classLatencyBucketsMS) {
-				return lo
-			}
-			if c == 0 {
-				return classLatencyBucketsMS[i]
-			}
-			frac := (rank - float64(cum)) / float64(c)
-			return lo + frac*(classLatencyBucketsMS[i]-lo)
-		}
-		cum += c
-	}
-	return classLatencyBucketsMS[len(classLatencyBucketsMS)-1]
 }

@@ -79,6 +79,52 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 // Sum returns the sum of observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 
+// Buckets snapshots the histogram: its finite upper bounds and the
+// per-bucket (not cumulative) counts, one longer than bounds — the last
+// count is the +Inf bucket. The shape HistQuantile takes; bounds
+// aliases the histogram's own slice and must not be modified.
+func (h *Histogram) Buckets() (bounds []float64, counts []int64) {
+	counts = make([]int64, len(h.counts))
+	for i := range h.counts {
+		counts[i] = h.counts[i].Load()
+	}
+	return h.bounds, counts
+}
+
+// HistQuantile estimates the q-quantile of a fixed-bucket histogram by
+// linear interpolation within the containing bucket. bounds are the
+// finite inclusive upper bounds, ascending; counts holds one count per
+// bound plus a final +Inf bucket, which reports its lower bound. An
+// empty histogram yields 0.
+func HistQuantile(bounds []float64, counts []int64, q float64) float64 {
+	var total int64
+	for _, c := range counts {
+		total += c
+	}
+	if total == 0 {
+		return 0
+	}
+	rank := q * float64(total)
+	var cum int64
+	for i, c := range counts {
+		if float64(cum+c) >= rank {
+			lo := 0.0
+			if i > 0 {
+				lo = bounds[i-1]
+			}
+			if i >= len(bounds) {
+				return lo
+			}
+			if c == 0 {
+				return bounds[i]
+			}
+			return lo + (rank-float64(cum))/float64(c)*(bounds[i]-lo)
+		}
+		cum += c
+	}
+	return bounds[len(bounds)-1]
+}
+
 type metricKind int
 
 const (

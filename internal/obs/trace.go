@@ -45,7 +45,6 @@
 package obs
 
 import (
-	"sort"
 	"sync"
 	"time"
 )
@@ -66,7 +65,6 @@ type Trace struct {
 	labels    map[string]string
 	spans     []SpanSummary
 	counters  map[string]int64
-	kwInit    map[string]*KeywordCost
 	emitCount int64
 	emitSum   time.Duration
 	emitMax   time.Duration
@@ -206,46 +204,6 @@ func (t *Trace) AddDijkstra(r DijkstraRun) {
 	t.mu.Unlock()
 }
 
-// KeywordCost is the engine-init spend separably attributable to one
-// query keyword: the bounded reverse Dijkstra over the keyword's full
-// node set V_i, which is query-independent and therefore the part of a
-// query's cost a keyword-keyed cache or precomputed artifact could
-// amortize. Costs that are shared across keywords (projection, the
-// aggregate table) are deliberately not in here; the workload layer
-// charges those to the query class instead.
-type KeywordCost struct {
-	Term        string  `json:"term"`
-	Runs        int64   `json:"runs"`
-	Visits      int64   `json:"visits"`
-	Relaxations int64   `json:"relaxations"`
-	HeapOps     int64   `json:"heap_ops"`
-	WallMS      float64 `json:"wall_ms"`
-}
-
-// AddKeywordInit charges one full keyword-set Dijkstra run to term.
-// Safe for concurrent use (the parallel engine-init fan-out charges
-// from several workers) and a no-op on a nil trace.
-func (t *Trace) AddKeywordInit(term string, r DijkstraRun, wall time.Duration) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	if t.kwInit == nil {
-		t.kwInit = make(map[string]*KeywordCost, 4)
-	}
-	kc := t.kwInit[term]
-	if kc == nil {
-		kc = &KeywordCost{Term: term}
-		t.kwInit[term] = kc
-	}
-	kc.Runs++
-	kc.Visits += r.Visits
-	kc.Relaxations += r.Relaxations
-	kc.HeapOps += r.HeapPushes + r.HeapPops
-	kc.WallMS += durMS(wall)
-	t.mu.Unlock()
-}
-
 // Emission records one community emission: the inter-emission delay —
 // time since the previous emission, or since the trace started for the
 // first — is the paper's polynomial-delay claim made observable.
@@ -328,13 +286,6 @@ func (t *Trace) Summary() *Summary {
 			s.Counters[k] = v
 		}
 	}
-	if len(t.kwInit) > 0 {
-		s.KeywordInit = make([]KeywordCost, 0, len(t.kwInit))
-		for _, kc := range t.kwInit {
-			s.KeywordInit = append(s.KeywordInit, *kc)
-		}
-		sort.Slice(s.KeywordInit, func(i, j int) bool { return s.KeywordInit[i].Term < s.KeywordInit[j].Term })
-	}
 	if t.emitCount > 0 {
 		e := &EmissionSummary{
 			Count:       t.emitCount,
@@ -360,11 +311,8 @@ type Summary struct {
 	Spans   []SpanSummary     `json:"spans,omitempty"`
 	// Counters holds the engine counters; see the package comment for
 	// the taxonomy.
-	Counters map[string]int64 `json:"counters,omitempty"`
-	// KeywordInit is the per-keyword engine-init spend (full keyword-set
-	// Dijkstra runs charged to their keyword), sorted by term.
-	KeywordInit []KeywordCost    `json:"keyword_init,omitempty"`
-	Emissions   *EmissionSummary `json:"emissions,omitempty"`
+	Counters  map[string]int64 `json:"counters,omitempty"`
+	Emissions *EmissionSummary `json:"emissions,omitempty"`
 }
 
 // Counter returns a named counter's value (0 when absent or s is nil).

@@ -158,11 +158,7 @@ func TestClampLimits(t *testing.T) {
 
 // TestHistQuantile sanity-checks the histogram quantile interpolation.
 func TestHistQuantile(t *testing.T) {
-	var s stats
-	for i := 0; i < 100; i++ {
-		s.observeLatency(3 * time.Millisecond) // bucket (2, 5]
-	}
-	snap := s.snapshot()
+	snap := latencySnapshot(repeat(3, 100)) // bucket (2, 5]
 	if snap.Latency.P50MS <= 2 || snap.Latency.P50MS > 5 {
 		t.Fatalf("p50 = %v, want within (2, 5]", snap.Latency.P50MS)
 	}

@@ -98,9 +98,16 @@ func newMetrics(s *Server) *metrics {
 	// The continuous layer: the SLO breach counter, capture occupancy,
 	// and the labeled per-class families.
 	s.collector.Register(reg)
-	// The workload flight recorder: per-keyword init attribution and
-	// journal counters.
-	s.wl.Register(reg)
+	if j := s.cfg.WorkloadJournal; j != nil {
+		reg.CounterFunc("commdb_workload_journal_records_total", "entries appended to the workload journal",
+			func() int64 { return j.Stats().Records })
+		reg.CounterFunc("commdb_workload_journal_sampled_out_total", "entries dropped by the journal sampling policy",
+			func() int64 { return j.Stats().SampledOut })
+		reg.CounterFunc("commdb_workload_journal_rotations_total", "workload journal rotations",
+			func() int64 { return j.Stats().Rotations })
+		reg.GaugeFunc("commdb_workload_journal_bytes", "current workload journal file size",
+			func() float64 { return float64(j.Stats().Bytes) })
+	}
 	// The memory ledger, gauge-shaped: per-component bytes from the
 	// exact accounting (/debug/memz is the same numbers as a tree).
 	// Component footprints are Once-cached on the immutable artifacts,
@@ -240,6 +247,8 @@ func newMetrics(s *Server) *metrics {
 }
 
 // absorb folds one finished query trace into the process counters.
+// (Latency is not taken from the trace: Server.finishExecution observes
+// it once per execution, traced or not.)
 func (m *metrics) absorb(sum *obs.Summary) {
 	if sum == nil {
 		return
@@ -253,7 +262,6 @@ func (m *metrics) absorb(sum *obs.Summary) {
 			c.Add(v)
 		}
 	}
-	m.latency.Observe(sum.TotalMS)
 }
 
 // handleMetricsz answers GET /metricsz with the Prometheus text

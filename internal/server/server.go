@@ -123,15 +123,11 @@ type Config struct {
 	// surface as the "deltas" block in /statsz and the commdb_delta_*
 	// families in /metricsz.
 	Deltas func() delta.Stats
-	// WorkloadJournal, when non-nil, is the durable half of the
-	// workload flight recorder: every completed query — engine
-	// executions and cache hits alike — is offered to it (its sampling
-	// policy may drop some). The caller owns the journal's lifecycle
-	// (Close on shutdown). The in-memory attribution tables behind
-	// GET /debug/workloadz run regardless.
+	// WorkloadJournal, when non-nil, is the workload flight recorder:
+	// every completed query — engine executions and cache hits alike —
+	// is offered to it (its sampling policy may drop some). The caller
+	// owns the journal's lifecycle (Close on shutdown).
 	WorkloadJournal *workload.Journal
-	// WorkloadKeywords bounds the attribution table (default 512).
-	WorkloadKeywords int
 }
 
 func (c Config) withDefaults() Config {
@@ -178,7 +174,6 @@ type Server struct {
 	stats      stats
 	metrics    *metrics
 	collector  *obs.Collector
-	wl         *workload.Tracker
 	qids       atomic.Int64
 	mux        *http.ServeMux
 
@@ -210,7 +205,6 @@ func NewWithEngine(eng Engine, cfg Config) *Server {
 		cancelBase: cancel,
 	}
 	s.collector = obs.NewCollector(cfg.Obs)
-	s.wl = workload.NewTracker(workload.AttributionConfig{MaxKeywords: cfg.WorkloadKeywords}, cfg.WorkloadJournal)
 	// One combined breach hook (OnBreach replaces, not chains): log the
 	// breach and, during a fresh epoch's probation, roll the epoch back.
 	if cfg.Logger != nil || s.snaps != nil {
@@ -241,7 +235,6 @@ func NewWithEngine(eng Engine, cfg Config) *Server {
 	mux.HandleFunc("GET /metricsz", s.handleMetricsz)
 	mux.HandleFunc("GET /debug/queries", s.handleDebugQueries)
 	mux.HandleFunc("GET /debug/memz", s.handleMemz)
-	mux.HandleFunc("GET /debug/workloadz", s.handleWorkloadz)
 	if cfg.Pprof {
 		mux.HandleFunc("GET /debug/pprof/", s.admin(pprof.Index))
 		mux.HandleFunc("GET /debug/pprof/cmdline", s.admin(pprof.Cmdline))
@@ -327,8 +320,11 @@ func (s *Server) Stats() StatsSnapshot {
 	}
 	mem := s.memorySnapshot()
 	snap.Memory = &mem
-	wl := s.wl.Snapshot(10)
-	snap.Workload = &wl
+	if j := s.cfg.WorkloadJournal; j != nil {
+		js := j.Stats()
+		snap.WorkloadJournal = &js
+	}
+	snap.setLatency(s.metrics.latency)
 	return snap
 }
 
@@ -489,6 +485,14 @@ func (s *Server) writeSaturated(w http.ResponseWriter) {
 		s.cfg.MaxConcurrent, s.cfg.MaxQueue)
 }
 
+// finishExecution closes the books on one engine execution, however it
+// ended: the completed counter and the execution's one latency
+// observation.
+func (s *Server) finishExecution(start time.Time) {
+	s.stats.queriesCompleted.Add(1)
+	s.metrics.latency.Observe(float64(time.Since(start)) / float64(time.Millisecond))
+}
+
 // classifyStop feeds the stop-reason counters. A results-budget trip
 // is ordinary completion of a bounded stream (the client asked for at
 // most max_results), so it counts as a result-limit stop; only the
@@ -621,8 +625,7 @@ func (s *Server) runTopK(ctx context.Context, eng Engine, epoch int64, q commdb.
 	var results int
 	var stopErr error
 	defer func() {
-		s.stats.queriesCompleted.Add(1)
-		s.stats.observeLatency(time.Since(start))
+		s.finishExecution(start)
 		sum := tr.Summary()
 		s.metrics.absorb(sum)
 		s.observeQuery(qid, "topk", q, k, results, stopErr, start, sum)
@@ -693,10 +696,7 @@ func (s *Server) handleAll(w http.ResponseWriter, r *http.Request) {
 	s.stats.queriesStarted.Add(1)
 	s.stats.streamsStarted.Add(1)
 	start := time.Now()
-	defer func() {
-		s.stats.queriesCompleted.Add(1)
-		s.stats.observeLatency(time.Since(start))
-	}()
+	defer s.finishExecution(start)
 
 	st, err := eng.All(ctx, q)
 	if err != nil {

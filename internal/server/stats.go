@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"math"
 	"sync/atomic"
-	"time"
 
 	"commdb/internal/delta"
 	"commdb/internal/obs"
@@ -12,8 +11,9 @@ import (
 	"commdb/internal/workload"
 )
 
-// latencyBucketsMS are the histogram's upper bounds in milliseconds;
-// the final implicit bucket is +Inf.
+// latencyBucketsMS are the upper bounds, in milliseconds, of the one
+// query-latency histogram (commdb_query_latency_ms in /metricsz,
+// query_latency in /statsz); the final implicit bucket is +Inf.
 var latencyBucketsMS = [...]float64{1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000}
 
 // stats holds the server's counters. All fields are atomics so the hot
@@ -30,22 +30,6 @@ type stats struct {
 	resultLimitStops atomic.Int64
 	budgetExhausted  atomic.Int64 // queries stopped by a work budget or deadline
 	canceled         atomic.Int64 // queries stopped by cancellation/shutdown
-
-	latCount atomic.Int64
-	latSumUS atomic.Int64 // microseconds, for the mean
-	latHist  [len(latencyBucketsMS) + 1]atomic.Int64
-}
-
-// observeLatency records one completed query execution.
-func (s *stats) observeLatency(d time.Duration) {
-	ms := float64(d) / float64(time.Millisecond)
-	i := 0
-	for i < len(latencyBucketsMS) && ms > latencyBucketsMS[i] {
-		i++
-	}
-	s.latHist[i].Add(1)
-	s.latCount.Add(1)
-	s.latSumUS.Add(d.Microseconds())
 }
 
 // BucketBound is a histogram bucket's inclusive upper bound in
@@ -140,10 +124,9 @@ type StatsSnapshot struct {
 	// view.
 	Memory *MemorySnapshot `json:"memory,omitempty"`
 
-	// Workload is the flight recorder's view: hot-keyword and
-	// query-class attribution tables (top rows only; /debug/workloadz
-	// has the full tables) plus journal counters when recording is on.
-	Workload *workload.Snapshot `json:"workload,omitempty"`
+	// WorkloadJournal is the flight recorder's counters, present only
+	// when a journal is attached.
+	WorkloadJournal *workload.JournalStats `json:"workload_journal,omitempty"`
 
 	Latency struct {
 		Count   int64           `json:"count"`
@@ -168,57 +151,28 @@ func (s *stats) snapshot() StatsSnapshot {
 	out.ResultLimitStops = s.resultLimitStops.Load()
 	out.BudgetExhausted = s.budgetExhausted.Load()
 	out.Canceled = s.canceled.Load()
-
-	counts := make([]int64, len(s.latHist))
-	var total int64
-	for i := range s.latHist {
-		counts[i] = s.latHist[i].Load()
-		total += counts[i]
-	}
-	out.Latency.Count = s.latCount.Load()
-	if out.Latency.Count > 0 {
-		out.Latency.MeanMS = float64(s.latSumUS.Load()) / 1000 / float64(out.Latency.Count)
-	}
-	out.Latency.P50MS = histQuantile(counts, total, 0.50)
-	out.Latency.P95MS = histQuantile(counts, total, 0.95)
-	out.Latency.P99MS = histQuantile(counts, total, 0.99)
-	out.Latency.Buckets = make([]LatencyBucket, len(counts))
-	for i, c := range counts {
-		le := math.Inf(1)
-		if i < len(latencyBucketsMS) {
-			le = latencyBucketsMS[i]
-		}
-		out.Latency.Buckets[i] = LatencyBucket{LE: BucketBound(le), Count: c}
-	}
 	return out
 }
 
-// histQuantile estimates a quantile from bucket counts by linear
-// interpolation within the containing bucket (the final +Inf bucket
-// reports its lower bound).
-func histQuantile(counts []int64, total int64, q float64) float64 {
-	if total == 0 {
-		return 0
+// setLatency renders the query_latency block from the process latency
+// histogram, so /statsz and /metricsz can never disagree.
+func (out *StatsSnapshot) setLatency(h *obs.Histogram) {
+	bounds, counts := h.Buckets()
+	for _, c := range counts {
+		out.Latency.Count += c
 	}
-	rank := q * float64(total)
-	var cum int64
+	if out.Latency.Count > 0 {
+		out.Latency.MeanMS = h.Sum() / float64(out.Latency.Count)
+	}
+	out.Latency.P50MS = obs.HistQuantile(bounds, counts, 0.50)
+	out.Latency.P95MS = obs.HistQuantile(bounds, counts, 0.95)
+	out.Latency.P99MS = obs.HistQuantile(bounds, counts, 0.99)
+	out.Latency.Buckets = make([]LatencyBucket, len(counts))
 	for i, c := range counts {
-		if float64(cum+c) >= rank {
-			lo := 0.0
-			if i > 0 {
-				lo = latencyBucketsMS[i-1]
-			}
-			if i >= len(latencyBucketsMS) {
-				return lo
-			}
-			hi := latencyBucketsMS[i]
-			if c == 0 {
-				return hi
-			}
-			frac := (rank - float64(cum)) / float64(c)
-			return lo + frac*(hi-lo)
+		le := math.Inf(1)
+		if i < len(bounds) {
+			le = bounds[i]
 		}
-		cum += c
+		out.Latency.Buckets[i] = LatencyBucket{LE: BucketBound(le), Count: c}
 	}
-	return latencyBucketsMS[len(latencyBucketsMS)-1]
 }

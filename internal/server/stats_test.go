@@ -1,24 +1,40 @@
 package server
 
-// Direct unit tests of the log-spaced latency histogram's quantile
-// interpolation — previously only exercised indirectly through the
-// /statsz wire format.
+// Direct unit tests of the /statsz query_latency block: the process
+// latency histogram rendered through obs.HistQuantile.
 
 import (
+	"context"
+	"errors"
+	"io"
 	"math"
+	"net/http"
+	"net/http/httptest"
+	"regexp"
+	"strconv"
 	"testing"
-	"time"
+
+	"commdb"
+	"commdb/internal/obs"
 )
 
-// quantileFromObservations feeds durations through observeLatency and
-// reads a quantile back, exercising the same bucketing /statsz uses.
+// latencySnapshot observes ms into a fresh latency histogram and
+// renders it the way /statsz does.
+func latencySnapshot(ms []float64) StatsSnapshot {
+	h := obs.NewRegistry().Histogram("commdb_query_latency_ms", "", latencyBucketsMS[:])
+	for _, m := range ms {
+		h.Observe(m)
+	}
+	var snap StatsSnapshot
+	snap.setLatency(h)
+	return snap
+}
+
+// quantileFromObservations reads one quantile of ms back, exercising
+// the same bucketing /statsz uses.
 func quantileFromObservations(t *testing.T, ms []float64, q float64) float64 {
 	t.Helper()
-	var s stats
-	for _, m := range ms {
-		s.observeLatency(time.Duration(m * float64(time.Millisecond)))
-	}
-	snap := s.snapshot()
+	snap := latencySnapshot(ms)
 	switch q {
 	case 0.50:
 		return snap.Latency.P50MS
@@ -34,8 +50,7 @@ func quantileFromObservations(t *testing.T, ms []float64, q float64) float64 {
 // TestHistQuantileEmpty: no observations yield zero quantiles, not NaN
 // or a bucket bound.
 func TestHistQuantileEmpty(t *testing.T) {
-	var s stats
-	snap := s.snapshot()
+	snap := latencySnapshot(nil)
 	if snap.Latency.P50MS != 0 || snap.Latency.P95MS != 0 || snap.Latency.P99MS != 0 {
 		t.Fatalf("empty histogram quantiles = %v/%v/%v, want 0",
 			snap.Latency.P50MS, snap.Latency.P95MS, snap.Latency.P99MS)
@@ -61,11 +76,7 @@ func TestHistQuantileSingleSample(t *testing.T) {
 // bucket's upper bound counts in that bucket (bounds are inclusive),
 // and the quantile of N identical boundary samples is the bound.
 func TestHistQuantileExactBucketBoundary(t *testing.T) {
-	var s stats
-	for i := 0; i < 100; i++ {
-		s.observeLatency(10 * time.Millisecond) // exactly the 10ms bound
-	}
-	snap := s.snapshot()
+	snap := latencySnapshot(repeat(10, 100)) // exactly the 10ms bound
 	// All mass is in the (5, 10] bucket: its count is 100 and the next
 	// bucket is empty.
 	var bucket10, bucket25 int64
@@ -108,13 +119,13 @@ func TestHistQuantileInterpolation(t *testing.T) {
 	counts := make([]int64, len(latencyBucketsMS)+1)
 	counts[1] = 50 // (1, 2]
 	counts[5] = 50 // (25, 50]
-	if got := histQuantile(counts, 100, 0.50); got != 2 {
-		t.Errorf("histQuantile p50 = %v, want exactly 2 (rank on cumulative boundary)", got)
+	if got := obs.HistQuantile(latencyBucketsMS[:], counts, 0.50); got != 2 {
+		t.Errorf("HistQuantile p50 = %v, want exactly 2 (rank on cumulative boundary)", got)
 	}
 	// Rank 95 → 45th sample of the second bucket: 25 + (45/50)*(50-25).
 	want := 25 + (45.0/50.0)*25
-	if got := histQuantile(counts, 100, 0.95); math.Abs(got-want) > 1e-9 {
-		t.Errorf("histQuantile p95 = %v, want %v", got, want)
+	if got := obs.HistQuantile(latencyBucketsMS[:], counts, 0.95); math.Abs(got-want) > 1e-9 {
+		t.Errorf("HistQuantile p95 = %v, want %v", got, want)
 	}
 }
 
@@ -122,11 +133,7 @@ func TestHistQuantileInterpolation(t *testing.T) {
 // bound land in the +Inf bucket and quantiles report the last finite
 // bound rather than infinity.
 func TestHistQuantileInfOverflow(t *testing.T) {
-	var s stats
-	for i := 0; i < 10; i++ {
-		s.observeLatency(time.Hour) // far beyond the 10000ms last bound
-	}
-	snap := s.snapshot()
+	snap := latencySnapshot(repeat(3.6e6, 10)) // an hour: far beyond the 10000ms last bound
 	last := snap.Latency.Buckets[len(snap.Latency.Buckets)-1]
 	if !math.IsInf(float64(last.LE), 1) || last.Count != 10 {
 		t.Fatalf("+Inf bucket = %+v, want all 10 samples", last)
@@ -146,11 +153,7 @@ func TestHistQuantileInfOverflow(t *testing.T) {
 // TestHistQuantileMonotone: quantiles never decrease as q rises.
 func TestHistQuantileMonotone(t *testing.T) {
 	ms := append(append(repeat(0.5, 30), repeat(8, 40)...), repeat(300, 30)...)
-	var s stats
-	for _, m := range ms {
-		s.observeLatency(time.Duration(m * float64(time.Millisecond)))
-	}
-	snap := s.snapshot()
+	snap := latencySnapshot(ms)
 	if !(snap.Latency.P50MS <= snap.Latency.P95MS && snap.Latency.P95MS <= snap.Latency.P99MS) {
 		t.Fatalf("quantiles not monotone: p50=%v p95=%v p99=%v",
 			snap.Latency.P50MS, snap.Latency.P95MS, snap.Latency.P99MS)
@@ -163,4 +166,41 @@ func repeat(v float64, n int) []float64 {
 		out[i] = v
 	}
 	return out
+}
+
+// failAllEngine rejects every COMM-all query before a stream exists.
+type failAllEngine struct{ fakeEngine }
+
+func (e *failAllEngine) All(context.Context, commdb.Query) (Stream, error) {
+	return nil, errors.New("engine refuses")
+}
+
+// TestLatencyCountsAgreeAfterFailedAll: an execution that fails before
+// its stream starts is still one execution — /statsz query_latency and
+// the commdb_query_latency_ms histogram must count it alike (they are
+// one histogram).
+func TestLatencyCountsAgreeAfterFailedAll(t *testing.T) {
+	srv := NewWithEngine(&failAllEngine{fakeEngine{n: 1}}, Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	resp := postJSON(t, ts.URL+"/v1/search/all", searchBody(t, []string{"a"}, nil))
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("failed all answered %d, want 400", resp.StatusCode)
+	}
+	postJSON(t, ts.URL+"/v1/search/topk", searchBody(t, []string{"a"}, nil)).Body.Close()
+
+	mresp, err := http.Get(ts.URL + "/metricsz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mresp.Body.Close()
+	body, _ := io.ReadAll(mresp.Body)
+	m := regexp.MustCompile(`(?m)^commdb_query_latency_ms_count (\d+)$`).FindSubmatch(body)
+	if m == nil {
+		t.Fatalf("no commdb_query_latency_ms_count in /metricsz:\n%s", body)
+	}
+	if got := srv.Stats().Latency.Count; strconv.FormatInt(got, 10) != string(m[1]) || got != 2 {
+		t.Fatalf("/statsz query_latency.count = %d, commdb_query_latency_ms_count = %s, want both 2", got, m[1])
+	}
 }

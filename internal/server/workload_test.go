@@ -1,9 +1,9 @@
 package server
 
 // End-to-end tests of the workload flight recorder: the stop-reason
-// split (result-limit vs budget exhaustion), the /debug/workloadz
-// attribution tables, and the durable journal capture including
-// cache-hit entries.
+// split (result-limit vs budget exhaustion), the journal's metrics and
+// /statsz block, and the durable journal capture including cache-hit
+// entries.
 
 import (
 	"bufio"
@@ -121,77 +121,70 @@ func TestStopReasonSplit(t *testing.T) {
 	}
 }
 
-// TestWorkloadzAttribution drives a repeated query through the server
-// and checks the flight recorder's read side: per-keyword init
-// attribution in /debug/workloadz, the workload block in /statsz, and
-// the labeled keyword families in /metricsz.
-func TestWorkloadzAttribution(t *testing.T) {
+// TestWorkloadzGone: the attribution surface is deleted, not hidden —
+// the endpoint 404s, neither /metricsz nor /statsz mentions a keyword
+// table, and with no journal attached nothing workload-shaped is
+// exported at all.
+func TestWorkloadzGone(t *testing.T) {
 	_, ts := newPaperServer(t, Config{})
+	postJSON(t, ts.URL+"/v1/search/topk", searchBody(t, []string{"a", "b", "c"}, nil)).Body.Close()
 
-	// Same query twice: the first executes (paying keyword init), the
-	// second is absorbed by the result cache.
-	for i := 0; i < 2; i++ {
-		resp := postJSON(t, ts.URL+"/v1/search/topk",
-			searchBody(t, []string{"a", "b", "c"}, map[string]any{"k": 3}))
-		out := decodeTopK(t, resp)
-		if wantCached := i == 1; out.Cached != wantCached {
-			t.Fatalf("request %d cached=%v, want %v", i, out.Cached, wantCached)
-		}
-	}
-
-	var snap workload.Snapshot
-	if err := json.Unmarshal(getBody(t, ts.URL+"/debug/workloadz?format=json"), &snap); err != nil {
+	resp, err := http.Get(ts.URL + "/debug/workloadz")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.Observed != 2 || snap.CacheAbsorbed != 1 {
-		t.Fatalf("observed=%d absorbed=%d, want 2/1", snap.Observed, snap.CacheAbsorbed)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /debug/workloadz = %d, want 404", resp.StatusCode)
 	}
-	if len(snap.HotKeywords) != 3 {
-		t.Fatalf("hot keywords: %+v, want 3 terms", snap.HotKeywords)
-	}
-	terms := map[string]workload.KeywordStats{}
-	for _, kw := range snap.HotKeywords {
-		terms[kw.Term] = kw
-	}
-	for _, term := range []string{"a", "b", "c"} {
-		kw, ok := terms[term]
-		if !ok {
-			t.Fatalf("term %q missing from hot keywords: %+v", term, snap.HotKeywords)
-		}
-		if kw.Queries != 2 || kw.CacheHits != 1 {
-			t.Fatalf("term %q: queries=%d hits=%d, want 2/1", term, kw.Queries, kw.CacheHits)
-		}
-		// Only the executed query paid engine init; the full-set reverse
-		// Dijkstra for each keyword is charged to that keyword.
-		if kw.InitRuns == 0 || kw.InitVisits == 0 {
-			t.Fatalf("term %q has no init attribution: %+v", term, kw)
+	for _, path := range []string{"/metricsz", "/statsz"} {
+		text := string(getBody(t, ts.URL+path))
+		for _, gone := range []string{"commdb_keyword_", "hot_keywords", "commdb_workload_", "workload_journal"} {
+			if strings.Contains(text, gone) {
+				t.Errorf("%s still mentions %q", path, gone)
+			}
 		}
 	}
-	if len(snap.Classes) != 1 || snap.Classes[0].Queries != 2 || snap.Classes[0].CacheHits != 1 {
-		t.Fatalf("classes: %+v, want one class with 2 queries / 1 hit", snap.Classes)
-	}
+}
 
-	// The same tables surface as a workload block in /statsz and as
-	// labeled keyword families in /metricsz.
+// TestWorkloadJournalMetrics drives requests through a server with a
+// journal attached — sampling one in two, rotating at every record —
+// and requires every commdb_workload_journal_* series and the /statsz
+// workload_journal block to move.
+func TestWorkloadJournalMetrics(t *testing.T) {
+	j, err := workload.OpenJournal(workload.JournalConfig{
+		Path: filepath.Join(t.TempDir(), "wl.ndjson"), MaxBytes: 1, SampleEvery: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	_, ts := newPaperServer(t, Config{WorkloadJournal: j, CacheEntries: -1})
+
+	for i := 0; i < 4; i++ {
+		postJSON(t, ts.URL+"/v1/search/topk", searchBody(t, []string{"a", "b"}, nil)).Body.Close()
+	}
+	text := string(getBody(t, ts.URL+"/metricsz"))
+	for _, want := range []string{
+		"commdb_workload_journal_records_total 2\n",
+		"commdb_workload_journal_sampled_out_total 2\n",
+		"commdb_workload_journal_rotations_total 1\n",
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("missing %q in /metricsz", want)
+		}
+	}
+	if strings.Contains(text, "commdb_workload_journal_bytes 0\n") || !strings.Contains(text, "commdb_workload_journal_bytes ") {
+		t.Errorf("commdb_workload_journal_bytes did not move:\n%s", text)
+	}
 	var stats struct {
-		Workload *workload.Snapshot `json:"workload"`
+		Journal *workload.JournalStats `json:"workload_journal"`
 	}
 	if err := json.Unmarshal(getBody(t, ts.URL+"/statsz"), &stats); err != nil {
 		t.Fatal(err)
 	}
-	if stats.Workload == nil || stats.Workload.Observed != 2 {
-		t.Fatalf("/statsz workload block: %+v", stats.Workload)
-	}
-	text := string(getBody(t, ts.URL+"/metricsz"))
-	for _, want := range []string{
-		`commdb_keyword_queries_total{term="a"} 2`,
-		`commdb_keyword_cache_hits_total{term="b"} 1`,
-		"commdb_workload_observed_total 2",
-		"commdb_workload_cache_absorbed_total 1",
-	} {
-		if !strings.Contains(text, want) {
-			t.Fatalf("missing %q in /metricsz:\n%s", want, text)
-		}
+	if stats.Journal == nil || stats.Journal.Records != 2 || stats.Journal.LastSeq != 2 {
+		t.Fatalf("/statsz workload_journal = %+v, want 2 records", stats.Journal)
 	}
 }
 
@@ -231,10 +224,10 @@ func TestWorkloadJournalCapture(t *testing.T) {
 	if exec.CacheHit || exec.Algo != workload.AlgoTopK || !exec.Complete || exec.Results != 3 {
 		t.Fatalf("executed entry: %+v", exec)
 	}
-	if exec.Fingerprint == "" || len(exec.KeywordInit) != 3 {
-		t.Fatalf("executed entry lacks identity or init attribution: %+v", exec)
+	if exec.Fingerprint == "" {
+		t.Fatalf("executed entry lacks identity: %+v", exec)
 	}
-	if !hit.CacheHit || hit.Fingerprint != exec.Fingerprint || len(hit.KeywordInit) != 0 {
+	if !hit.CacheHit || hit.Fingerprint != exec.Fingerprint {
 		t.Fatalf("cache-hit entry: %+v", hit)
 	}
 	if stream.Algo != workload.AlgoAll || stream.Limits == nil || stream.Limits.MaxResults != 2 {

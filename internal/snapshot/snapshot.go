@@ -373,6 +373,7 @@ func (m *Manager) loadOnce() (s *commdb.Searcher, err error) {
 // is worth the configured retries.
 func permanent(err error) bool {
 	return errors.Is(err, index.ErrCorruptIndex) ||
+		errors.Is(err, commdb.ErrCorruptGraph) ||
 		errors.Is(err, index.ErrIndexMismatch) ||
 		errors.Is(err, ErrLoadPanic)
 }
@@ -380,7 +381,7 @@ func permanent(err error) bool {
 // classify maps a final load error to its reload outcome.
 func classify(err error) string {
 	switch {
-	case errors.Is(err, index.ErrCorruptIndex):
+	case errors.Is(err, index.ErrCorruptIndex), errors.Is(err, commdb.ErrCorruptGraph):
 		return OutcomeRejectedCorrupt
 	case errors.Is(err, ErrLoadPanic):
 		return OutcomeRejectedPanic

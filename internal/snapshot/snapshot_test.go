@@ -116,34 +116,56 @@ func TestFailedLoadLeavesEpochServing(t *testing.T) {
 func TestCorruptArtifactRejectedNoRetry(t *testing.T) {
 	g := testGraph(t, 8)
 	dir := t.TempDir()
-	path := writeIndexFile(t, dir, testSearcher(t, g, 4))
-	data, err := os.ReadFile(path)
+	ixPath := writeIndexFile(t, dir, testSearcher(t, g, 4))
+	data, err := os.ReadFile(ixPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Truncation is unambiguous corruption (a flipped byte may instead
 	// trip the wrong-graph gate, classified rejected_validation).
-	if err := os.WriteFile(path, data[:len(data)*2/3], 0o644); err != nil {
+	if err := os.WriteFile(ixPath, data[:len(data)*2/3], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	calls := 0
-	inner := IndexFileLoader(g, path, commdb.WithParallelism(1))
-	m := New(testSearcher(t, g, 4), Config{
-		Load: func(inj *fault.Injector) (*commdb.Searcher, error) {
-			calls++
-			return inner(inj)
-		},
-		Retries: 3, Backoff: time.Millisecond,
-	})
-	out, err := m.Reload(context.Background())
-	if out != OutcomeRejectedCorrupt || !errors.Is(err, index.ErrCorruptIndex) {
-		t.Fatalf("outcome %s err %v, want rejected_corrupt", out, err)
+	// A graph file has no such gate: one flipped byte is corruption, and
+	// must not be retried as if the disk had hiccuped.
+	var gbuf bytes.Buffer
+	if err := commdb.WriteGraph(&gbuf, g); err != nil {
+		t.Fatal(err)
 	}
-	if calls != 1 {
-		t.Fatalf("corrupt artifact retried %d times; corruption is permanent", calls)
+	gdata := gbuf.Bytes()
+	gdata[len(gdata)/2] ^= 0x04
+	gPath := filepath.Join(dir, "g.graph")
+	if err := os.WriteFile(gPath, gdata, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if m.Current() != 1 {
-		t.Fatal("epoch changed after corrupt load")
+	for _, tc := range []struct {
+		name  string
+		inner Loader
+		want  error
+	}{
+		{"index", IndexFileLoader(g, ixPath, commdb.WithParallelism(1)), index.ErrCorruptIndex},
+		{"graph", GraphFileLoader(gPath, 4, commdb.WithParallelism(1)), commdb.ErrCorruptGraph},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			calls := 0
+			m := New(testSearcher(t, g, 4), Config{
+				Load: func(inj *fault.Injector) (*commdb.Searcher, error) {
+					calls++
+					return tc.inner(inj)
+				},
+				Retries: 3, Backoff: time.Millisecond,
+			})
+			out, err := m.Reload(context.Background())
+			if out != OutcomeRejectedCorrupt || !errors.Is(err, tc.want) {
+				t.Fatalf("outcome %s err %v, want rejected_corrupt wrapping %v", out, err, tc.want)
+			}
+			if calls != 1 {
+				t.Fatalf("corrupt artifact retried %d times; corruption is permanent", calls)
+			}
+			if m.Current() != 1 {
+				t.Fatal("epoch changed after corrupt load")
+			}
+		})
 	}
 }
 

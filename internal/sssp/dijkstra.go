@@ -181,13 +181,6 @@ type Workspace struct {
 	// the end, so tracing adds no allocations and no per-edge trace
 	// touches.
 	tr *obs.Trace
-
-	// lastRun holds the counter bundle of the most recent Run (complete
-	// or budget-truncated), so callers that charge a run to a specific
-	// owner — e.g. the engine attributing a full keyword-set run to its
-	// keyword — can read it back without a second trace channel. Plain
-	// struct assignment: the disabled-trace path stays zero-alloc.
-	lastRun obs.DijkstraRun
 }
 
 // NewWorkspace returns a Workspace for g.
@@ -288,8 +281,7 @@ func (w *Workspace) RunWithin(dir Direction, seeds []Seed, rmax float64, res *Re
 func (w *Workspace) run(dir Direction, seeds []Seed, rmax float64, res *Result, within []bool) {
 	res.Reset()
 	if w.budget != nil && w.budget.Err() != nil {
-		w.lastRun = obs.DijkstraRun{} // LastRun reflects this (empty) run
-		return                        // tripped budget: every further run is an empty no-op
+		return // tripped budget: every further run is an empty no-op
 	}
 	w.epoch++
 	if w.epoch == 0 { // wrapped: wipe stamps once
@@ -395,20 +387,14 @@ func (w *Workspace) run(dir Direction, seeds []Seed, rmax float64, res *Result, 
 	w.obsFlush(res, tc)
 }
 
-// obsFlush reports one finished (or truncated) run to the trace and
-// remembers it as the workspace's last run.
+// obsFlush reports one finished (or truncated) run to the trace.
 func (w *Workspace) obsFlush(res *Result, tc obs.DijkstraRun) {
-	tc.Visits = int64(res.Len())
-	w.lastRun = tc
 	if w.tr == nil {
 		return
 	}
+	tc.Visits = int64(res.Len())
 	w.tr.AddDijkstra(tc)
 }
-
-// LastRun returns the counter bundle of the workspace's most recent
-// Run. Valid until the next Run on this workspace.
-func (w *Workspace) LastRun() obs.DijkstraRun { return w.lastRun }
 
 // RunFromNodes is Run with all seeds at distance zero.
 func (w *Workspace) RunFromNodes(dir Direction, nodes []graph.NodeID, rmax float64, res *Result) {

@@ -1,9 +1,6 @@
 // Package workload is the flight recorder of the serving stack: a
-// durable, size-bounded NDJSON journal of completed queries plus an
-// in-memory cost-attribution aggregator that charges engine-init spend
-// to individual keywords.
-//
-// # Journal
+// durable, size-bounded NDJSON journal of completed queries that
+// cmd/benchrunner -replay re-executes deterministically.
 //
 // One Entry per completed query (cache hits included), one JSON object
 // per line, framed by internal/seqlog — the same sequence number and
@@ -13,16 +10,6 @@
 // keeping the current file plus one predecessor (path + ".1"), and
 // supports a deterministic 1-in-M sampling policy so high-QPS servers
 // bound the recording cost.
-//
-// # Attribution
-//
-// The paper's community search pays for per-keyword reverse Dijkstras
-// over each keyword's full node set — work that is query-independent
-// and therefore shared by every query mentioning the keyword. The
-// Attribution aggregator folds each query's per-keyword init costs
-// (obs.Summary.KeywordInit) into rolling hot-keyword and query-class
-// tables: the exact ranking a precomputed keyword artifact would want
-// to warm from.
 package workload
 
 import (
@@ -56,8 +43,9 @@ const (
 )
 
 // Entry is one journal record: the query's identity (canonical
-// fingerprint, keywords, operating point), how it was served, its
-// outcome, and the per-keyword engine-init spend.
+// fingerprint, keywords, operating point), how it was served and its
+// outcome. Unknown fields on a line are ignored on read, so journals
+// written by releases that recorded more (keyword_init) still replay.
 type Entry struct {
 	// Seq is the journal-assigned sequence number; on the wire it rides
 	// the line's seqlog frame.
@@ -93,11 +81,8 @@ type Entry struct {
 	// StopReason is the stop reason when Complete is false.
 	StopReason string  `json:"stop,omitempty"`
 	LatencyMS  float64 `json:"latency_ms"`
-	// InitMS is the engine_init span: total engine construction time,
-	// keyword-separable and shared parts together.
+	// InitMS is the engine_init span: total engine construction time.
 	InitMS float64 `json:"init_ms,omitempty"`
-	// KeywordInit is the keyword-separable init spend, sorted by term.
-	KeywordInit []obs.KeywordCost `json:"keyword_init,omitempty"`
 }
 
 // EncodeEntry renders e as one journal line (no trailing newline).
@@ -119,8 +104,8 @@ func entryOf(obj []byte, seq int64) (Entry, error) {
 }
 
 // EntryFromRecord builds the journal entry for one executed query from
-// its capture record: identity, class inputs, outcome, latency and the
-// per-keyword init spend from the trace. The caller fills the fields
+// its capture record: identity, class inputs, outcome and latency. The
+// caller fills the fields
 // the record does not know — Algo, Cost, Limits, Epoch, UnixMS — and
 // the journal assigns Seq.
 func EntryFromRecord(rec *obs.QueryRecord) Entry {
@@ -137,11 +122,8 @@ func EntryFromRecord(rec *obs.QueryRecord) Entry {
 		LatencyMS:   rec.TotalMS,
 		UnixMS:      rec.Start.UnixMilli(),
 	}
-	if tr := rec.Trace; tr != nil {
-		e.KeywordInit = tr.KeywordInit
-		if sp, ok := tr.Span("engine_init"); ok {
-			e.InitMS = sp.DurMS
-		}
+	if sp, ok := rec.Trace.Span("engine_init"); ok {
+		e.InitMS = sp.DurMS
 	}
 	return e
 }

@@ -42,8 +42,7 @@ func (c JournalConfig) withDefaults() JournalConfig {
 	return c
 }
 
-// JournalStats is the journal's exported view, shown in /statsz and
-// /debug/workloadz.
+// JournalStats is the journal's exported view, shown in /statsz.
 type JournalStats struct {
 	Path       string `json:"path"`
 	Records    int64  `json:"records"`

@@ -4,11 +4,11 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
-
-	"commdb/internal/obs"
 )
 
 func testEntry(i int) Entry {
@@ -26,10 +26,23 @@ func testEntry(i int) Entry {
 		Complete:    true,
 		LatencyMS:   1.25,
 		InitMS:      0.5,
-		KeywordInit: []obs.KeywordCost{
-			{Term: "carl", Runs: 1, Visits: 7, Relaxations: 12, HeapOps: 14, WallMS: 0.2},
-			{Term: "hector", Runs: 1, Visits: 5, Relaxations: 9, HeapOps: 10, WallMS: 0.15},
-		},
+	}
+}
+
+// TestReadsJournalWithKeywordInit: a line written before the per-keyword
+// init spend was dropped from Entry (it carries "keyword_init") still
+// verifies and decodes — the CRC covers the bytes as written and the
+// unknown field is ignored.
+func TestReadsJournalWithKeywordInit(t *testing.T) {
+	const line = `{"unix_ms":1025,"qid":"q-1","fp":"q1|rmax=6|cost=0|4:carl|6:hector","keywords":["carl","hector"],"rmax":6,"cost":"sum","algo":"topk","k":10,"limits":{"max_results":50},"results":3,"complete":true,"latency_ms":1.25,"init_ms":0.5,"keyword_init":[{"term":"carl","runs":1,"visits":7,"relaxations":12,"heap_ops":14,"wall_ms":0.2},{"term":"hector","runs":1,"visits":5,"relaxations":9,"heap_ops":10,"wall_ms":0.15}],"seq":7,"crc":4045119743}` + "\n"
+	got, err := ReadJournal(strings.NewReader(line))
+	if err != nil || len(got) != 1 {
+		t.Fatalf("reading a journal line with keyword_init: %d entries, err %v", len(got), err)
+	}
+	want := testEntry(1)
+	want.Seq = 7
+	if !reflect.DeepEqual(got[0], want) {
+		t.Fatalf("decoded\n %+v\nwant\n %+v", got[0], want)
 	}
 }
 
@@ -108,7 +121,7 @@ func TestJournalGoldenPrefix(t *testing.T) {
 
 func TestJournalRotation(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wl.ndjson")
-	// Lines are ~400 bytes; cap at 2KiB so 40 records rotate repeatedly.
+	// Lines are ~260 bytes; cap at 2KiB so 40 records rotate repeatedly.
 	j := writeJournal(t, path, 40, JournalConfig{MaxBytes: 2 << 10})
 	st := j.Stats()
 	if err := j.Close(); err != nil {

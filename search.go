@@ -104,18 +104,6 @@ var ErrCorruptIndex = index.ErrCorruptIndex
 // one being opened. Match with errors.Is.
 var ErrIndexMismatch = index.ErrIndexMismatch
 
-// ErrCorruptKeywordArtifacts is returned by Open(WithKeywordArtifacts)
-// when the serialized artifact store fails validation: truncation,
-// checksum mismatch, bounds or settle-order violations, trailing
-// garbage. Permanent for that artifact; match with errors.Is.
-var ErrCorruptKeywordArtifacts = kwcache.ErrCorruptStore
-
-// ErrKeywordArtifactsMismatch is returned by Open(WithKeywordArtifacts)
-// when the store is structurally valid but was built over a different
-// generation of the data than the graph being opened. Match with
-// errors.Is.
-var ErrKeywordArtifactsMismatch = kwcache.ErrStoreMismatch
-
 // Collector is the always-on observability layer: pass one to
 // Open(WithCollector) and every finished query is folded into its
 // slow-query capture, per-class aggregates and SLO watchdog. See the
@@ -241,7 +229,6 @@ type openConfig struct {
 	indexReader io.Reader
 	parallelism int
 	collector   *obs.Collector
-	kwReader    io.Reader
 	kwRadius    float64
 	kwEnable    bool
 }
@@ -283,24 +270,10 @@ func WithCollector(col *Collector) Option {
 	return func(c *openConfig) { c.collector = col }
 }
 
-// WithKeywordArtifacts loads a keyword neighbor-set artifact store
-// previously saved with WriteKeywordArtifacts (or prebuilt by
-// cmd/indexbuild -kwcache-out), built over exactly the graph being
-// opened. Queries on an un-indexed searcher whose Rmax fits within the
-// store's radius then serve hot keywords' engine init from the
-// artifacts instead of running full-set Dijkstras, byte-identically.
-// Loading is fail-closed: a corrupt or wrong-generation store returns
-// ErrCorruptKeywordArtifacts / ErrKeywordArtifactsMismatch from Open.
-// Mutually exclusive with WithKeywordArtifactStore.
-func WithKeywordArtifacts(r io.Reader) Option {
-	return func(c *openConfig) { c.kwReader = r }
-}
-
-// WithKeywordArtifactStore attaches an empty artifact store at the
-// given radius — the largest query Rmax the artifacts will cover —
-// to be filled incrementally with WarmKeywords (e.g. from workload
-// hot-keyword attribution). Mutually exclusive with
-// WithKeywordArtifacts.
+// WithKeywordArtifactStore attaches an empty in-memory artifact store
+// at the given radius — the largest query Rmax the artifacts will
+// cover — to be filled with WarmKeywords. Only un-indexed searchers
+// consult it.
 func WithKeywordArtifactStore(radius float64) Option {
 	return func(c *openConfig) {
 		c.kwEnable = true
@@ -323,9 +296,6 @@ func Open(g *Graph, opts ...Option) (*Searcher, error) {
 	if cfg.buildIndex && cfg.indexReader != nil {
 		return nil, fmt.Errorf("commdb: WithIndex and WithIndexReader are mutually exclusive")
 	}
-	if cfg.kwReader != nil && cfg.kwEnable {
-		return nil, fmt.Errorf("commdb: WithKeywordArtifacts and WithKeywordArtifactStore are mutually exclusive")
-	}
 	par := cfg.parallelism
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
@@ -347,15 +317,8 @@ func Open(g *Graph, opts ...Option) (*Searcher, error) {
 	default:
 		s.ft = fulltext.Build(g)
 	}
-	switch {
-	case cfg.kwReader != nil:
-		kc, err := kwcache.ReadInto(cfg.kwReader, s.ft)
-		if err != nil {
-			return nil, err
-		}
-		s.kc = kc
-	case cfg.kwEnable:
-		kc, err := kwcache.New(s.ft, cfg.kwRadius, 0)
+	if cfg.kwEnable {
+		kc, err := kwcache.New(s.ft, cfg.kwRadius)
 		if err != nil {
 			return nil, err
 		}
@@ -401,17 +364,6 @@ func (s *Searcher) WarmKeywords(keywords []string) int {
 	return s.kc.Warm(keywords)
 }
 
-// WriteKeywordArtifacts serializes the searcher's keyword artifact
-// store so the warm-up survives restarts; load it with
-// Open(..., WithKeywordArtifacts(r)). Returns an error on a searcher
-// without a store.
-func (s *Searcher) WriteKeywordArtifacts(w io.Writer) error {
-	if s.kc == nil {
-		return fmt.Errorf("commdb: searcher has no keyword artifact store to write")
-	}
-	return s.kc.Write(w)
-}
-
 // KeywordArtifactStats describes the searcher's keyword artifact
 // store: its coverage and how often engine init was served from it.
 type KeywordArtifactStats struct {
@@ -422,8 +374,6 @@ type KeywordArtifactStats struct {
 	// Radius is the store's artifact radius: queries with Rmax beyond
 	// it fall back to live execution.
 	Radius float64 `json:"radius"`
-	// Epoch is the data generation recorded when the store was built.
-	Epoch int64 `json:"epoch"`
 	// Hits and Misses count full-set probes served from artifacts vs
 	// fallen back to live Dijkstras.
 	Hits   int64 `json:"hits"`
@@ -442,7 +392,6 @@ func (s *Searcher) KeywordArtifacts() KeywordArtifactStats {
 		Enabled: true,
 		Terms:   s.kc.Len(),
 		Radius:  s.kc.Radius(),
-		Epoch:   s.kc.Epoch(),
 		Hits:    s.kc.Hits(),
 		Misses:  s.kc.Misses(),
 		Bytes:   s.kc.Bytes(),
