@@ -3,6 +3,8 @@ package commdb
 import (
 	"bytes"
 	"math"
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -334,5 +336,71 @@ func TestConcurrentQueries(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// TestIndexedMapBackExact: a community found through the projection is
+// mapped back to exactly the community a direct search returns — every
+// node list in the same (sorted) order, and the re-induced edge list
+// identical entry for entry, one entry per parallel edge. mapBack
+// relies on ToParent being ascending instead of re-sorting.
+func TestIndexedMapBackExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	compared, edges := 0, 0
+	for trial := 0; trial < 30; trial++ {
+		b := NewGraphBuilder()
+		n := 20 + rng.Intn(40)
+		for i := 0; i < n; i++ {
+			var terms []string
+			for _, kw := range []string{"ka", "kb"} {
+				if rng.Intn(5) == 0 {
+					terms = append(terms, kw)
+				}
+			}
+			b.AddNode("", terms...)
+		}
+		for i := 0; i < 3*n; i++ {
+			u, v := NodeID(rng.Intn(n)), NodeID(rng.Intn(n))
+			b.AddEdge(u, v, float64(1+rng.Intn(3)))
+			if rng.Intn(3) == 0 {
+				b.AddEdge(u, v, float64(1+rng.Intn(3))) // parallel
+			}
+		}
+		g, err := b.Freeze()
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := Query{Keywords: []string{"ka", "kb"}, Rmax: 5}
+		collect := func(s *Searcher) map[string]*Community {
+			it, err := s.All(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out := map[string]*Community{}
+			for _, r := range mustCollect(t, it, 0) {
+				out[r.Core.Key()] = r
+			}
+			return out
+		}
+		direct := collect(mustOpen(t, g))
+		indexed := collect(mustOpen(t, g, WithIndex(5)))
+		if len(direct) != len(indexed) {
+			t.Fatalf("trial %d: %d communities direct, %d indexed", trial, len(direct), len(indexed))
+		}
+		for key, want := range direct {
+			got := indexed[key]
+			if got == nil {
+				t.Fatalf("trial %d: core %s missing from the indexed run", trial, key)
+			}
+			if !slices.Equal(got.Core, want.Core) || !slices.Equal(got.Nodes, want.Nodes) ||
+				!slices.Equal(got.Cnodes, want.Cnodes) || !slices.Equal(got.Pnodes, want.Pnodes) ||
+				!slices.Equal(got.Knodes, want.Knodes) || !slices.Equal(got.Edges, want.Edges) {
+				t.Fatalf("trial %d core %s:\nindexed %+v\ndirect  %+v", trial, key, got, want)
+			}
+			compared, edges = compared+1, edges+len(want.Edges)
+		}
+	}
+	if compared < 100 || edges < 1000 {
+		t.Fatalf("only %d communities with %d edges compared", compared, edges)
 	}
 }

@@ -11,6 +11,8 @@
 package graph
 
 import (
+	"cmp"
+	"slices"
 	"sync"
 
 	"commdb/internal/prof"
@@ -123,13 +125,41 @@ func (g *Graph) NodeWeights() []float64 { return g.nodeWeight }
 // such an edge exists. If parallel edges exist, the smallest weight is
 // returned.
 func (g *Graph) EdgeWeight(u, v NodeID) (float64, bool) {
-	best, ok := 0.0, false
-	for _, e := range g.OutEdges(u) {
-		if e.To == v && (!ok || e.Weight < best) {
-			best, ok = e.Weight, true
+	c := g.EdgeCursor()
+	return c.Weight(u, v)
+}
+
+// EdgeCursor resolves a (From, To)-ascending sequence of edge names to
+// the weights EdgeWeight would return, in one forward walk over
+// OutEdges(From) per run of equal From: for readers of sorted edge lists.
+type EdgeCursor struct {
+	g    *Graph
+	from NodeID
+	adj  []Edge // what is left of OutEdges(from)
+}
+
+// EdgeCursor returns a cursor positioned before every edge of g.
+func (g *Graph) EdgeCursor() EdgeCursor { return EdgeCursor{g: g, from: -1} }
+
+// Weight is EdgeWeight(from, to) for the next edge of the sequence; an
+// edge named out of order is reported absent. Adjacency is sorted by
+// (To, Weight), so the first entry reaching to is the lightest of its
+// parallel group.
+func (c *EdgeCursor) Weight(from, to NodeID) (float64, bool) {
+	if from != c.from {
+		c.from, c.adj = from, c.g.OutEdges(from)
+	}
+	if len(c.adj) > 0 && c.adj[0].To < to {
+		c.adj = c.adj[1:] // the usual step: off the entry the last call matched
+		if len(c.adj) > 0 && c.adj[0].To < to {
+			i, _ := slices.BinarySearchFunc(c.adj, to, func(e Edge, to NodeID) int { return cmp.Compare(e.To, to) })
+			c.adj = c.adj[i:]
 		}
 	}
-	return best, ok
+	if len(c.adj) == 0 || c.adj[0].To != to {
+		return 0, false
+	}
+	return c.adj[0].Weight, true
 }
 
 // Bytes reports the exact retained memory of the graph structure in

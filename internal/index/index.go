@@ -15,10 +15,11 @@
 package index
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -60,6 +61,10 @@ type Index struct {
 
 	buildTime time.Duration
 
+	// scratch recycles *projScratch, projection's transient working
+	// memory (project.go): not serialized, not in Footprint.
+	scratch sync.Pool
+
 	// foot caches the exact accounting tree; indexes are immutable
 	// once built, so scrapes stay cheap.
 	footOnce sync.Once
@@ -72,10 +77,6 @@ type BuildOptions struct {
 	R float64
 	// Workers bounds build parallelism; 0 uses GOMAXPROCS.
 	Workers int
-	// MinPostings skips invertedE lists for terms occurring on fewer
-	// nodes than this (0 indexes every term). Queries for skipped terms
-	// fall back to an un-projected search.
-	MinPostings int
 	// KeepDistances retains each term's settled distance set alongside
 	// its posting list (memory on the order of the postings), enabling
 	// the boundary-conditioned repair path of RebuildPartial. The
@@ -147,8 +148,7 @@ func Build(g *graph.Graph, opt BuildOptions) (*Index, error) {
 		if opt.Budget.Err() != nil {
 			break // stop dispatching; workers drain their empty runs
 		}
-		post := ix.nodes.NodesByID(t)
-		if len(post) == 0 || len(post) < opt.MinPostings {
+		if len(ix.nodes.NodesByID(t)) == 0 {
 			continue
 		}
 		jobs <- job{term: t}
@@ -188,20 +188,13 @@ func buildEdgeList(g *graph.Graph, ws *sssp.Workspace, res *sssp.Result, post []
 	return out
 }
 
-// sortPostings orders a posting list by (From, To). A concrete
-// sort.Interface rather than sort.Slice: the reflective swapper showed
-// up as a top allocator in build profiles, and this runs once per term.
-func sortPostings(out []graph.EdgePair) { sort.Sort(byFromTo(out)) }
+// postingKey orders postings by (From, To) in one comparison (node IDs
+// are non-negative).
+func postingKey(e graph.EdgePair) uint64 { return uint64(uint32(e.From))<<32 | uint64(uint32(e.To)) }
 
-type byFromTo []graph.EdgePair
-
-func (s byFromTo) Len() int      { return len(s) }
-func (s byFromTo) Swap(i, j int) { s[i], s[j] = s[j], s[i] }
-func (s byFromTo) Less(i, j int) bool {
-	if s[i].From != s[j].From {
-		return s[i].From < s[j].From
-	}
-	return s[i].To < s[j].To
+// sortPostings orders a posting list by (From, To), once per term.
+func sortPostings(out []graph.EdgePair) {
+	slices.SortFunc(out, func(a, b graph.EdgePair) int { return cmp.Compare(postingKey(a), postingKey(b)) })
 }
 
 // extractDists snapshots a run's settled set as a node-sorted distance
@@ -216,15 +209,9 @@ func extractDists(res *sssp.Result) []NodeDist {
 		d, _ := res.Dist(v)
 		out[i] = NodeDist{Node: v, Dist: d}
 	}
-	sort.Sort(byNode(out))
+	slices.SortFunc(out, func(a, b NodeDist) int { return cmp.Compare(a.Node, b.Node) })
 	return out
 }
-
-type byNode []NodeDist
-
-func (s byNode) Len() int           { return len(s) }
-func (s byNode) Swap(i, j int)      { s[i], s[j] = s[j], s[i] }
-func (s byNode) Less(i, j int) bool { return s[i].Node < s[j].Node }
 
 // Graph returns the indexed database graph.
 func (ix *Index) Graph() *graph.Graph { return ix.g }

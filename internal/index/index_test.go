@@ -293,22 +293,6 @@ func TestBuildDeterministic(t *testing.T) {
 	}
 }
 
-// TestMinPostingsSkips: rare terms can be excluded from invertedE.
-func TestMinPostingsSkips(t *testing.T) {
-	g, _ := core.PaperGraph()
-	ix, err := Build(g, BuildOptions{R: 8, MinPostings: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// "a" occurs on 2 nodes < 3: skipped. "c" occurs on 4 nodes: kept.
-	if got := ix.EdgePostings("a"); got != nil {
-		t.Fatalf("term below MinPostings has %d edges indexed", len(got))
-	}
-	if got := ix.EdgePostings("c"); len(got) == 0 {
-		t.Fatal("frequent term should be indexed")
-	}
-}
-
 // TestStatsAndAccessors covers the reporting surface.
 func TestStatsAndAccessors(t *testing.T) {
 	g, _ := core.PaperGraph()

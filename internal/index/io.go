@@ -59,12 +59,9 @@ var ErrIndexMismatch = errors.New("index: index does not match graph")
 // itself is serialized separately (graph.Write); ReadInto checks that
 // the two match. Postings are written in the sorted (From, To) order
 // Build produces, which the loader verifies as a monotonicity gate.
-// Each posting's weight comes from the graph: within a run of equal
-// From, postings and g.OutEdges(From) are both sorted by To, so one
-// forward cursor finds every edge, and the first of a group of parallel
-// edges carries the minimum weight (adjacency is sorted by (To,
-// Weight)) — the only one shortest paths use and the one the load gate
-// re-derives.
+// Each posting's weight comes from the graph through a
+// graph.EdgeCursor: the minimum weight of a group of parallel edges, the
+// only one shortest paths use and the one the load gate re-derives.
 func (ix *Index) Write(w io.Writer) error {
 	cw := artifact.NewWriter(w, idxMagic)
 	cw.Uvarint(idxVersion)
@@ -75,21 +72,16 @@ func (ix *Index) Write(w io.Writer) error {
 	for _, posts := range ix.edges {
 		cw.Uvarint(uint64(len(posts)))
 		prevFrom := int64(0)
-		var adj []graph.Edge
-		for i, e := range posts {
-			if i == 0 || int64(e.From) != prevFrom {
-				adj = ix.g.OutEdges(e.From)
-			}
-			for len(adj) > 0 && adj[0].To != e.To {
-				adj = adj[1:]
-			}
-			if len(adj) == 0 {
+		cur := ix.g.EdgeCursor()
+		for _, e := range posts {
+			wt, ok := cur.Weight(e.From, e.To)
+			if !ok {
 				return fmt.Errorf("index: posting (%d,%d) is not an edge of the indexed graph", e.From, e.To)
 			}
 			cw.Varint(int64(e.From) - prevFrom)
 			prevFrom = int64(e.From)
 			cw.Uvarint(uint64(e.To))
-			cw.Float(adj[0].Weight)
+			cw.Float(wt)
 		}
 	}
 	cw.EndSection()
@@ -163,6 +155,7 @@ func ReadInto(r io.Reader, g *graph.Graph) (*Index, error) {
 		}
 		posts := make([]graph.EdgePair, 0, capHint)
 		prevFrom, prevTo := int64(0), int64(-1)
+		cur := g.EdgeCursor()
 		for i := uint64(0); i < cnt; i++ {
 			df, err := cr.Varint("posting delta")
 			if err != nil {
@@ -190,8 +183,9 @@ func ReadInto(r io.Reader, g *graph.Graph) (*Index, error) {
 			prevFrom, prevTo = from, to
 			// The live-graph gate: the posting must be a real edge with
 			// the exact weight the build saw, or the artifact belongs to
-			// another generation of the data.
-			if w, ok := g.EdgeWeight(graph.NodeID(from), graph.NodeID(to)); !ok || w != wt {
+			// another generation of the data (the order check above is
+			// what lets one forward cursor do the lookups).
+			if w, ok := cur.Weight(graph.NodeID(from), graph.NodeID(to)); !ok || w != wt {
 				return nil, fmt.Errorf("%w: term %d posting (%d,%d,%v) is not an edge of the live graph",
 					ErrIndexMismatch, t, from, to, wt)
 			}

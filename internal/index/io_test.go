@@ -238,7 +238,7 @@ func TestIndexIOErrClassification(t *testing.T) {
 
 func TestIndexIOEmptyPostings(t *testing.T) {
 	// A graph whose dictionary has terms with no invertedE entries
-	// (MinPostings skips) round-trips cleanly.
+	// (an isolated carrier has no edge within R) round-trips cleanly.
 	b := graph.NewBuilder()
 	b.AddNode("a", "only")
 	g, err := b.Freeze()
@@ -296,5 +296,77 @@ func TestIndexIOParallelEdgesMinWeight(t *testing.T) {
 	}
 	if !back.Equal(ix) {
 		t.Fatal("reloaded index differs")
+	}
+}
+
+// TestIndexIOCursorHubAndParallelEdges: the load gate walks one cursor
+// per term instead of scanning OutEdges(From) per posting. A hub with
+// 10k out-edges, many of them parallel, still round-trips, and an index
+// reloaded onto the same topology with one edge reweighted — the
+// lightest of a parallel group, or a hub edge — is still refused.
+func TestIndexIOCursorHubAndParallelEdges(t *testing.T) {
+	type edge struct {
+		from, to graph.NodeID
+		wt       float64
+	}
+	const n = 3000
+	rng := rand.New(rand.NewSource(12))
+	var edges []edge
+	for i := 0; i < 10000; i++ { // node 0 is the hub; most targets repeat
+		edges = append(edges, edge{0, graph.NodeID(1 + rng.Intn(n-1)), float64(rng.Intn(3) + 1)})
+	}
+	for i := 0; i < n; i++ {
+		edges = append(edges, edge{graph.NodeID(1 + rng.Intn(n-1)), graph.NodeID(rng.Intn(n)), float64(rng.Intn(3) + 1)})
+	}
+	freeze := func(es []edge) *graph.Graph {
+		b := graph.NewBuilder()
+		for i := 0; i < n; i++ {
+			b.AddNode("", "hot") // every edge is in the term's posting list
+		}
+		for _, e := range es {
+			b.AddEdge(e.from, e.to, e.wt)
+		}
+		g, err := b.Freeze()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	g := freeze(edges)
+	if g.OutDegree(0) != 10000 {
+		t.Fatalf("hub out-degree %d", g.OutDegree(0))
+	}
+	ix, err := Build(g, BuildOptions{R: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ix.EdgePostings("hot")) < 1000 {
+		t.Fatalf("only %d postings: the hub is not indexed", len(ix.EdgePostings("hot")))
+	}
+	var buf bytes.Buffer
+	if err := ix.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	back, err := ReadInto(bytes.NewReader(buf.Bytes()), g)
+	if err != nil {
+		t.Fatalf("reload through the gate: %v", err)
+	}
+	if !back.Equal(ix) {
+		t.Fatal("reloaded index differs")
+	}
+
+	// Reweight the lightest edge of the hub's last parallel group: the
+	// group's minimum moves, the topology does not.
+	adj := g.OutEdges(0)
+	last := adj[len(adj)-1].To
+	minWt, _ := g.EdgeWeight(0, last)
+	reweighted := append([]edge(nil), edges...)
+	for i, e := range reweighted {
+		if e.from == 0 && e.to == last && e.wt == minWt {
+			reweighted[i].wt = minWt + 0.5
+		}
+	}
+	if _, err := ReadInto(bytes.NewReader(buf.Bytes()), freeze(reweighted)); !errors.Is(err, ErrIndexMismatch) {
+		t.Fatalf("index loaded onto a reweighted graph: %v, want ErrIndexMismatch", err)
 	}
 }

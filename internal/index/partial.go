@@ -242,9 +242,8 @@ func RebuildPartial(g *graph.Graph, opt BuildOptions, old *Index, perm []graph.N
 	st.DirtyTerms = len(dirtyIDs)
 
 	// Dirty terms: repaired inside the changed region where possible,
-	// recomputed exactly as Build would otherwise — including the
-	// MinPostings skip — so the result is bit-identical to a full build
-	// with the same options.
+	// recomputed exactly as Build would otherwise, so the result is
+	// bit-identical to a full build with the same options.
 	workers := opt.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -300,13 +299,12 @@ func RebuildPartial(g *graph.Graph, opt BuildOptions, old *Index, perm []graph.N
 		if opt.Budget.Err() != nil {
 			break
 		}
-		post := ix.nodes.NodesByID(t)
-		if len(post) == 0 || len(post) < opt.MinPostings {
+		if len(ix.nodes.NodesByID(t)) == 0 {
 			continue
 		}
 		j := job{term: t, term0: -1}
 		if patchable {
-			// A term new to this generation, or one skipped before
+			// A term new to this generation, or one nothing carried before
 			// (no sidecar), has no boundary conditions: recompute.
 			if t0, ok := dict0.ID(dict1.Word(t)); ok && old.dists[t0] != nil {
 				j.term0 = t0
@@ -420,7 +418,7 @@ func patchTerm(g *graph.Graph, ws *sssp.Workspace, res *sssp.Result, post []grap
 		}
 		kept = append(kept, graph.EdgePair{From: nf, To: nt})
 	}
-	out := mergePostings(kept, adds)
+	out := mergePostings(nil, kept, adds)
 
 	var dists []NodeDist
 	if keep {
@@ -436,28 +434,6 @@ func patchTerm(g *graph.Graph, ws *sssp.Workspace, res *sssp.Result, post []grap
 	}
 	mergeEnd()
 	return out, dists
-}
-
-// mergePostings merges two (From, To)-sorted, key-disjoint posting
-// lists into one.
-func mergePostings(a, b []graph.EdgePair) []graph.EdgePair {
-	if len(a) == 0 && len(b) == 0 {
-		return nil
-	}
-	out := make([]graph.EdgePair, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i].From < b[j].From || (a[i].From == b[j].From && a[i].To < b[j].To) {
-			out = append(out, a[i])
-			i++
-		} else {
-			out = append(out, b[j])
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
 }
 
 // mergeDists merges two node-sorted, node-disjoint distance lists.

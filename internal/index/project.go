@@ -2,7 +2,7 @@ package index
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"commdb/internal/core"
 	"commdb/internal/fulltext"
@@ -23,27 +23,75 @@ type Projection struct {
 	Ratio float64
 }
 
-// Project runs Algorithm 6 for the given keywords and radius. rmax must
-// not exceed the index's build radius R. When some keyword was not
-// indexed the projection still works through invertedN alone (its edge
-// list is simply what the other keywords contribute), so callers should
-// index every term they expect in queries.
+// Project runs Algorithm 6 for the given keywords and radius; rmax must
+// not exceed the build radius R. A keyword no node carries projects the
+// empty graph. The cost is linear in the posting lists merged plus two
+// bounded Dijkstra passes over their union, never in the database graph.
 func (ix *Index) Project(keywords []string, rmax float64) (*Projection, error) {
-	return ix.ProjectBudget(keywords, rmax, nil)
+	return ix.ProjectTrace(keywords, rmax, nil, nil)
 }
 
-// ProjectBudget is Project under a governance budget: the posting
-// gathers poll it and the two virtual-node passes charge it. A tripped
-// budget aborts with the stop reason — a truncated projection would
-// silently change query answers, so there is no partial projection.
-func (ix *Index) ProjectBudget(keywords []string, rmax float64, bud *govern.Budget) (*Projection, error) {
-	return ix.ProjectTrace(keywords, rmax, bud, nil)
+// nodeMark is one node's state in one projection, valid only while
+// stamp equals the scratch's epoch (the sssp.Workspace trick), so a
+// projection pays only for the nodes its postings name.
+type nodeMark struct {
+	stamp uint32
+	// seen counts the leading keywords that all reach the node: keyword
+	// i raises it from i to i+1 only, so a node some keyword missed
+	// stays below l, and seen == l is membership in V_c.
+	seen    int32
+	carrier bool // in W': carries some keyword
 }
 
-// ProjectTrace is ProjectBudget under a query trace: the projection
-// records a "project" span and the project_* counters (union size, kept
-// vs. dropped nodes, kept edges), and its two virtual-node Dijkstra
-// passes report their work. tr may be nil for an untraced projection.
+// projScratch is a projection's working memory, recycled through
+// Index.scratch. It is transient, not part of the index: Footprint does
+// not count it and the GC may drop it.
+type projScratch struct {
+	marks    []nodeMark          // dense over the indexed graph
+	epoch    uint32              // marks stamped otherwise are stale
+	nodes    []graph.NodeID      // V': first-touch order, then sorted
+	merged   [2][]graph.EdgePair // E' as it grows, alternating
+	centers  []sssp.Seed         // V_c, union-local
+	carriers []sssp.Seed         // W', union-local
+	keep     []bool              // union-local: on a short s→t path
+	vp       []graph.NodeID
+	ep       []graph.EdgePair
+}
+
+// getScratch checks a scratch out of the pool under a fresh epoch.
+func (ix *Index) getScratch() *projScratch {
+	sc, _ := ix.scratch.Get().(*projScratch)
+	if sc == nil {
+		sc = &projScratch{marks: make([]nodeMark, ix.g.NumNodes())}
+	}
+	sc.epoch++
+	if sc.epoch == 0 { // wrapped: wipe, or 2^32-projections-old stamps match
+		clear(sc.marks)
+		sc.epoch = 1
+	}
+	sc.nodes = sc.nodes[:0]
+	return sc
+}
+
+// touch records that keyword i reaches v and returns v's mark.
+func (sc *projScratch) touch(v graph.NodeID, i int32) *nodeMark {
+	m := &sc.marks[v]
+	if m.stamp != sc.epoch {
+		*m = nodeMark{stamp: sc.epoch}
+		sc.nodes = append(sc.nodes, v)
+	}
+	if m.seen == i {
+		m.seen = i + 1
+	}
+	return m
+}
+
+// ProjectTrace is Project under a governance budget and a query trace;
+// either may be nil. The gathers poll the budget and the two Dijkstra
+// passes charge it; a tripped budget aborts with the stop reason (a
+// truncated projection would silently change answers, so there is no
+// partial one). The trace gets a "project" span, the project_* counters
+// and the two passes' work reports.
 func (ix *Index) ProjectTrace(keywords []string, rmax float64, bud *govern.Budget, tr *obs.Trace) (*Projection, error) {
 	defer tr.StartSpan("project")()
 	if rmax > ix.r {
@@ -53,158 +101,135 @@ func (ix *Index) ProjectTrace(keywords []string, rmax float64, bud *govern.Budge
 		return nil, core.ErrNoKeywords
 	}
 	g := ix.g
+	sc := ix.getScratch()
+	defer ix.scratch.Put(sc)
 
-	// Per-keyword gather (Algorithm 6 lines 2-9): W_i from invertedN,
-	// E_i from invertedE, V_i = W_i ∪ endpoints(E_i); running unions
-	// W', E', V' and the candidate-center intersection V_c.
-	nodeSet := map[graph.NodeID]struct{}{}   // V'
-	wSet := map[graph.NodeID]struct{}{}      // W'
-	edgeSet := map[graph.EdgePair]struct{}{} // E'
-	var vc map[graph.NodeID]struct{}         // V_c
-
-	for _, kw := range keywords {
+	// Gather (Algorithm 6 lines 2-9), one pass per keyword: W_i from
+	// invertedN, E_i from invertedE, V_i = W_i ∪ endpoints(E_i). The
+	// marks accumulate V', W' and V_c; E' is the running merge of the
+	// E_i, which Build stores (From, To)-sorted.
+	var edges []graph.EdgePair
+	for i, kw := range keywords {
 		terms := fulltext.Tokenize(kw)
 		if len(terms) != 1 {
 			return nil, fmt.Errorf("index: keyword %q does not tokenize to a single term", kw)
 		}
 		wi := ix.nodes.Nodes(terms[0])
 		if len(wi) == 0 {
-			// Missing keyword: no community can exist; project the
-			// empty graph.
-			return emptyProjection(g)
+			return emptyProjection(g), nil // missing keyword
 		}
-		vi := map[graph.NodeID]struct{}{}
 		for _, v := range wi {
-			wSet[v] = struct{}{}
-			vi[v] = struct{}{}
-			nodeSet[v] = struct{}{}
+			sc.touch(v, int32(i)).carrier = true
 		}
-		// One poll per posting list: frequent terms carry edge lists in
-		// the millions, the dominant cost of a projection.
+		// One poll per posting list: they run to millions of edges.
 		if err := bud.Poll(); err != nil {
 			return nil, fmt.Errorf("index: projection aborted: %w", err)
 		}
-		for _, e := range ix.EdgePostings(terms[0]) {
-			edgeSet[e] = struct{}{}
-			vi[e.From] = struct{}{}
-			vi[e.To] = struct{}{}
-			nodeSet[e.From] = struct{}{}
-			nodeSet[e.To] = struct{}{}
-		}
-		if vc == nil {
-			vc = vi
-		} else {
-			for v := range vc {
-				if _, ok := vi[v]; !ok {
-					delete(vc, v)
-				}
+		post := ix.EdgePostings(terms[0])
+		from := graph.NodeID(-1)
+		for _, e := range post {
+			if e.From != from {
+				from = e.From
+				sc.touch(from, int32(i))
 			}
+			sc.touch(e.To, int32(i))
 		}
-	}
-	if len(vc) == 0 {
-		return emptyProjection(g)
+		sc.merged[i&1] = mergePostings(sc.merged[i&1], edges, post)
+		edges = sc.merged[i&1]
 	}
 
-	// Materialize the union graph G'(V', E') to run the two virtual-
-	// node passes on (lines 10-13).
-	nodes := make([]graph.NodeID, 0, len(nodeSet))
-	for v := range nodeSet {
-		nodes = append(nodes, v)
+	// A union-local ID is the node's rank in sorted V'.
+	nodes := sc.nodes
+	slices.Sort(nodes)
+	sc.centers, sc.carriers = sc.centers[:0], sc.carriers[:0]
+	for lv, v := range nodes {
+		m := sc.marks[v]
+		if int(m.seen) == len(keywords) {
+			sc.centers = append(sc.centers, sssp.Seed{Node: graph.NodeID(lv)})
+		}
+		if m.carrier {
+			sc.carriers = append(sc.carriers, sssp.Seed{Node: graph.NodeID(lv)})
+		}
 	}
-	sortNodeIDs(nodes)
-	edges := make([]graph.EdgePair, 0, len(edgeSet))
-	for e := range edgeSet {
-		edges = append(edges, e)
+	if len(sc.centers) == 0 {
+		return emptyProjection(g), nil // no node is reached by every keyword
 	}
-	sortEdgePairs(edges)
-	union, err := graph.Extract(g, nodes, edges)
+
+	// The union graph G'(V', E') of lines 10-13, topology only.
+	union, err := graph.ExtractTopology(g, nodes, edges)
 	if err != nil {
 		return nil, err
 	}
-
 	tr.Add("project_union_nodes", int64(len(nodes)))
 	tr.Add("project_union_edges", int64(len(edges)))
 
-	// Forward pass from the candidate centers (virtual s), reverse pass
-	// from all keyword nodes (virtual t).
+	// Forward from the candidate centers (virtual s), reverse from all
+	// keyword nodes (virtual t).
 	ws := sssp.NewWorkspace(union.G)
 	ws.SetBudget(bud)
 	ws.SetTrace(tr)
-	fwd := sssp.NewResult(union.G.NumNodes())
-	rev := sssp.NewResult(union.G.NumNodes())
-	var centerSeeds, kwSeeds []graph.NodeID
-	for v := range vc {
-		lv, _ := union.FromParent(v)
-		centerSeeds = append(centerSeeds, lv)
-	}
-	for v := range wSet {
-		lv, _ := union.FromParent(v)
-		kwSeeds = append(kwSeeds, lv)
-	}
-	ws.RunFromNodes(sssp.Forward, centerSeeds, rmax, fwd)
-	ws.RunFromNodes(sssp.Reverse, kwSeeds, rmax, rev)
+	fwd := sssp.NewResult(len(nodes))
+	rev := sssp.NewResult(len(nodes))
+	ws.Run(sssp.Forward, sc.centers, rmax, fwd)
+	ws.Run(sssp.Reverse, sc.carriers, rmax, rev)
 	if err := bud.Err(); err != nil {
 		return nil, fmt.Errorf("index: projection aborted: %w", err)
 	}
 
-	// Line 14-15: keep nodes on short center→keyword paths, and the
-	// edges among them.
-	keep := map[graph.NodeID]struct{}{}
-	var vp []graph.NodeID
+	// Lines 14-15: keep nodes on short center→keyword paths and the
+	// edges among them; the union CSR in local order is Extract's order.
+	sc.keep = slices.Grow(sc.keep[:0], len(nodes))[:len(nodes)]
+	clear(sc.keep)
 	for _, lv := range fwd.Visited() {
 		ds, _ := fwd.Dist(lv)
 		dt, ok := rev.Dist(lv)
-		if ok && ds+dt <= rmax {
-			pv := union.ToParent[lv]
-			keep[pv] = struct{}{}
-			vp = append(vp, pv)
-		}
+		sc.keep[lv] = ok && ds+dt <= rmax
 	}
-	sortNodeIDs(vp)
-	var ep []graph.EdgePair
-	for _, e := range edges {
-		if _, ok := keep[e.From]; !ok {
+	sc.vp, sc.ep = sc.vp[:0], sc.ep[:0]
+	for lu, u := range nodes {
+		if !sc.keep[lu] {
 			continue
 		}
-		if _, ok := keep[e.To]; !ok {
-			continue
+		sc.vp = append(sc.vp, u)
+		for _, e := range union.G.OutEdges(graph.NodeID(lu)) {
+			if sc.keep[e.To] {
+				sc.ep = append(sc.ep, graph.EdgePair{From: u, To: nodes[e.To]})
+			}
 		}
-		ep = append(ep, e)
 	}
-	sub, err := graph.Extract(g, vp, ep)
+	sub, err := graph.Extract(g, sc.vp, sc.ep)
 	if err != nil {
 		return nil, err
 	}
-	tr.Add("project_nodes_kept", int64(len(vp)))
-	tr.Add("project_nodes_dropped", int64(len(nodes)-len(vp)))
-	tr.Add("project_edges_kept", int64(len(ep)))
-	return &Projection{Sub: sub, Ratio: ratio(len(vp), g.NumNodes())}, nil
+	tr.Add("project_nodes_kept", int64(len(sc.vp)))
+	tr.Add("project_nodes_dropped", int64(len(nodes)-len(sc.vp)))
+	tr.Add("project_edges_kept", int64(len(sc.ep)))
+	return &Projection{Sub: sub, Ratio: float64(len(sc.vp)) / float64(g.NumNodes())}, nil
 }
 
-func emptyProjection(g *graph.Graph) (*Projection, error) {
-	sub, err := graph.Extract(g, nil, []graph.EdgePair{})
-	if err != nil {
-		return nil, err
+// mergePostings merges two (From, To)-sorted posting lists into dst's
+// storage (reallocated, exactly, when too small), dropping the
+// duplicates of postings both lists hold. dst must not alias a or b.
+func mergePostings(dst, a, b []graph.EdgePair) []graph.EdgePair {
+	if cap(dst) < len(a)+len(b) {
+		dst = make([]graph.EdgePair, 0, len(a)+len(b))
 	}
-	return &Projection{Sub: sub, Ratio: 0}, nil
-}
-
-func ratio(a, b int) float64 {
-	if b == 0 {
-		return 0
-	}
-	return float64(a) / float64(b)
-}
-
-func sortNodeIDs(a []graph.NodeID) {
-	sort.Slice(a, func(i, j int) bool { return a[i] < a[j] })
-}
-
-func sortEdgePairs(a []graph.EdgePair) {
-	sort.Slice(a, func(i, j int) bool {
-		if a[i].From != a[j].From {
-			return a[i].From < a[j].From
+	dst = dst[:0]
+	for len(a) > 0 && len(b) > 0 {
+		ka, kb := postingKey(a[0]), postingKey(b[0])
+		if ka > kb {
+			dst, b = append(dst, b[0]), b[1:]
+			continue
 		}
-		return a[i].To < a[j].To
-	})
+		if ka == kb {
+			b = b[1:]
+		}
+		dst, a = append(dst, a[0]), a[1:]
+	}
+	return append(append(dst, a...), b...)
+}
+
+func emptyProjection(g *graph.Graph) *Projection {
+	sub, _ := graph.Extract(g, nil, nil) // nothing listed, so nothing to reject
+	return &Projection{Sub: sub}
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -401,12 +402,11 @@ func (s *Searcher) KeywordArtifacts() KeywordArtifactStats {
 // session holds one query's execution state: the (possibly projected)
 // engine plus the mapping back to the searcher's graph.
 type session struct {
-	s      *Searcher
-	q      Query
-	eng    *core.Engine
-	sub    *graph.Subgraph // nil when running directly on s.g
-	inNode map[NodeID]bool // scratch for edge re-induction
-	start  time.Time
+	s     *Searcher
+	q     Query
+	eng   *core.Engine
+	sub   *graph.Subgraph // nil when running directly on s.g
+	start time.Time
 
 	// tr is the query's trace (nil when the context carries none); the
 	// enumerate span runs from the first Next to exhaustion, closed at
@@ -536,33 +536,18 @@ func (sess *session) mapBack(r *Community) *Community {
 	}
 	toParent := sess.sub.ToParent
 	mapped := &Community{
-		Core:   make(Core, len(r.Core)),
+		Core:   mapIDs(r.Core, toParent),
 		Cost:   r.Cost,
 		Knodes: mapIDs(r.Knodes, toParent),
 		Cnodes: mapIDs(r.Cnodes, toParent),
 		Pnodes: mapIDs(r.Pnodes, toParent),
 		Nodes:  mapIDs(r.Nodes, toParent),
 	}
-	for i, v := range r.Core {
-		mapped.Core[i] = toParent[v]
-	}
-	sort.Slice(mapped.Nodes, func(i, j int) bool { return mapped.Nodes[i] < mapped.Nodes[j] })
-	sort.Slice(mapped.Cnodes, func(i, j int) bool { return mapped.Cnodes[i] < mapped.Cnodes[j] })
-	sort.Slice(mapped.Pnodes, func(i, j int) bool { return mapped.Pnodes[i] < mapped.Pnodes[j] })
-	sort.Slice(mapped.Knodes, func(i, j int) bool { return mapped.Knodes[i] < mapped.Knodes[j] })
-
-	// Re-induce edges over the parent graph.
-	if sess.inNode == nil {
-		sess.inNode = make(map[NodeID]bool, len(mapped.Nodes)*2)
-	} else {
-		clear(sess.inNode)
-	}
-	for _, v := range mapped.Nodes {
-		sess.inNode[v] = true
-	}
+	// ToParent is ascending and GetCommunity emits its node lists sorted,
+	// so the mapped ones are too. Re-induce edges over the parent graph.
 	for _, u := range mapped.Nodes {
 		for _, e := range sess.s.g.OutEdges(u) {
-			if sess.inNode[e.To] {
+			if _, in := slices.BinarySearch(mapped.Nodes, e.To); in {
 				mapped.Edges = append(mapped.Edges, EdgePair{From: u, To: e.To})
 			}
 		}
@@ -575,11 +560,7 @@ func (sess *session) mapBackCore(cc CoreCost) CoreCost {
 	if sess.sub == nil {
 		return cc
 	}
-	mapped := make(Core, len(cc.Core))
-	for i, v := range cc.Core {
-		mapped[i] = sess.sub.ToParent[v]
-	}
-	return CoreCost{Core: mapped, Cost: cc.Cost}
+	return CoreCost{Core: mapIDs(cc.Core, sess.sub.ToParent), Cost: cc.Cost}
 }
 
 func mapIDs(in []NodeID, toParent []NodeID) []NodeID {
