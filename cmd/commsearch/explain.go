@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 
 	"commdb/internal/obs"
 )
@@ -21,16 +22,9 @@ func printExplain(w io.Writer, sum *obs.Summary) {
 		fmt.Fprintf(w, " (query %s)", sum.QueryID)
 	}
 	fmt.Fprintln(w)
-	if len(sum.Labels) > 0 {
-		keys := make([]string, 0, len(sum.Labels))
-		for k := range sum.Labels {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			fmt.Fprintf(w, "  %s=%s", k, sum.Labels[k])
-		}
-		fmt.Fprintln(w)
+	if sum.Fingerprint != "" {
+		fmt.Fprintf(w, "  algorithm=%s indexed=%t keywords=%s rmax=%g parallelism=%d fingerprint=%s\n",
+			sum.Algorithm, sum.Indexed, strings.Join(sum.Keywords, ","), sum.Rmax, sum.Parallelism, sum.Fingerprint)
 	}
 	for _, sp := range sum.Spans {
 		fmt.Fprintf(w, "  stage %-12s start=%9.3fms dur=%9.3fms\n", sp.Name, sp.StartMS, sp.DurMS)

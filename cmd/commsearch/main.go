@@ -176,6 +176,7 @@ func run(graphPath, example, indexPath, keywords string, rmax float64, top int, 
 		if err := it.Err(); err != nil {
 			fmt.Printf("stopped early: %s — the %d communities above are a partial set\n", stopReason(err), n)
 		}
+		it.Close() // ends the enumerate span of a query cut off at -max
 		if tr != nil {
 			printExplain(os.Stdout, tr.Summary())
 		}
@@ -203,6 +204,7 @@ func run(graphPath, example, indexPath, keywords string, rmax float64, top int, 
 		shown++
 		printCommunity(g, rank, r, verbose)
 	}
+	it.Close() // stops look-ahead workers and ends the enumerate span
 	if tr != nil {
 		printExplain(os.Stdout, tr.Summary())
 	}
@@ -229,7 +231,7 @@ func emitNDJSON(w io.Writer, g *commdb.Graph, st server.Stream, max int, compact
 			return err
 		}
 	}
-	trailer := server.NewTrailer(n, st.Err(), time.Since(start))
+	trailer := server.NewTrailer(n, st.Close(), time.Since(start))
 	if tr != nil {
 		trailer.Trace = tr.Summary()
 	}

@@ -40,8 +40,18 @@ func repl(g *commdb.Graph, s *commdb.Searcher, rmax float64, lim commdb.Limits, 
 	})
 	var pending *replQuery
 	flush := func() {
-		pending.flush(col, it, shown)
-		pending = nil
+		if pending != nil {
+			pending.flush(col, it.Err(), shown)
+			pending = nil
+		}
+	}
+	// finish ends the open query for good: Close stops its look-ahead
+	// workers and ends its enumerate span before the record is flushed.
+	finish := func() {
+		if it != nil {
+			it.Close()
+		}
+		flush()
 	}
 
 	// The epoch manager behind `reload`: the same fail-closed swap path
@@ -82,7 +92,7 @@ func repl(g *commdb.Graph, s *commdb.Searcher, rmax float64, lim commdb.Limits, 
 			fmt.Fprintln(out, "  reload <file>    swap in a new index artifact (fail-closed: a bad file is rejected)")
 			fmt.Fprintln(out, "  quit             exit")
 		case "quit", "exit":
-			flush()
+			finish()
 			return nil
 		case "rmax":
 			if len(fields) != 2 {
@@ -130,7 +140,7 @@ func repl(g *commdb.Graph, s *commdb.Searcher, rmax float64, lim commdb.Limits, 
 				fmt.Fprintln(out, "usage: q <kw> [kw...]")
 				continue
 			}
-			flush()
+			finish()
 			qn++
 			tr := obs.NewTrace(fmt.Sprintf("repl-%d", qn))
 			ctx := obs.ContextWithTrace(context.Background(), tr)
@@ -140,14 +150,13 @@ func repl(g *commdb.Graph, s *commdb.Searcher, rmax float64, lim commdb.Limits, 
 				fmt.Fprintln(out, "error:", err)
 				// Even a query that failed to start enters the log: errored
 				// queries are always retained.
-				col.Observe(obs.NewQueryRecord(tr.QueryID(), "repl", fields[1:], rmax, 0, false,
-					0, err, err.Error(), begin, time.Since(begin), tr.Summary()))
+				(&replQuery{start: begin, active: time.Since(begin), tr: tr}).flush(col, err, 0)
 				it, lastTr = nil, nil
 				continue
 			}
 			it, lastTr = nit, tr
 			shown = 0
-			pending = &replQuery{qid: tr.QueryID(), keywords: fields[1:], rmax: rmax, start: begin, tr: tr}
+			pending = &replQuery{start: begin, tr: tr}
 			replShow(out, g, it, &shown, 5)
 			pending.active += time.Since(begin)
 		case "reload":
@@ -228,31 +237,23 @@ func repl(g *commdb.Graph, s *commdb.Searcher, rmax float64, lim commdb.Limits, 
 // spent computing (initial run plus each 'more'), so reading results at
 // the prompt does not inflate the recorded latency.
 type replQuery struct {
-	qid      string
-	keywords []string
-	rmax     float64
-	start    time.Time
-	active   time.Duration
-	tr       *obs.Trace
+	start  time.Time
+	active time.Duration
+	tr     *obs.Trace
 }
 
-// flush finalizes the query into the collector: trace summary, stop
-// reason from the iterator, results shown so far. Safe on nil.
-func (p *replQuery) flush(col *obs.Collector, it *commdb.Results, shown int) {
-	if p == nil {
-		return
-	}
-	sum := p.tr.Summary()
-	indexed := sum != nil && sum.Labels["projected"] == "true"
-	var stop error
+// flush finalizes the query into the collector: trace summary, the
+// iterator's stop error (nil after a clean finish), results shown so
+// far.
+func (p *replQuery) flush(col *obs.Collector, stop error, shown int) {
 	reason := ""
-	if it != nil {
-		if stop = it.Err(); stop != nil {
-			reason = stopReason(stop)
-		}
+	if stop != nil {
+		reason = stopReason(stop)
 	}
-	col.Observe(obs.NewQueryRecord(p.qid, "repl", p.keywords, p.rmax, 0, indexed,
-		shown, stop, reason, p.start, p.active, sum))
+	col.Observe(obs.NewQueryRecord(p.tr.Summary(), obs.Serving{
+		QueryID: p.tr.QueryID(), Endpoint: "repl", Results: shown,
+		Stop: stop, StopReason: reason, Start: p.start, Elapsed: p.active,
+	}))
 }
 
 // printSlowlog renders the session's capture ring and per-class

@@ -2,12 +2,21 @@ package main
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"commdb"
+	"commdb/internal/obs"
+	"commdb/internal/server"
 )
 
 func runReplScript(t *testing.T, script string) string {
@@ -207,5 +216,60 @@ func TestReplReload(t *testing.T) {
 	}
 	if usage := runReplScript(t, "reload\nquit\n"); !strings.Contains(usage, "usage: reload <index-file>") {
 		t.Fatalf("usage line missing:\n%s", usage)
+	}
+}
+
+// TestReplRecordMatchesServer: the REPL and the server assemble a
+// finished query's record with the same producer from the same trace,
+// so one query — whatever its keyword order and case — carries the
+// same identity in the REPL's slowlog and the server's /debug/queries.
+func TestReplRecordMatchesServer(t *testing.T) {
+	g, _ := commdb.PaperExampleGraph()
+	s, err := commdb.Open(g, commdb.WithIndex(8), commdb.WithParallelism(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The REPL's `q C a b`: a traced top-k, five shown, flushed.
+	tr := obs.NewTrace("repl-1")
+	begin := time.Now()
+	it, err := s.TopKCtx(obs.ContextWithTrace(context.Background(), tr), commdb.Query{Keywords: []string{"C", "a", "b"}, Rmax: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shown := 0
+	replShow(io.Discard, g, it, &shown, 5)
+	it.Close()
+	col := obs.NewCollector(obs.CollectorConfig{})
+	(&replQuery{start: begin, active: time.Since(begin), tr: tr}).flush(col, it.Err(), shown)
+	fromRepl := col.SlowLog()[0]
+
+	ts := httptest.NewServer(server.New(s, server.Config{}).Handler())
+	defer ts.Close()
+	body, _ := json.Marshal(map[string]any{"keywords": []string{"b", "c", "A"}, "rmax": 8, "k": 5})
+	resp, err := http.Post(ts.URL+"/v1/search/topk", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	resp, err = http.Get(ts.URL + "/debug/queries")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var dbg server.DebugQueriesResponse
+	if err := json.NewDecoder(resp.Body).Decode(&dbg); err != nil || len(dbg.Queries) != 1 {
+		t.Fatalf("/debug/queries: %v, %d records", err, len(dbg.Queries))
+	}
+	fromServer := dbg.Queries[0]
+
+	if fromRepl.Fingerprint == "" || fromRepl.Fingerprint != fromServer.Fingerprint ||
+		!reflect.DeepEqual(fromRepl.Keywords, fromServer.Keywords) ||
+		fromRepl.Rmax != fromServer.Rmax || !fromRepl.Indexed || !fromServer.Indexed ||
+		fromRepl.Class != fromServer.Class || fromRepl.Results != fromServer.Results {
+		t.Fatalf("records disagree:\nREPL   %+v\nserver %+v", fromRepl, fromServer)
+	}
+	if !reflect.DeepEqual(fromRepl.Trace.Identity, fromServer.Trace.Identity) {
+		t.Fatalf("trace identities disagree:\nREPL   %+v\nserver %+v", fromRepl.Trace.Identity, fromServer.Trace.Identity)
 	}
 }

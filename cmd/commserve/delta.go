@@ -77,18 +77,11 @@ func (p *deltaPipeline) pair() (*commdb.Graph, []byte) {
 	return p.g, p.ix
 }
 
-// searcher builds the boot-time searcher from the published pair.
-func (p *deltaPipeline) searcher(parallelism int) (*commdb.Searcher, error) {
-	g, ix := p.pair()
-	return commdb.Open(g,
-		commdb.WithIndexReader(bytes.NewReader(ix)),
-		commdb.WithParallelism(parallelism))
-}
-
-// loader is the snapshot loader for delta mode: each reload serves the
-// latest published pair. The index bytes pass through the injector's
-// fault point and the fail-closed v2 reader, exactly like a file-backed
-// reload, so the chaos and probation machinery applies unchanged.
+// loader is the snapshot loader for delta mode: boot and each reload
+// serve the latest published pair. The index bytes pass through the
+// injector's fault point and the fail-closed v2 reader, exactly like a
+// file-backed reload, so the chaos and probation machinery applies
+// unchanged.
 func (p *deltaPipeline) loader(parallelism int) snapshot.Loader {
 	return func(inj *fault.Injector) (*commdb.Searcher, error) {
 		g, ix := p.pair()

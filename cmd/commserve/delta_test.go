@@ -113,7 +113,7 @@ func TestDeltaServeLiveRepublish(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := pipe.searcher(1)
+	s, err := pipe.loader(1)(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -213,21 +213,19 @@ func run(o runOptions) error {
 		if err != nil {
 			return err
 		}
-		s, err = pipe.searcher(o.parallelism)
-		if err != nil {
+		loader = pipe.loader(o.parallelism)
+		if s, err = loader(nil); err != nil {
 			return err
 		}
-		loader = pipe.loader(o.parallelism)
 		cfg.Deltas = pipe.m.Stats
 		cfg.DeltaMem = pipe.m.Footprint
 	case o.mutationLog != "":
 		return fmt.Errorf("-mutation-log requires -db")
 	default:
-		s, err = buildSearcher(o.graphPath, o.indexPath, o.example, o.useIndex, o.rmaxMax, o.parallelism)
+		s, loader, err = buildSearcher(o.graphPath, o.indexPath, o.example, o.useIndex, o.rmaxMax, o.parallelism)
 		if err != nil {
 			return err
 		}
-		loader = buildLoader(o.graphPath, o.indexPath, o.useIndex, o.rmaxMax, o.parallelism)
 	}
 	log.Printf("graph: %d nodes, %d edges (indexed=%v)", s.Graph().NumNodes(), s.Graph().NumEdges(), s.Indexed())
 
@@ -322,64 +320,52 @@ loop:
 	return nil
 }
 
-// buildSearcher loads the graph and picks the searcher flavour: saved
-// index, freshly built index, or per-query scans. The searcher's
-// workspace pool is shared by concurrent requests and by each query's
-// parallel workers.
-func buildSearcher(graphPath, indexPath, example string, useIndex bool, rmaxMax float64, parallelism int) (*commdb.Searcher, error) {
-	g, err := loadGraph(graphPath, example)
-	if err != nil {
-		return nil, err
-	}
+// buildSearcher boots the searcher flavour the flags select — saved
+// index, freshly built index, or per-query scans — by running its
+// snapshot loader once, and returns that loader so a reload produces
+// the same flavour the process booted with. The built-in examples have
+// no artifact to reload from: they get a searcher and a nil loader. The
+// searcher's workspace pool is shared by concurrent requests and by
+// each query's parallel workers.
+func buildSearcher(graphPath, indexPath, example string, useIndex bool, rmaxMax float64, parallelism int) (*commdb.Searcher, snapshot.Loader, error) {
 	opts := []commdb.Option{commdb.WithParallelism(parallelism)}
-	switch {
-	case indexPath != "":
-		f, err := os.Open(indexPath)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		opts = append(opts, commdb.WithIndexReader(f))
-	case useIndex:
-		opts = append(opts, commdb.WithIndex(rmaxMax))
-	}
-	return commdb.Open(g, opts...)
-}
-
-// buildLoader returns the snapshot loader matching the serving flags,
-// or nil when there is no on-disk artifact to reload from. The loader
-// mirrors buildSearcher exactly, so a reload produces the same flavour
-// of searcher the process booted with.
-func buildLoader(graphPath, indexPath string, useIndex bool, rmaxMax float64, parallelism int) snapshot.Loader {
-	if graphPath == "" {
-		return nil
-	}
-	opts := []commdb.Option{commdb.WithParallelism(parallelism)}
-	if indexPath != "" {
-		return snapshot.GraphIndexFileLoader(graphPath, indexPath, opts...)
-	}
-	r := 0.0
-	if useIndex {
-		r = rmaxMax
-	}
-	return snapshot.GraphFileLoader(graphPath, r, opts...)
-}
-
-func loadGraph(graphPath, example string) (*commdb.Graph, error) {
+	var loader snapshot.Loader
 	switch {
 	case graphPath != "" && example != "":
-		return nil, fmt.Errorf("-graph and -example are mutually exclusive")
+		return nil, nil, fmt.Errorf("-graph and -example are mutually exclusive")
+	case graphPath != "" && indexPath != "":
+		loader = snapshot.GraphIndexFileLoader(graphPath, indexPath, opts...)
 	case graphPath != "":
-		f, err := os.Open(graphPath)
-		if err != nil {
-			return nil, err
+		r := 0.0
+		if useIndex {
+			r = rmaxMax
 		}
-		defer f.Close()
-		return commdb.ReadGraph(f)
-	case example == "paper":
+		loader = snapshot.GraphFileLoader(graphPath, r, opts...)
+	default:
+		g, err := exampleGraph(example)
+		if err != nil {
+			return nil, nil, err
+		}
+		if indexPath != "" {
+			s, err := snapshot.IndexFileLoader(g, indexPath, opts...)(nil)
+			return s, nil, err
+		}
+		if useIndex {
+			opts = append(opts, commdb.WithIndex(rmaxMax))
+		}
+		s, err := commdb.Open(g, opts...)
+		return s, nil, err
+	}
+	s, err := loader(nil)
+	return s, loader, err
+}
+
+func exampleGraph(example string) (*commdb.Graph, error) {
+	switch example {
+	case "paper":
 		g, _ := commdb.PaperExampleGraph()
 		return g, nil
-	case example == "intro":
+	case "intro":
 		g, _ := commdb.IntroExampleGraph()
 		return g, nil
 	default:

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -13,41 +14,44 @@ import (
 	"commdb/internal/server"
 )
 
-// TestBuildSearcher covers the three searcher flavours and the flag
-// validation paths.
+// TestBuildSearcher covers the searcher flavours, which of them come
+// with a loader to reload from, and the flag validation paths.
 func TestBuildSearcher(t *testing.T) {
-	s, err := buildSearcher("", "", "paper", false, 8, 0)
+	s, loader, err := buildSearcher("", "", "paper", false, 8, 0)
 	if err != nil {
 		t.Fatalf("example searcher: %v", err)
 	}
-	if s.Indexed() {
-		t.Fatal("plain searcher claims an index")
+	if s.Indexed() || loader != nil {
+		t.Fatalf("plain example searcher: indexed=%v loader=%v, want neither", s.Indexed(), loader != nil)
 	}
 
-	s, err = buildSearcher("", "", "paper", true, 8, 0)
+	s, loader, err = buildSearcher("", "", "paper", true, 8, 0)
 	if err != nil {
 		t.Fatalf("indexed searcher: %v", err)
 	}
-	if !s.Indexed() {
-		t.Fatal("indexed searcher lost its index")
+	if !s.Indexed() || loader != nil {
+		t.Fatalf("indexed example searcher: indexed=%v loader=%v", s.Indexed(), loader != nil)
 	}
 
-	if _, err := buildSearcher("", "", "", false, 8, 0); err == nil {
+	if _, _, err := buildSearcher("", "", "", false, 8, 0); err == nil {
 		t.Fatal("no graph source should error")
 	}
-	if _, err := buildSearcher("x", "", "paper", false, 8, 0); err == nil {
+	if _, _, err := buildSearcher("x", "", "paper", false, 8, 0); err == nil {
 		t.Fatal("-graph with -example should error")
 	}
-	if _, err := buildSearcher("/does/not/exist", "", "", false, 8, 0); err == nil {
+	if _, _, err := buildSearcher("/does/not/exist", "", "", false, 8, 0); err == nil {
 		t.Fatal("missing graph file should error")
 	}
 }
 
-// TestLoadGraphRoundTrip: a graph written with commdb.WriteGraph loads
-// back through the -graph path.
+// TestLoadGraphRoundTrip: a graph written with commdb.WriteGraph (and
+// its index, with WriteIndex) boots through the -graph path's loader,
+// the loader reproduces the flavour on reload, and a corrupt index
+// artifact fails closed at boot.
 func TestLoadGraphRoundTrip(t *testing.T) {
 	g, _ := commdb.PaperExampleGraph()
-	path := filepath.Join(t.TempDir(), "g.graph")
+	dir := t.TempDir()
+	path, indexPath := filepath.Join(dir, "g.graph"), filepath.Join(dir, "g.index")
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
@@ -56,20 +60,55 @@ func TestLoadGraphRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	got, err := loadGraph(path, "")
+	indexed, err := commdb.Open(g, commdb.WithIndex(8))
 	if err != nil {
-		t.Fatalf("loadGraph: %v", err)
+		t.Fatal(err)
 	}
-	if got.NumNodes() != g.NumNodes() || got.NumEdges() != g.NumEdges() {
-		t.Fatalf("round-trip graph %d/%d, want %d/%d",
-			got.NumNodes(), got.NumEdges(), g.NumNodes(), g.NumEdges())
+	var ix bytes.Buffer
+	if err := indexed.WriteIndex(&ix); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(indexPath, ix.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name, indexPath string
+		useIndex, want  bool
+	}{
+		{"scan", "", false, false},
+		{"built index", "", true, true},
+		{"index file", indexPath, false, true},
+	} {
+		s, loader, err := buildSearcher(path, tc.indexPath, "", tc.useIndex, 8, 1)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := s.Graph(); got.NumNodes() != g.NumNodes() || got.NumEdges() != g.NumEdges() {
+			t.Fatalf("%s: round-trip graph %d/%d, want %d/%d", tc.name,
+				got.NumNodes(), got.NumEdges(), g.NumNodes(), g.NumEdges())
+		}
+		if s.Indexed() != tc.want || loader == nil {
+			t.Fatalf("%s: indexed=%v loader=%v, want indexed=%v and a loader", tc.name, s.Indexed(), loader != nil, tc.want)
+		}
+		again, err := loader(nil)
+		if err != nil || again.Indexed() != tc.want || again.Parallelism() != 1 {
+			t.Fatalf("%s: reload gave %v, %v — not the booted flavour", tc.name, again, err)
+		}
+	}
+
+	if err := os.WriteFile(indexPath, ix.Bytes()[:ix.Len()/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := buildSearcher(path, indexPath, "", false, 8, 1); !errors.Is(err, commdb.ErrCorruptIndex) {
+		t.Fatalf("truncated index artifact at boot: %v, want ErrCorruptIndex", err)
 	}
 }
 
 // TestServeSmoke boots the full serving stack the binary assembles —
 // indexed searcher, server, handler — and runs one query end to end.
 func TestServeSmoke(t *testing.T) {
-	s, err := buildSearcher("", "", "paper", true, 8, 0)
+	s, _, err := buildSearcher("", "", "paper", true, 8, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ package bench
 import (
 	"fmt"
 
-	"commdb/internal/core"
 	"commdb/internal/datagen"
 	"commdb/internal/graph"
 	"commdb/internal/index"
@@ -179,10 +178,4 @@ func (d *Dataset) Keywords(p Params) ([]string, error) {
 		return nil, fmt.Errorf("bench: l=%d exceeds the %d probe words at KWF %v", p.L, len(words), p.KWF)
 	}
 	return words[:p.L], nil
-}
-
-// KeywordNodeIDs resolves one keyword against the dataset graph, a
-// convenience for calibration and reporting.
-func (d *Dataset) KeywordNodeIDs(keyword string) ([]graph.NodeID, error) {
-	return core.KeywordNodes(d.G, d.Ix.Fulltext(), keyword)
 }

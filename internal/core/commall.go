@@ -105,7 +105,6 @@ func (it *AllEnumerator) NextCore() (CoreCost, bool) {
 		}
 		it.cur = c
 		it.emitted++
-		it.e.tr.Emission()
 		return CoreCost{Core: c, Cost: cost}, true
 	}
 
@@ -126,7 +125,6 @@ func (it *AllEnumerator) NextCore() (CoreCost, bool) {
 		if ok {
 			it.cur = c
 			it.emitted++
-			it.e.tr.Emission()
 			return CoreCost{Core: c, Cost: cost}, true
 		}
 		// Subspace exhausted: any later combination may reuse the whole

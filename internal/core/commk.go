@@ -3,6 +3,7 @@ package core
 import (
 	"commdb/internal/graph"
 	"commdb/internal/heap"
+	"commdb/internal/obs"
 )
 
 // canTuple is the paper's 4-element can-list entry (C, cost, pos, prev):
@@ -83,8 +84,8 @@ func (it *TopKEnumerator) NextCore() (CoreCost, bool) {
 			if ok {
 				it.h.Insert(cost, &canTuple{core: c, cost: cost, pos: 0})
 				it.tuples++
-				it.e.tr.Add("can_tuples", 1)
-				it.e.tr.SetMax("can_list_max", int64(it.h.Len()))
+				it.e.tr.Add(obs.CanTuples, 1)
+				it.e.tr.SetMax(obs.CanListMax, int64(it.h.Len()))
 				bud.ChargeTuple(it.tupleBytes())
 			}
 		}
@@ -103,7 +104,6 @@ func (it *TopKEnumerator) NextCore() (CoreCost, bool) {
 		it.done = true
 	}
 	it.emitted++
-	it.e.tr.Emission()
 	return CoreCost{Core: g.core, Cost: g.cost}, true
 }
 
@@ -194,8 +194,8 @@ func (it *TopKEnumerator) expand(g *canTuple) {
 		if ok {
 			it.h.Insert(cost, &canTuple{core: c, cost: cost, pos: i, prev: g})
 			it.tuples++
-			it.e.tr.Add("can_tuples", 1)
-			it.e.tr.SetMax("can_list_max", int64(it.h.Len()))
+			it.e.tr.Add(obs.CanTuples, 1)
+			it.e.tr.SetMax(obs.CanListMax, int64(it.h.Len()))
 			if it.e.budget.ChargeTuple(it.tupleBytes()) != nil {
 				return
 			}

@@ -436,7 +436,7 @@ func (e *Engine) setSlot(i int, seeds []graph.NodeID) {
 	e.budget.ChargeNeighborRun() // a tripped budget empties the run below
 	e.ws.RunFromNodes(sssp.Reverse, seeds, e.rmax, res)
 	e.neighborRuns.Add(1)
-	e.tr.Add("neighbor_runs", 1)
+	e.tr.Add(obs.NeighborRuns, 1)
 	e.install(i, res, slotDesc{kind: slotSet})
 }
 
@@ -450,7 +450,7 @@ func (e *Engine) setSlotSingle(i int, v graph.NodeID) {
 	e.budget.ChargeNeighborRun()
 	e.ws.RunFromNodes(sssp.Reverse, []graph.NodeID{v}, e.rmax, res)
 	e.neighborRuns.Add(1)
-	e.tr.Add("neighbor_runs", 1)
+	e.tr.Add(obs.NeighborRuns, 1)
 	e.install(i, res, slotDesc{kind: slotSingle, node: v})
 }
 
@@ -459,8 +459,7 @@ func (e *Engine) setSlotSingle(i int, v graph.NodeID) {
 // artifact path is charged exactly like a live run — one neighbor-run
 // budget charge, one neighbor_runs trace count — so governance and
 // machine-independent cost measures are unaffected by where the set
-// came from; it counts a kwcache_hits trace marker on top. A tripped
-// budget yields an empty result on both paths.
+// came from. A tripped budget yields an empty result on both paths.
 func (e *Engine) fullSetResult(i int, ws *sssp.Workspace) *sssp.Result {
 	res := sssp.NewResult(e.g.NumNodes())
 	if e.nsrc != nil && e.nsrc.FullSet(e.keywordTerms[i], e.rmax, res) {
@@ -468,14 +467,13 @@ func (e *Engine) fullSetResult(i int, ws *sssp.Workspace) *sssp.Result {
 			res.Reset() // tripped budget: a live run would settle nothing
 		}
 		e.neighborRuns.Add(1)
-		e.tr.Add("neighbor_runs", 1)
-		e.tr.Add("kwcache_hits", 1)
+		e.tr.Add(obs.NeighborRuns, 1)
 		return res
 	}
 	e.budget.ChargeNeighborRun() // a tripped budget empties the run
 	ws.RunFromNodes(sssp.Reverse, e.keywordNodes[i], e.rmax, res)
 	e.neighborRuns.Add(1)
-	e.tr.Add("neighbor_runs", 1)
+	e.tr.Add(obs.NeighborRuns, 1)
 	return res
 }
 
@@ -527,7 +525,7 @@ func (e *Engine) clearSlots() {
 // default sum cost the incrementally maintained table answers each
 // candidate in O(1); other rankers probe the l slots.
 func (e *Engine) bestCore() (Core, float64, bool) {
-	e.tr.Add("bestcore_scans", 1)
+	e.tr.Add(obs.BestcoreScans, 1)
 	n := e.g.NumNodes()
 	sumCost := e.ranker == Ranker(sumRanker{})
 	bestU := graph.NodeID(-1)

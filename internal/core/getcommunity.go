@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"commdb/internal/graph"
+	"commdb/internal/obs"
 	"commdb/internal/sssp"
 )
 
@@ -80,7 +81,7 @@ func (e *Engine) GetCommunity(c Core) *Community {
 // getCommunity is GetCommunity against an explicit scratch, the form
 // the materialization pipeline's workers call concurrently.
 func (e *Engine) getCommunity(c Core, sc *gcScratch) *Community {
-	e.tr.Add("getcommunity_calls", 1)
+	e.tr.Add(obs.GetcommunityCalls, 1)
 
 	// Distinct knodes (a node may serve several keyword positions).
 	knodes := distinctNodes(c)
@@ -91,7 +92,7 @@ func (e *Engine) getCommunity(c Core, sc *gcScratch) *Community {
 		e.budget.ChargeNeighborRun()
 		sc.ws.RunFromNodes(sssp.Reverse, []graph.NodeID{kn}, e.rmax, sc.knode[j])
 		e.neighborRuns.Add(1)
-		e.tr.Add("neighbor_runs", 1)
+		e.tr.Add(obs.NeighborRuns, 1)
 	}
 
 	// Centers: settled in every per-knode pass. Scan the smallest pass
@@ -154,7 +155,7 @@ func (e *Engine) getCommunity(c Core, sc *gcScratch) *Community {
 	e.budget.ChargeNeighborRun()
 	sc.ws.RunFromNodes(sssp.Reverse, knodes, e.rmax, sc.rev)
 	e.neighborRuns.Add(2)
-	e.tr.Add("neighbor_runs", 2)
+	e.tr.Add(obs.NeighborRuns, 2)
 
 	sc.markID++
 	mark := sc.markID

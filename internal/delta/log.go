@@ -183,9 +183,6 @@ func NewTail(path string, offset int64) *Tail {
 	return &Tail{path: path, off: offset}
 }
 
-// Offset reports how far the tail has consumed.
-func (t *Tail) Offset() int64 { return t.off }
-
 // Poll returns newly appended complete ops, or nil when there are
 // none.
 func (t *Tail) Poll() ([]Op, error) {

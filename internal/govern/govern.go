@@ -80,16 +80,6 @@ const (
 	ResourceResults Resource = "results"
 )
 
-// AllResources lists every budgeted resource, for callers that snapshot
-// consumption across the board (e.g. trace finalization).
-var AllResources = []Resource{
-	ResourceRelaxations,
-	ResourceNeighborRuns,
-	ResourceCanTuples,
-	ResourceHeapBytes,
-	ResourceResults,
-}
-
 // ErrBudgetExhausted reports which resource tripped a budget. Spent is
 // the amount consumed when the limit was noticed (amortized checking
 // may overshoot the limit by up to one Stride).

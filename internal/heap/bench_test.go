@@ -23,28 +23,6 @@ func BenchmarkFibInsertExtract(b *testing.B) {
 	}
 }
 
-func BenchmarkFibDecreaseKey(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		h := NewFib[int]()
-		nodes := make([]*FibNode[int], 1024)
-		for j := range nodes {
-			nodes[j] = h.Insert(float64(1000+j), j)
-		}
-		h.Insert(0, -1)
-		h.ExtractMin() // force consolidation so cuts happen
-		b.StartTimer()
-		for j, n := range nodes {
-			if err := h.DecreaseKey(n, float64(j)); err != nil {
-				b.Fatal(err)
-			}
-		}
-		_ = rng
-	}
-}
-
 func BenchmarkBinaryPushPop(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	keys := make([]float64, 4096)

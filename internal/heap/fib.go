@@ -4,26 +4,17 @@
 // and a lightweight binary heap used inside Dijkstra's algorithm.
 package heap
 
-import "errors"
-
-// ErrKeyIncrease is returned by DecreaseKey when the new key is larger
-// than the node's current key.
-var ErrKeyIncrease = errors.New("heap: DecreaseKey called with a larger key")
-
-// FibNode is a node of a Fibonacci heap. Callers keep the pointer
-// returned by Insert to later call DecreaseKey on it.
+// FibNode is a node of a Fibonacci heap.
 type FibNode[T any] struct {
 	// Key is the priority of the node; smaller keys are extracted first.
 	Key float64
 	// Value is the caller payload carried with the node.
 	Value T
 
-	parent *FibNode[T]
 	child  *FibNode[T]
 	left   *FibNode[T]
 	right  *FibNode[T]
 	degree int
-	mark   bool
 }
 
 // Fib is a min-ordered Fibonacci heap. The zero value is not usable;
@@ -71,7 +62,6 @@ func (h *Fib[T]) ExtractMin() *FibNode[T] {
 			c.left.right = c.right
 			c.right.left = c.left
 		}
-		c.parent = nil
 		c.left = c
 		c.right = c
 		h.addRoot(c)
@@ -89,50 +79,6 @@ func (h *Fib[T]) ExtractMin() *FibNode[T] {
 	z.left = nil
 	z.right = nil
 	return z
-}
-
-// DecreaseKey lowers the key of node x to k. It returns ErrKeyIncrease
-// if k is greater than the current key.
-func (h *Fib[T]) DecreaseKey(x *FibNode[T], k float64) error {
-	if k > x.Key {
-		return ErrKeyIncrease
-	}
-	x.Key = k
-	p := x.parent
-	if p != nil && x.Key < p.Key {
-		h.cut(x, p)
-		h.cascadingCut(p)
-	}
-	if x.Key < h.min.Key {
-		h.min = x
-	}
-	return nil
-}
-
-// Meld moves every node of other into h, leaving other empty. Nodes of
-// other remain valid and may still be passed to h.DecreaseKey.
-func (h *Fib[T]) Meld(other *Fib[T]) {
-	if other == nil || other.min == nil {
-		return
-	}
-	if h.min == nil {
-		h.min = other.min
-		h.n = other.n
-	} else {
-		// Splice the two circular root lists together.
-		a, b := h.min, other.min
-		ar, bl := a.right, b.left
-		a.right = b
-		b.left = a
-		bl.right = ar
-		ar.left = bl
-		if b.Key < a.Key {
-			h.min = b
-		}
-		h.n += other.n
-	}
-	other.min = nil
-	other.n = 0
 }
 
 func (h *Fib[T]) addRoot(x *FibNode[T]) {
@@ -209,7 +155,6 @@ func (h *Fib[T]) link(y, x *FibNode[T]) {
 	// Remove y from the root list.
 	y.left.right = y.right
 	y.right.left = y.left
-	y.parent = x
 	if x.child == nil {
 		x.child = y
 		y.left = y
@@ -221,39 +166,4 @@ func (h *Fib[T]) link(y, x *FibNode[T]) {
 		x.child.right = y
 	}
 	x.degree++
-	y.mark = false
-}
-
-// cut detaches x from its parent p and moves it to the root list.
-func (h *Fib[T]) cut(x, p *FibNode[T]) {
-	if x.right == x {
-		p.child = nil
-	} else {
-		x.left.right = x.right
-		x.right.left = x.left
-		if p.child == x {
-			p.child = x.right
-		}
-	}
-	p.degree--
-	x.parent = nil
-	x.mark = false
-	x.left = x
-	x.right = x
-	h.addRoot(x)
-}
-
-func (h *Fib[T]) cascadingCut(y *FibNode[T]) {
-	for {
-		p := y.parent
-		if p == nil {
-			return
-		}
-		if !y.mark {
-			y.mark = true
-			return
-		}
-		h.cut(y, p)
-		y = p
-	}
 }

@@ -90,121 +90,37 @@ func TestFibDuplicateKeys(t *testing.T) {
 	}
 }
 
-func TestFibDecreaseKey(t *testing.T) {
-	h := NewFib[int]()
-	var nodes []*FibNode[int]
-	for i := 0; i < 100; i++ {
-		nodes = append(nodes, h.Insert(float64(100+i), i))
-	}
-	// Force tree structure so decreaseKey exercises cuts.
-	h.Insert(0, -1)
-	h.ExtractMin()
-
-	if err := h.DecreaseKey(nodes[50], 5); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.DecreaseKey(nodes[99], 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.DecreaseKey(nodes[99], 2); err != ErrKeyIncrease {
-		t.Fatalf("increasing a key returned %v, want ErrKeyIncrease", err)
-	}
-	first := h.ExtractMin()
-	if first.Value != 99 || first.Key != 1 {
-		t.Fatalf("first = (%v,%d), want (1,99)", first.Key, first.Value)
-	}
-	second := h.ExtractMin()
-	if second.Value != 50 || second.Key != 5 {
-		t.Fatalf("second = (%v,%d), want (5,50)", second.Key, second.Value)
-	}
-}
-
-// TestFibRandomOpsOracle runs a long random sequence of insert,
-// extract-min, and decrease-key operations and compares every
-// extraction against a brute-force oracle.
+// TestFibRandomOpsOracle runs a long random sequence of insert and
+// extract-min operations and compares every extraction against a
+// brute-force oracle.
 func TestFibRandomOpsOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	type entry struct {
-		node *FibNode[int]
-		key  float64
-	}
 	h := NewFib[int]()
-	live := make(map[int]*entry)
+	live := make(map[int]float64)
 	next := 0
 	for step := 0; step < 5000; step++ {
 		switch op := rng.Intn(10); {
-		case op < 5: // insert
+		case op < 6: // insert
 			k := rng.Float64() * 1000
-			live[next] = &entry{node: h.Insert(k, next), key: k}
+			h.Insert(k, next)
+			live[next] = k
 			next++
-		case op < 8 && len(live) > 0: // decrease a random live key
-			var id int
-			for id = range live {
-				break
-			}
-			e := live[id]
-			nk := e.key * rng.Float64()
-			if err := h.DecreaseKey(e.node, nk); err != nil {
-				t.Fatalf("step %d: DecreaseKey(%v->%v): %v", step, e.key, nk, err)
-			}
-			e.key = nk
 		case len(live) > 0: // extract min and check against oracle
 			want := -1
-			for id, e := range live {
-				if want == -1 || e.key < live[want].key {
+			for id, k := range live {
+				if want == -1 || k < live[want] {
 					want = id
 				}
 			}
 			got := h.ExtractMin()
-			if got.Key != live[want].key {
-				t.Fatalf("step %d: extracted key %v, oracle min %v", step, got.Key, live[want].key)
+			if got.Key != live[want] {
+				t.Fatalf("step %d: extracted key %v, oracle min %v", step, got.Key, live[want])
 			}
 			delete(live, got.Value)
 		}
 		if h.Len() != len(live) {
 			t.Fatalf("step %d: Len = %d, oracle has %d", step, h.Len(), len(live))
 		}
-	}
-}
-
-func TestFibMeld(t *testing.T) {
-	a := NewFib[int]()
-	b := NewFib[int]()
-	var want []float64
-	for i := 0; i < 30; i++ {
-		a.Insert(float64(i*3), i)
-		want = append(want, float64(i*3))
-	}
-	for i := 0; i < 20; i++ {
-		b.Insert(float64(i*5+1), i)
-		want = append(want, float64(i*5+1))
-	}
-	a.Meld(b)
-	if b.Len() != 0 {
-		t.Fatalf("melded-from heap has Len %d, want 0", b.Len())
-	}
-	if a.Len() != 50 {
-		t.Fatalf("melded heap has Len %d, want 50", a.Len())
-	}
-	got := drain(a)
-	sort.Float64s(want)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("position %d = %v, want %v", i, got[i], want[i])
-		}
-	}
-	a.Meld(nil) // melding nil is a no-op
-	a.Meld(NewFib[int]())
-}
-
-func TestFibMeldIntoEmpty(t *testing.T) {
-	a := NewFib[int]()
-	b := NewFib[int]()
-	b.Insert(2, 0)
-	b.Insert(1, 1)
-	a.Meld(b)
-	if a.Len() != 2 || a.Min().Key != 1 {
-		t.Fatalf("after meld into empty: Len=%d Min=%v", a.Len(), a.Min())
 	}
 }
 

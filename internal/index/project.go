@@ -160,8 +160,8 @@ func (ix *Index) ProjectTrace(keywords []string, rmax float64, bud *govern.Budge
 	if err != nil {
 		return nil, err
 	}
-	tr.Add("project_union_nodes", int64(len(nodes)))
-	tr.Add("project_union_edges", int64(len(edges)))
+	tr.Add(obs.ProjectUnionNodes, int64(len(nodes)))
+	tr.Add(obs.ProjectUnionEdges, int64(len(edges)))
 
 	// Forward from the candidate centers (virtual s), reverse from all
 	// keyword nodes (virtual t).
@@ -201,9 +201,9 @@ func (ix *Index) ProjectTrace(keywords []string, rmax float64, bud *govern.Budge
 	if err != nil {
 		return nil, err
 	}
-	tr.Add("project_nodes_kept", int64(len(sc.vp)))
-	tr.Add("project_nodes_dropped", int64(len(nodes)-len(sc.vp)))
-	tr.Add("project_edges_kept", int64(len(sc.ep)))
+	tr.Add(obs.ProjectNodesKept, int64(len(sc.vp)))
+	tr.Add(obs.ProjectNodesDropped, int64(len(nodes)-len(sc.vp)))
+	tr.Add(obs.ProjectEdgesKept, int64(len(sc.ep)))
 	return &Projection{Sub: sub, Ratio: float64(len(sc.vp)) / float64(g.NumNodes())}, nil
 }
 

@@ -236,8 +236,11 @@ func TestCollectorEndToEnd(t *testing.T) {
 	col.OnBreach(func(r *QueryRecord) { hookRec = r })
 
 	// A healthy trace: steady sub-threshold delays.
-	okSum := &Summary{Emissions: &EmissionSummary{Count: 4, MaxDelayMS: 0.2, DelaysMS: []float64{0.1, 0.1, 0.2, 0.1}}}
-	okRec := NewQueryRecord("q-ok", "topk", []string{"a", "b"}, 6, 10, false, 10, nil, "", time.Now(), 3*time.Millisecond, okSum)
+	okSum := &Summary{
+		Identity:  Identity{Keywords: []string{"a", "b"}, Rmax: 6},
+		Emissions: &EmissionSummary{Count: 4, MaxDelayMS: 0.2, DelaysMS: []float64{0.1, 0.1, 0.2, 0.1}},
+	}
+	okRec := NewQueryRecord(okSum, Serving{QueryID: "q-ok", Endpoint: "topk", K: 10, Results: 10, Start: time.Now(), Elapsed: 3 * time.Millisecond})
 	if col.Observe(okRec) {
 		t.Fatal("healthy query breached")
 	}
@@ -247,10 +250,10 @@ func TestCollectorEndToEnd(t *testing.T) {
 
 	// A stalled trace.
 	stallSum := &Summary{
-		Labels:    map[string]string{"fingerprint": "q1|rmax=6|cost=0|1:a|1:b"},
+		Identity:  Identity{Fingerprint: "q1|rmax=6|cost=0|1:a|1:b", Keywords: []string{"a", "b"}, Rmax: 6, Indexed: true},
 		Emissions: &EmissionSummary{Count: 5, MaxDelayMS: 90, DelaysMS: []float64{0.5, 0.5, 0.5, 0.5, 90}},
 	}
-	stallRec := NewQueryRecord("q-stall", "all", []string{"a", "b"}, 6, 0, true, 5, nil, "", time.Now(), 95*time.Millisecond, stallSum)
+	stallRec := NewQueryRecord(stallSum, Serving{QueryID: "q-stall", Endpoint: "all", Results: 5, Start: time.Now(), Elapsed: 95 * time.Millisecond})
 	if !col.Observe(stallRec) {
 		t.Fatal("stalled query did not breach")
 	}
@@ -260,8 +263,8 @@ func TestCollectorEndToEnd(t *testing.T) {
 	if hookRec != stallRec {
 		t.Fatal("OnBreach hook did not receive the breaching record")
 	}
-	if stallRec.Fingerprint == "" {
-		t.Fatal("fingerprint label not propagated into the record")
+	if stallRec.Fingerprint != stallSum.Fingerprint || !stallRec.Indexed || stallRec.Class != "kw2/indexed" || stallRec.TotalMS != 95 {
+		t.Fatalf("record is not a view of its trace: %+v", stallRec)
 	}
 	if stallRec.MaxEmissionDelayMS != 90 || stallRec.MedianEmissionDelayMS != 0.5 {
 		t.Fatalf("delay stats = max %v median %v", stallRec.MaxEmissionDelayMS, stallRec.MedianEmissionDelayMS)
@@ -296,9 +299,13 @@ func TestCollectorRegisterExposition(t *testing.T) {
 	reg := NewRegistry()
 	col.Register(reg)
 
-	stallSum := &Summary{Emissions: &EmissionSummary{Count: 5, MaxDelayMS: 90, DelaysMS: []float64{0.5, 0.5, 0.5, 0.5, 90}}}
-	col.Observe(NewQueryRecord("q1", "all", []string{"a", "b"}, 6, 0, true, 5, nil, "", time.Now(), 95*time.Millisecond, stallSum))
-	col.Observe(NewQueryRecord("q2", "topk", []string{"a", "b", "c"}, 6, 10, false, 10, nil, "", time.Now(), 2*time.Millisecond, &Summary{}))
+	stallSum := &Summary{
+		Identity:  Identity{Keywords: []string{"a", "b"}, Indexed: true},
+		Emissions: &EmissionSummary{Count: 5, MaxDelayMS: 90, DelaysMS: []float64{0.5, 0.5, 0.5, 0.5, 90}},
+	}
+	col.Observe(NewQueryRecord(stallSum, Serving{QueryID: "q1", Endpoint: "all", Results: 5, Start: time.Now(), Elapsed: 95 * time.Millisecond}))
+	col.Observe(NewQueryRecord(&Summary{Identity: Identity{Keywords: []string{"a", "b", "c"}}},
+		Serving{QueryID: "q2", Endpoint: "topk", K: 10, Results: 10, Start: time.Now(), Elapsed: 2 * time.Millisecond}))
 
 	var b strings.Builder
 	if err := reg.WritePrometheus(&b); err != nil {

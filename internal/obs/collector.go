@@ -25,8 +25,7 @@ type CollectorConfig struct {
 	Classes  ClassesConfig
 }
 
-// Collector glues capture, classes and the watchdog together. A nil
-// *Collector ignores every call.
+// Collector glues capture, classes and the watchdog together.
 type Collector struct {
 	capture  *Capture
 	classes  *Classes
@@ -49,41 +48,47 @@ func NewCollector(cfg CollectorConfig) *Collector {
 
 // OnBreach registers the breach hook (replacing any previous one). Set
 // it before traffic starts; it is not synchronized against Observe.
-func (c *Collector) OnBreach(f func(*QueryRecord)) {
-	if c != nil {
-		c.onBreach = f
-	}
+func (c *Collector) OnBreach(f func(*QueryRecord)) { c.onBreach = f }
+
+// Serving holds the facts about a finished query only its serving layer
+// knows; everything else in a QueryRecord comes from the trace.
+type Serving struct {
+	QueryID  string
+	Endpoint string
+	K        int // 0 for COMM-all
+	Results  int
+	// Stop is the query's stop error (nil means clean completion) and
+	// StopReason the caller's rendering of it for display.
+	Stop       error
+	StopReason string
+	Start      time.Time
+	Elapsed    time.Duration
 }
 
-// NewQueryRecord assembles the capture record for one finished query.
-// sum may be nil (a query that failed before tracing). stop is the
-// query's stop error (nil means clean completion) and stopReason its
-// rendering for display. A results-budget trip is ordinary completion
-// of a bounded stream — the caller asked for at most that many — so it
-// is recorded as the stop reason but does not mark the record errored.
-func NewQueryRecord(qid, endpoint string, keywords []string, rmax float64, k int, indexed bool, results int, stop error, stopReason string, start time.Time, elapsed time.Duration, sum *Summary) *QueryRecord {
+// NewQueryRecord assembles the capture record for one finished query:
+// identity from the trace summary, outcome from the serving facts. A
+// results-budget trip is ordinary completion of a bounded stream — the
+// caller asked for at most that many — so it is recorded as the stop
+// reason but does not mark the record errored.
+func NewQueryRecord(sum *Summary, sv Serving) *QueryRecord {
 	rec := &QueryRecord{
-		QueryID:  qid,
-		Endpoint: endpoint,
-		Keywords: keywords,
-		Rmax:     rmax,
-		K:        k,
-		Indexed:  indexed,
-		Class:    ClassKey(len(keywords), indexed),
-		Start:    start,
-		TotalMS:  float64(elapsed) / float64(time.Millisecond),
-		Results:  results,
-		Trace:    sum,
+		QueryID:     sv.QueryID,
+		Fingerprint: sum.Fingerprint,
+		Keywords:    sum.Keywords,
+		Rmax:        sum.Rmax,
+		K:           sv.K,
+		Endpoint:    sv.Endpoint,
+		Indexed:     sum.Indexed,
+		Class:       ClassKey(len(sum.Keywords), sum.Indexed),
+		Start:       sv.Start,
+		TotalMS:     durMS(sv.Elapsed),
+		Results:     sv.Results,
+		Trace:       sum,
 	}
-	if sum != nil {
-		if fp := sum.Labels["fingerprint"]; fp != "" {
-			rec.Fingerprint = fp
-		}
-	}
-	if stop != nil {
-		rec.StopReason = stopReason
+	if sv.Stop != nil {
+		rec.StopReason = sv.StopReason
 		var be govern.ErrBudgetExhausted
-		rec.Errored = !(errors.As(stop, &be) && be.Resource == govern.ResourceResults)
+		rec.Errored = !(errors.As(sv.Stop, &be) && be.Resource == govern.ResourceResults)
 	}
 	return rec
 }
@@ -92,9 +97,6 @@ func NewQueryRecord(qid, endpoint string, keywords []string, rmax float64, k int
 // watchdog verdict, per-class aggregation, capture decision. It
 // returns the record's breach verdict.
 func (c *Collector) Observe(rec *QueryRecord) (breached bool) {
-	if c == nil || rec == nil {
-		return false
-	}
 	if rec.Trace != nil {
 		breach, maxMS, medMS := c.watchdog.Check(rec.Trace.Emissions)
 		rec.MaxEmissionDelayMS = maxMS
@@ -114,33 +116,21 @@ func (c *Collector) Observe(rec *QueryRecord) (breached bool) {
 
 // Breaches returns the number of SLO breaches seen.
 func (c *Collector) Breaches() int64 {
-	if c == nil {
-		return 0
-	}
 	return c.breaches.Load()
 }
 
 // SlowLog snapshots the capture ring, slowest first.
 func (c *Collector) SlowLog() []QueryRecord {
-	if c == nil {
-		return nil
-	}
 	return c.capture.Snapshot()
 }
 
 // Classes snapshots the per-class rolling aggregates.
 func (c *Collector) Classes() []ClassSnapshot {
-	if c == nil {
-		return nil
-	}
 	return c.classes.Snapshot()
 }
 
 // CaptureStats reports (queries observed, records retained).
 func (c *Collector) CaptureStats() (observed, retained int64) {
-	if c == nil {
-		return 0, 0
-	}
 	return c.capture.Stats()
 }
 
@@ -150,9 +140,6 @@ func (c *Collector) CaptureStats() (observed, retained int64) {
 // latency quantiles and emission delays. Labels render in a fixed
 // order (indexed, keywords) across every family.
 func (c *Collector) Register(reg *Registry) {
-	if c == nil || reg == nil {
-		return
-	}
 	reg.CounterFunc("commdb_emission_slo_breaches_total",
 		"queries whose max inter-emission gap exceeded the SLO multiple of their median",
 		c.breaches.Load)

@@ -11,17 +11,15 @@ import (
 
 func TestNilTraceIsNoOp(t *testing.T) {
 	var tr *Trace
-	if tr.Enabled() {
-		t.Fatal("nil trace reports enabled")
-	}
 	end := tr.StartSpan("x")
 	end()
-	tr.Add("c", 1)
-	tr.SetMax("m", 5)
-	tr.SetLabel("k", "v")
+	tr.Add(NeighborRuns, 1)
+	tr.SetMax(CanListMax, 5)
+	tr.SetIdentity(Identity{Fingerprint: "fp"})
+	tr.SetEpoch(3)
 	tr.Emission()
 	tr.AddDijkstra(DijkstraRun{Visits: 1})
-	tr.OnFinish(func(*Trace) { t.Fatal("finisher ran on nil trace") })
+	new(Totals).Fold(tr)
 	tr.RecordSpan("y", time.Now())
 	if tr.Summary() != nil {
 		t.Fatal("nil trace produced a summary")
@@ -38,8 +36,8 @@ func TestDisabledTraceZeroAlloc(t *testing.T) {
 	var tr *Trace
 	allocs := testing.AllocsPerRun(1000, func() {
 		end := tr.StartSpan("span")
-		tr.Add("counter", 1)
-		tr.SetMax("max", 7)
+		tr.Add(NeighborRuns, 1)
+		tr.SetMax(CanListMax, 7)
 		tr.Emission()
 		tr.AddDijkstra(DijkstraRun{Visits: 3, Relaxations: 9, HeapPushes: 4, HeapPops: 4})
 		end()
@@ -54,16 +52,15 @@ func TestTraceRecording(t *testing.T) {
 	end := tr.StartSpan("project")
 	time.Sleep(time.Millisecond)
 	end()
-	tr.Add("neighbor_runs", 3)
-	tr.Add("neighbor_runs", 2)
-	tr.SetMax("can_list_max", 4)
-	tr.SetMax("can_list_max", 2) // lower: ignored
-	tr.SetLabel("algorithm", "comm_k")
+	tr.Add(NeighborRuns, 3)
+	tr.Add(NeighborRuns, 2)
+	tr.SetMax(CanListMax, 4)
+	tr.SetMax(CanListMax, 2) // lower: ignored
+	tr.SetEpoch(3)
+	tr.SetIdentity(Identity{Algorithm: "comm_k", Indexed: true, Keywords: []string{"a", "b"}})
 	tr.AddDijkstra(DijkstraRun{Visits: 10, Relaxations: 25, HeapPushes: 12, HeapPops: 11, RadiusCutoffs: 3})
 	tr.Emission()
 	tr.Emission()
-	finished := 0
-	tr.OnFinish(func(t *Trace) { finished++; t.Add("budget_results", 2) })
 
 	s := tr.Summary()
 	if s.QueryID != "q-test" {
@@ -84,11 +81,11 @@ func TestTraceRecording(t *testing.T) {
 	if got := s.Counter("emitted"); got != 2 {
 		t.Fatalf("emitted = %d, want 2", got)
 	}
-	if got := s.Counter("budget_results"); got != 2 {
-		t.Fatalf("budget_results = %d, want 2 (finisher did not run)", got)
+	if _, zero := s.Counters["bestcore_scans"]; zero || len(s.Counters) != 9 {
+		t.Fatalf("counters = %v, want the 9 non-zero ones", s.Counters)
 	}
-	if s.Labels["algorithm"] != "comm_k" {
-		t.Fatalf("labels = %v", s.Labels)
+	if s.Algorithm != "comm_k" || !s.Indexed || s.Epoch != 3 || len(s.Keywords) != 2 {
+		t.Fatalf("identity = %+v epoch %d", s.Identity, s.Epoch)
 	}
 	sp, ok := s.Span("project")
 	if !ok || sp.DurMS <= 0 {
@@ -101,13 +98,10 @@ func TestTraceRecording(t *testing.T) {
 		t.Fatalf("max delay %v < mean %v", s.Emissions.MaxDelayMS, s.Emissions.MeanDelayMS)
 	}
 
-	// Finishers run exactly once across repeated Summary calls.
-	s2 := tr.Summary()
-	if finished != 1 {
-		t.Fatalf("finisher ran %d times, want 1", finished)
-	}
-	if got := s2.Counter("budget_results"); got != 2 {
-		t.Fatalf("second summary budget_results = %d", got)
+	// A later Summary reflects recording that happened in between.
+	tr.Add(NeighborRuns, 1)
+	if got := tr.Summary().Counter("neighbor_runs"); got != 6 {
+		t.Fatalf("second summary neighbor_runs = %d, want 6", got)
 	}
 
 	// The summary marshals cleanly.
@@ -125,9 +119,9 @@ func TestTraceDelayCapAndConcurrency(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < MaxStoredDelays; i++ {
 				tr.Emission()
-				tr.Add("c", 1)
+				tr.Add(CanTuples, 1)
 				tr.AddDijkstra(DijkstraRun{Visits: 1})
-				tr.SetMax("m", int64(i))
+				tr.SetMax(CanListMax, int64(i))
 			}
 		}()
 	}
@@ -157,12 +151,15 @@ func TestContextCarriage(t *testing.T) {
 
 func TestRegistryPrometheusFormat(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("commdb_dijkstra_visits_total", "settled nodes across all queries")
-	c.Add(42)
-	r.Counter("commdb_dijkstra_visits_total", "").Inc() // idempotent registration
-	g := r.Gauge("commdb_can_list_max", "largest can-list")
-	g.SetMax(7)
-	g.SetMax(3)
+	// The counter table's families, fed by folding finished traces.
+	var tot Totals
+	tot.Register(r)
+	for _, canMax := range []int64{7, 3} {
+		tr := NewTrace("")
+		tr.AddDijkstra(DijkstraRun{Visits: 21})
+		tr.SetMax(CanListMax, canMax)
+		tot.Fold(tr)
+	}
 	r.GaugeFunc("commdb_cache_entries", "cache entries", func() float64 { return 5 })
 	r.CounterFunc("commdb_queries_started_total", "queries started", func() int64 { return 9 })
 	h := r.Histogram("commdb_query_latency_ms", "query latency", []float64{1, 10, 100})
@@ -177,7 +174,8 @@ func TestRegistryPrometheusFormat(t *testing.T) {
 	out := b.String()
 	for _, want := range []string{
 		"# TYPE commdb_dijkstra_visits_total counter",
-		"commdb_dijkstra_visits_total 43",
+		"commdb_dijkstra_visits_total 42",
+		"commdb_dijkstra_runs_total 2",
 		"# TYPE commdb_can_list_max gauge",
 		"commdb_can_list_max 7",
 		"commdb_cache_entries 5",
@@ -210,18 +208,18 @@ func TestRegistryRejectsBadNames(t *testing.T) {
 					t.Fatalf("name %q accepted", bad)
 				}
 			}()
-			r.Counter(bad, "")
+			r.CounterFunc(bad, "", func() int64 { return 0 })
 		}()
 	}
 	// Kind mismatch panics too.
-	r.Counter("ok_name", "")
+	r.CounterFunc("ok_name", "", func() int64 { return 0 })
 	func() {
 		defer func() {
 			if recover() == nil {
 				t.Fatal("kind mismatch accepted")
 			}
 		}()
-		r.Gauge("ok_name", "")
+		r.GaugeFunc("ok_name", "", func() float64 { return 0 })
 	}()
 }
 
@@ -298,7 +296,7 @@ func TestRegistryLabeledFamilies(t *testing.T) {
 	r.LabeledGaugeFunc("commdb_class_latency_p50_ms", "p50 per class", func() []LabeledSample {
 		return []LabeledSample{{Labels: []Label{{Name: "indexed", Value: "true"}, {Name: "keywords", Value: "2"}}, Value: 1.5}}
 	})
-	r.Counter("commdb_plain_total", "plain").Add(3)
+	r.CounterFunc("commdb_plain_total", "plain", func() int64 { return 3 })
 
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {

@@ -11,45 +11,6 @@ import (
 	"sync/atomic"
 )
 
-// Counter is a monotonically increasing metric. Safe for concurrent use.
-type Counter struct{ v atomic.Int64 }
-
-// Add increments the counter; negative n is ignored (counters only go
-// up — use a Gauge for values that fall).
-func (c *Counter) Add(n int64) {
-	if n > 0 {
-		c.v.Add(n)
-	}
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Gauge is a metric that can go up and down. Safe for concurrent use.
-type Gauge struct{ v atomic.Int64 }
-
-// Set replaces the gauge's value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add moves the gauge by n (negative allowed).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// SetMax raises the gauge to n if n is larger (high-water mark).
-func (g *Gauge) SetMax(n int64) {
-	for {
-		cur := g.v.Load()
-		if n <= cur || g.v.CompareAndSwap(cur, n) {
-			return
-		}
-	}
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
 // Histogram is a fixed-bucket histogram. Buckets are cumulative on
 // export, Prometheus-style. Safe for concurrent use.
 type Histogram struct {
@@ -147,8 +108,6 @@ func (k metricKind) String() string {
 type metric struct {
 	name, help string
 	kind       metricKind
-	counter    *Counter
-	gauge      *Gauge
 	counterFn  func() int64
 	gaugeFn    func() float64
 	samplesFn  func() []LabeledSample
@@ -213,20 +172,6 @@ func (r *Registry) register(name, help string, kind metricKind) *metric {
 	return m
 }
 
-// Counter returns the named counter, creating it on first use.
-func (r *Registry) Counter(name, help string) *Counter {
-	m := r.register(name, help, kindCounter)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if m.counterFn != nil {
-		panic(fmt.Sprintf("obs: metric %q already registered as CounterFunc", name))
-	}
-	if m.counter == nil {
-		m.counter = &Counter{}
-	}
-	return m.counter
-}
-
 // CounterFunc registers a counter whose value is read at scrape time —
 // for mirroring counters that already live elsewhere (e.g. the serving
 // stats atomics).
@@ -235,21 +180,6 @@ func (r *Registry) CounterFunc(name, help string, f func() int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	m.counterFn = f
-	m.counter = nil
-}
-
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	m := r.register(name, help, kindGauge)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if m.gaugeFn != nil {
-		panic(fmt.Sprintf("obs: metric %q already registered as GaugeFunc", name))
-	}
-	if m.gauge == nil {
-		m.gauge = &Gauge{}
-	}
-	return m.gauge
 }
 
 // GaugeFunc registers a gauge read at scrape time.
@@ -258,7 +188,6 @@ func (r *Registry) GaugeFunc(name, help string, f func() float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	m.gaugeFn = f
-	m.gauge = nil
 }
 
 // LabeledCounterFunc registers a counter family whose labeled samples
@@ -271,7 +200,7 @@ func (r *Registry) LabeledCounterFunc(name, help string, f func() []LabeledSampl
 	m := r.register(name, help, kindCounter)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if m.counter != nil || m.counterFn != nil {
+	if m.counterFn != nil {
 		panic(fmt.Sprintf("obs: metric %q already registered without labels", name))
 	}
 	m.samplesFn = f
@@ -283,7 +212,7 @@ func (r *Registry) LabeledGaugeFunc(name, help string, f func() []LabeledSample)
 	m := r.register(name, help, kindGauge)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if m.gauge != nil || m.gaugeFn != nil {
+	if m.gaugeFn != nil {
 		panic(fmt.Sprintf("obs: metric %q already registered without labels", name))
 	}
 	m.samplesFn = f
@@ -378,24 +307,12 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				writeLabeledSamples(&b, m.name, m.samplesFn())
 				continue
 			}
-			v := int64(0)
-			if m.counterFn != nil {
-				v = m.counterFn()
-			} else if m.counter != nil {
-				v = m.counter.Value()
-			}
-			fmt.Fprintf(&b, "%s %d\n", m.name, v)
+			fmt.Fprintf(&b, "%s %d\n", m.name, m.counterFn())
 		case kindGauge:
 			if m.samplesFn != nil {
 				writeLabeledSamples(&b, m.name, m.samplesFn())
-			} else if m.gaugeFn != nil {
-				fmt.Fprintf(&b, "%s %s\n", m.name, formatFloat(m.gaugeFn()))
 			} else {
-				v := int64(0)
-				if m.gauge != nil {
-					v = m.gauge.Value()
-				}
-				fmt.Fprintf(&b, "%s %d\n", m.name, v)
+				fmt.Fprintf(&b, "%s %s\n", m.name, formatFloat(m.gaugeFn()))
 			}
 		case kindHistogram:
 			h := m.hist

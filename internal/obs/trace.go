@@ -2,76 +2,128 @@
 // traces and process-wide metrics, with zero dependencies beyond the
 // standard library.
 //
-// # Traces
-//
 // A *Trace rides a query's context.Context (ContextWithTrace /
 // FromContext) through every layer — index projection, the bounded
 // Dijkstra runs of internal/sssp, the engine primitives of
-// internal/core, the enumerators, and the governor — each of which
-// records spans and counters into it. The paper's headline claims are
-// about where time goes (polynomial delay between emitted communities,
-// inverted-index projection shrinking the Dijkstra frontier, can-list
-// growth in COMM-k); a Trace makes each of those directly observable
-// per query.
+// internal/core, the enumerators — each of which records spans and
+// counters into it. The paper's headline claims are about where time
+// goes (polynomial delay between emitted communities, inverted-index
+// projection shrinking the Dijkstra frontier, can-list growth in
+// COMM-k); a Trace makes each of those directly observable per query.
+//
+// A trace has a fixed shape: the typed Identity of the query, a span
+// list (project, engine_init, enumerate), one int64 slot per Counter —
+// counterTable is the list of names — and the inter-emission delays.
+// Everything downstream is a view of it: Summary is its wire form,
+// QueryRecord adds the serving facts, Totals sums finished traces into
+// the /metricsz families.
 //
 // Every method is safe on a nil *Trace and does no work, so an
 // untraced query pays one nil check per instrumentation point and
 // allocates nothing — a property locked by tests. Instrumented hot
 // loops accumulate locally and flush once per Dijkstra run (see
 // DijkstraRun), keeping tracing off the per-edge critical path even
-// when enabled.
-//
-// # Span and counter taxonomy
-//
-// Spans (per-stage wall-clock):
-//
-//   - project     — inverted-index projection (Algorithm 6)
-//   - engine_init — keyword resolution and engine construction
-//   - enumerate   — first Next until exhaustion
-//
-// Counters:
-//
-//   - dijkstra_runs, dijkstra_visits, dijkstra_relaxations,
-//     heap_pushes, heap_pops, radius_cutoffs — shortest-path engine
-//   - neighbor_runs, bestcore_scans, getcommunity_calls — core engine
-//   - emitted — communities produced
-//   - can_tuples, can_list_max — COMM-k can-list growth
-//   - project_union_nodes, project_union_edges, project_nodes_kept,
-//     project_nodes_dropped, project_edges_kept — index projection
-//   - budget_* — governor resources consumed (snapshotted at Summary)
-//
-// A Trace is safe for concurrent use; a query that fans out work can
-// share one Trace across goroutines.
+// when enabled. A Trace is safe for concurrent use; a query that fans
+// out work shares one Trace across goroutines.
 package obs
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 )
+
+// Counter names one engine counter of a trace. The enum, its wire
+// names, Prometheus families and help texts live in this one table;
+// adding a counter is one constant, one row and its Add site.
+type Counter uint8
+
+const (
+	DijkstraRuns Counter = iota
+	DijkstraVisits
+	DijkstraRelaxations
+	HeapPushes
+	HeapPops
+	RadiusCutoffs
+	NeighborRuns
+	BestcoreScans
+	GetcommunityCalls
+	Emitted
+	CanTuples
+	CanListMax
+	ProjectUnionNodes
+	ProjectUnionEdges
+	ProjectNodesKept
+	ProjectNodesDropped
+	ProjectEdgesKept
+	numCounters
+)
+
+// counterTable is indexed by Counter: the name in Summary.Counters, the
+// /metricsz family that accumulates it process-wide, and that family's
+// help text. max marks a high-water mark (recorded with SetMax,
+// exported as a gauge) instead of a sum.
+var counterTable = [numCounters]struct {
+	name, family, help string
+	max                bool
+}{
+	DijkstraRuns:        {name: "dijkstra_runs", family: "commdb_dijkstra_runs_total", help: "bounded Dijkstra runs executed"},
+	DijkstraVisits:      {name: "dijkstra_visits", family: "commdb_dijkstra_visits_total", help: "nodes settled across all Dijkstra runs"},
+	DijkstraRelaxations: {name: "dijkstra_relaxations", family: "commdb_dijkstra_relaxations_total", help: "edges examined across all Dijkstra runs"},
+	HeapPushes:          {name: "heap_pushes", family: "commdb_heap_pushes_total", help: "priority-queue pushes across all Dijkstra runs"},
+	HeapPops:            {name: "heap_pops", family: "commdb_heap_pops_total", help: "priority-queue pops across all Dijkstra runs"},
+	RadiusCutoffs:       {name: "radius_cutoffs", family: "commdb_radius_cutoffs_total", help: "relaxations discarded by the Rmax radius bound"},
+	NeighborRuns:        {name: "neighbor_runs", family: "commdb_neighbor_runs_total", help: "Neighbor (Algorithm 2) invocations"},
+	BestcoreScans:       {name: "bestcore_scans", family: "commdb_bestcore_scans_total", help: "BestCore (Algorithm 3) table scans"},
+	GetcommunityCalls:   {name: "getcommunity_calls", family: "commdb_getcommunity_calls_total", help: "GetCommunity (Algorithm 4) materializations"},
+	Emitted:             {name: "emitted", family: "commdb_communities_emitted_total", help: "communities handed to the caller"},
+	CanTuples:           {name: "can_tuples", family: "commdb_can_tuples_total", help: "candidate tuples enheaped by COMM-k"},
+	CanListMax:          {name: "can_list_max", family: "commdb_can_list_max", help: "largest COMM-k can-list seen in any query", max: true},
+	ProjectUnionNodes:   {name: "project_union_nodes", family: "commdb_project_union_nodes_total", help: "nodes gathered from inverted postings before pruning"},
+	ProjectUnionEdges:   {name: "project_union_edges", family: "commdb_project_union_edges_total", help: "edges gathered from inverted postings before pruning"},
+	ProjectNodesKept:    {name: "project_nodes_kept", family: "commdb_project_nodes_kept_total", help: "nodes kept by index projection"},
+	ProjectNodesDropped: {name: "project_nodes_dropped", family: "commdb_project_nodes_dropped_total", help: "union nodes pruned by index projection"},
+	ProjectEdgesKept:    {name: "project_edges_kept", family: "commdb_project_edges_kept_total", help: "edges kept by index projection"},
+}
+
+// Identity is a traced query's self-description, filled by the searcher
+// in one call so the continuous layer (slow-query capture, per-class
+// aggregates, the workload journal) can classify a trace without
+// re-deriving the query.
+type Identity struct {
+	// Fingerprint is the canonical Query.Fingerprint; Keywords its
+	// normalized (tokenized, sorted) keyword list.
+	Fingerprint string   `json:"fingerprint,omitempty"`
+	Keywords    []string `json:"keywords,omitempty"`
+	Rmax        float64  `json:"rmax,omitempty"`
+	// Algorithm is comm_all or comm_k.
+	Algorithm string `json:"algorithm,omitempty"`
+	// Indexed reports execution through the inverted-index projection.
+	Indexed     bool `json:"indexed"`
+	Parallelism int  `json:"parallelism,omitempty"`
+}
 
 // MaxStoredDelays bounds how many individual inter-emission delays a
 // trace retains verbatim; aggregates (count, mean, max) cover the rest,
 // so COMM-all queries with huge result sets keep bounded traces.
 const MaxStoredDelays = 512
 
-// Trace collects one query's spans, engine counters and inter-emission
-// delays. The zero value is not useful; create traces with NewTrace.
-// All methods are no-ops on a nil receiver.
+// Trace collects one query's identity, spans, engine counters and
+// inter-emission delays. The zero value is not useful; create traces
+// with NewTrace. All methods are no-ops on a nil receiver.
 type Trace struct {
 	start   time.Time
 	queryID string
 
-	mu        sync.Mutex
-	labels    map[string]string
-	spans     []SpanSummary
-	counters  map[string]int64
-	emitCount int64
-	emitSum   time.Duration
-	emitMax   time.Duration
-	lastEmit  time.Time
-	delays    []time.Duration
-	finishers []func(*Trace)
-	finished  bool
+	mu       sync.Mutex
+	id       Identity
+	epoch    int64
+	spans    []SpanSummary
+	counters [numCounters]int64
+	emitSum  time.Duration
+	emitMax  time.Duration
+	lastEmit time.Time
+	delays   []time.Duration
 }
 
 // NewTrace starts a trace. queryID ties the trace to log lines and
@@ -79,10 +131,6 @@ type Trace struct {
 func NewTrace(queryID string) *Trace {
 	return &Trace{start: time.Now(), queryID: queryID}
 }
-
-// Enabled reports whether the trace records anything (i.e. is non-nil),
-// for call sites that want to skip building inputs to a record call.
-func (t *Trace) Enabled() bool { return t != nil }
 
 // QueryID returns the identifier the trace was created with.
 func (t *Trace) QueryID() string {
@@ -92,12 +140,26 @@ func (t *Trace) QueryID() string {
 	return t.queryID
 }
 
-// Start returns the trace's creation time (the zero time on nil).
-func (t *Trace) Start() time.Time {
+// SetIdentity records what the query is; the searcher calls it once
+// per session.
+func (t *Trace) SetIdentity(id Identity) {
 	if t == nil {
-		return time.Time{}
+		return
 	}
-	return t.start
+	t.mu.Lock()
+	t.id = id
+	t.mu.Unlock()
+}
+
+// SetEpoch records the snapshot epoch the query is served from (the
+// serving layer's half of the identity; 0 without hot reload).
+func (t *Trace) SetEpoch(epoch int64) {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	t.epoch = epoch
+	t.mu.Unlock()
 }
 
 var noopEnd = func() {}
@@ -128,45 +190,26 @@ func (t *Trace) RecordSpan(name string, start time.Time) {
 	t.mu.Unlock()
 }
 
-// Add increments a named counter by n.
-func (t *Trace) Add(name string, n int64) {
+// Add increments counter c by n.
+func (t *Trace) Add(c Counter, n int64) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
-	if t.counters == nil {
-		t.counters = make(map[string]int64, 16)
-	}
-	t.counters[name] += n
+	t.counters[c] += n
 	t.mu.Unlock()
 }
 
-// SetMax raises a named counter to v if v is larger — a high-water-mark
-// counter (e.g. can_list_max).
-func (t *Trace) SetMax(name string, v int64) {
+// SetMax raises counter c to v if v is larger — a high-water-mark
+// counter (CanListMax).
+func (t *Trace) SetMax(c Counter, v int64) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
-	if t.counters == nil {
-		t.counters = make(map[string]int64, 16)
+	if v > t.counters[c] {
+		t.counters[c] = v
 	}
-	if v > t.counters[name] {
-		t.counters[name] = v
-	}
-	t.mu.Unlock()
-}
-
-// SetLabel attaches a string label (e.g. algorithm=comm_k).
-func (t *Trace) SetLabel(k, v string) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	if t.labels == nil {
-		t.labels = make(map[string]string, 4)
-	}
-	t.labels[k] = v
 	t.mu.Unlock()
 }
 
@@ -192,21 +235,19 @@ func (t *Trace) AddDijkstra(r DijkstraRun) {
 		return
 	}
 	t.mu.Lock()
-	if t.counters == nil {
-		t.counters = make(map[string]int64, 16)
-	}
-	t.counters["dijkstra_runs"]++
-	t.counters["dijkstra_visits"] += r.Visits
-	t.counters["dijkstra_relaxations"] += r.Relaxations
-	t.counters["heap_pushes"] += r.HeapPushes
-	t.counters["heap_pops"] += r.HeapPops
-	t.counters["radius_cutoffs"] += r.RadiusCutoffs
+	t.counters[DijkstraRuns]++
+	t.counters[DijkstraVisits] += r.Visits
+	t.counters[DijkstraRelaxations] += r.Relaxations
+	t.counters[HeapPushes] += r.HeapPushes
+	t.counters[HeapPops] += r.HeapPops
+	t.counters[RadiusCutoffs] += r.RadiusCutoffs
 	t.mu.Unlock()
 }
 
-// Emission records one community emission: the inter-emission delay —
-// time since the previous emission, or since the trace started for the
-// first — is the paper's polynomial-delay claim made observable.
+// Emission records one community handed to the caller: the
+// inter-emission delay — time since the previous emission, or since the
+// trace started for the first — is the paper's polynomial-delay claim
+// made observable.
 func (t *Trace) Emission() {
 	if t == nil {
 		return
@@ -219,7 +260,6 @@ func (t *Trace) Emission() {
 	}
 	d := now.Sub(prev)
 	t.lastEmit = now
-	t.emitCount++
 	t.emitSum += d
 	if d > t.emitMax {
 		t.emitMax = d
@@ -227,70 +267,82 @@ func (t *Trace) Emission() {
 	if len(t.delays) < MaxStoredDelays {
 		t.delays = append(t.delays, d)
 	}
-	if t.counters == nil {
-		t.counters = make(map[string]int64, 16)
-	}
-	t.counters["emitted"]++
+	t.counters[Emitted]++
 	t.mu.Unlock()
 }
 
-// OnFinish registers a hook run once by the first Summary call —
-// layers use it to snapshot state that is only final at the end of the
-// query (e.g. governor budget consumption) without obs importing them.
-func (t *Trace) OnFinish(f func(*Trace)) {
+// Totals sums finished traces process-wide, one slot per Counter — the
+// /metricsz view of the counter table.
+type Totals [numCounters]atomic.Int64
+
+// Fold adds a finished trace's counters into the totals (high-water
+// marks take the maximum). A nil trace folds nothing.
+func (tot *Totals) Fold(t *Trace) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
-	t.finishers = append(t.finishers, f)
+	counters := t.counters
 	t.mu.Unlock()
+	for c, v := range counters {
+		if !counterTable[c].max {
+			tot[c].Add(v)
+			continue
+		}
+		for {
+			cur := tot[c].Load()
+			if v <= cur || tot[c].CompareAndSwap(cur, v) {
+				break
+			}
+		}
+	}
 }
 
-// Summary finalizes the trace (running OnFinish hooks exactly once)
-// and returns its wire form. It may be called repeatedly; later calls
-// reflect any recording that happened in between. Returns nil on a nil
-// trace.
+// Register exposes every counter's family on reg, read from the totals
+// at scrape time.
+func (tot *Totals) Register(reg *Registry) {
+	for c := range tot {
+		slot, row := &tot[c], &counterTable[c]
+		if row.max {
+			reg.GaugeFunc(row.family, row.help, func() float64 { return float64(slot.Load()) })
+		} else {
+			reg.CounterFunc(row.family, row.help, slot.Load)
+		}
+	}
+}
+
+// Summary returns the trace's wire form. It may be called repeatedly;
+// later calls reflect any recording that happened in between. Returns
+// nil on a nil trace.
 func (t *Trace) Summary() *Summary {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
-	fins := t.finishers
-	ran := t.finished
-	t.finished = true
-	t.mu.Unlock()
-	if !ran {
-		for _, f := range fins {
-			f(t)
-		}
-	}
-
-	t.mu.Lock()
 	defer t.mu.Unlock()
 	s := &Summary{
-		QueryID: t.queryID,
-		TotalMS: durMS(time.Since(t.start)),
-	}
-	if len(t.labels) > 0 {
-		s.Labels = make(map[string]string, len(t.labels))
-		for k, v := range t.labels {
-			s.Labels[k] = v
-		}
+		QueryID:  t.queryID,
+		TotalMS:  durMS(time.Since(t.start)),
+		Identity: t.id,
+		Epoch:    t.epoch,
 	}
 	if len(t.spans) > 0 {
 		s.Spans = append([]SpanSummary(nil), t.spans...)
 	}
-	if len(t.counters) > 0 {
-		s.Counters = make(map[string]int64, len(t.counters))
-		for k, v := range t.counters {
-			s.Counters[k] = v
+	for c, v := range t.counters {
+		if v == 0 {
+			continue
 		}
+		if s.Counters == nil {
+			s.Counters = make(map[string]int64, numCounters)
+		}
+		s.Counters[counterTable[c].name] = v
 	}
-	if t.emitCount > 0 {
+	if n := t.counters[Emitted]; n > 0 {
 		e := &EmissionSummary{
-			Count:       t.emitCount,
+			Count:       n,
 			FirstMS:     durMS(t.delays[0]),
-			MeanDelayMS: durMS(t.emitSum) / float64(t.emitCount),
+			MeanDelayMS: durMS(t.emitSum) / float64(n),
 			MaxDelayMS:  durMS(t.emitMax),
 			DelaysMS:    make([]float64, len(t.delays)),
 		}
@@ -305,12 +357,14 @@ func (t *Trace) Summary() *Summary {
 // Summary is the structured, JSON-ready form of a finished trace — the
 // body of EXPLAIN mode on the CLI and the server endpoints.
 type Summary struct {
-	QueryID string            `json:"query_id,omitempty"`
-	TotalMS float64           `json:"total_ms"`
-	Labels  map[string]string `json:"labels,omitempty"`
-	Spans   []SpanSummary     `json:"spans,omitempty"`
-	// Counters holds the engine counters; see the package comment for
-	// the taxonomy.
+	QueryID string  `json:"query_id,omitempty"`
+	TotalMS float64 `json:"total_ms"`
+	Identity
+	// Epoch is the snapshot epoch that answered (0 without hot reload).
+	Epoch int64         `json:"epoch,omitempty"`
+	Spans []SpanSummary `json:"spans,omitempty"`
+	// Counters holds the non-zero engine counters under their
+	// counterTable names.
 	Counters  map[string]int64 `json:"counters,omitempty"`
 	Emissions *EmissionSummary `json:"emissions,omitempty"`
 }

@@ -99,9 +99,6 @@ func (db *Database) EnableMutations() error {
 	return nil
 }
 
-// Mutable reports whether EnableMutations has run.
-func (db *Database) Mutable() bool { return db.mutable }
-
 // countRefs scans one referencing table into a referenced-key → count
 // map.
 func countRefs(from *Table, fk ForeignKey) map[string]int {

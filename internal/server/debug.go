@@ -9,9 +9,7 @@ package server
 
 import (
 	"net/http"
-	"time"
 
-	"commdb"
 	"commdb/internal/obs"
 )
 
@@ -40,20 +38,4 @@ func (s *Server) handleDebugQueries(w http.ResponseWriter, _ *http.Request) {
 		Queries:     s.collector.SlowLog(),
 		Classes:     s.collector.Classes(),
 	})
-}
-
-// observeQuery feeds one finished engine execution into the continuous
-// observability layer: SLO verdict, per-class aggregation, capture
-// decision. The indexed/plain half of the class key comes from the
-// trace's projected label, so fake engines without traces classify as
-// plain.
-func (s *Server) observeQuery(qid, endpoint string, q commdb.Query, k, results int, stop error, start time.Time, sum *obs.Summary) {
-	indexed := sum != nil && sum.Labels["projected"] == "true"
-	rec := obs.NewQueryRecord(qid, endpoint, q.Keywords, q.Rmax, k, indexed, results, stop, StopReason(stop), start, time.Since(start), sum)
-	if rec.Fingerprint == "" {
-		// Fake engines without traces still get the canonical identity.
-		rec.Fingerprint = q.Fingerprint()
-	}
-	s.collector.Observe(rec)
-	s.observeWorkload(rec, q, endpoint)
 }

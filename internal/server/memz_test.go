@@ -225,7 +225,6 @@ func TestMemGauges(t *testing.T) {
 		"# TYPE commdb_mem_graph_bytes gauge",
 		"# TYPE commdb_mem_index_bytes gauge",
 		"# TYPE commdb_mem_fulltext_bytes gauge",
-		"# TYPE commdb_mem_result_cache_bytes gauge",
 		"# TYPE commdb_mem_heap_alloc_bytes gauge",
 		"# TYPE commdb_mem_heap_sys_bytes gauge",
 		"# TYPE commdb_mem_epochs_live gauge",

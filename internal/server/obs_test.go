@@ -13,6 +13,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"regexp"
 	"strconv"
 	"strings"
@@ -79,8 +80,8 @@ func TestExplainTopK(t *testing.T) {
 			t.Errorf("counter %s = %d, want > 0", c, tr.Counter(c))
 		}
 	}
-	if tr.Labels["algorithm"] != "comm_k" {
-		t.Errorf("algorithm label = %q, want comm_k", tr.Labels["algorithm"])
+	if tr.Algorithm != "comm_k" {
+		t.Errorf("algorithm = %q, want comm_k", tr.Algorithm)
 	}
 	if tr.Emissions == nil || tr.Emissions.Count != 5 || len(tr.Emissions.DelaysMS) != 5 {
 		t.Fatalf("emissions = %+v, want 5 delays", tr.Emissions)
@@ -121,8 +122,8 @@ func TestExplainAllStream(t *testing.T) {
 	if tr == nil {
 		t.Fatal("trailer carries no trace")
 	}
-	if tr.Labels["algorithm"] != "comm_all" {
-		t.Errorf("algorithm label = %q, want comm_all", tr.Labels["algorithm"])
+	if tr.Algorithm != "comm_all" {
+		t.Errorf("algorithm = %q, want comm_all", tr.Algorithm)
 	}
 	if tr.Emissions == nil || tr.Emissions.Count != int64(count) {
 		t.Fatalf("emissions = %+v, want count %d", tr.Emissions, count)
@@ -163,7 +164,6 @@ func TestMetricszPromLint(t *testing.T) {
 		"# TYPE commdb_mem_graph_bytes gauge",
 		"# TYPE commdb_mem_index_bytes gauge",
 		"# TYPE commdb_mem_fulltext_bytes gauge",
-		"# TYPE commdb_mem_result_cache_bytes gauge",
 		"# TYPE commdb_mem_heap_alloc_bytes gauge",
 	} {
 		if !bytes.Contains(body, []byte(want)) {
@@ -335,5 +335,44 @@ func TestPprofMounted(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("pprof status = %d with Pprof on + valid token, want 200", resp.StatusCode)
+	}
+}
+
+// TestTraceWireGolden locks the wire shape of a "trace": true body on
+// the paper query: typed identity, spans, counters under their
+// counter-table names. Timings are zeroed; everything else is exact
+// (the searcher is sequential, so the counters are deterministic).
+func TestTraceWireGolden(t *testing.T) {
+	g, _ := commdb.PaperExampleGraph()
+	s, err := commdb.Open(g, commdb.WithParallelism(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(New(s, Config{}).Handler())
+	defer ts.Close()
+	out := decodeTopK(t, postJSON(t, ts.URL+"/v1/search/topk", searchBody(t, []string{"c", "A", "b"}, map[string]any{"k": 5, "trace": true})))
+	tr := out.Trace
+	if tr == nil || tr.Emissions == nil {
+		t.Fatalf("no trace in %+v", out)
+	}
+	tr.TotalMS = 0
+	for i := range tr.Spans {
+		tr.Spans[i].StartMS, tr.Spans[i].DurMS = 0, 0
+	}
+	e := tr.Emissions
+	e.FirstMS, e.MeanDelayMS, e.MaxDelayMS = 0, 0, 0
+	for i := range e.DelaysMS {
+		e.DelaysMS[i] = 0
+	}
+	got, err := json.MarshalIndent(tr, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("testdata/trace_topk.golden.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(bytes.TrimSpace(got), bytes.TrimSpace(want)) {
+		t.Fatalf("trace wire shape changed; got:\n%s\nwant:\n%s", got, want)
 	}
 }

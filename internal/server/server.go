@@ -289,14 +289,6 @@ func (s *Server) lease() (eng Engine, epoch int64, release func()) {
 	return searcherEngine{s: l.Searcher()}, l.Epoch(), l.Release
 }
 
-// observeEpoch feeds one finished execution into the snapshot
-// manager's probation window.
-func (s *Server) observeEpoch(epoch int64, err error) {
-	if s.snaps != nil {
-		s.snaps.ObserveQuery(epoch, err)
-	}
-}
-
 // Stats snapshots the serving counters.
 func (s *Server) Stats() StatsSnapshot {
 	snap := s.stats.snapshot()
@@ -485,29 +477,88 @@ func (s *Server) writeSaturated(w http.ResponseWriter) {
 		s.cfg.MaxConcurrent, s.cfg.MaxQueue)
 }
 
-// finishExecution closes the books on one engine execution, however it
-// ended: the completed counter and the execution's one latency
-// observation.
-func (s *Server) finishExecution(start time.Time) {
-	s.stats.queriesCompleted.Add(1)
-	s.metrics.latency.Observe(float64(time.Since(start)) / float64(time.Millisecond))
-}
-
 // classifyStop feeds the stop-reason counters. A results-budget trip
 // is ordinary completion of a bounded stream (the client asked for at
 // most max_results), so it counts as a result-limit stop; only the
-// work budgets and the deadline count as budget exhaustion.
+// work budgets and the deadline count as budget exhaustion. An engine
+// refusing a malformed query is none of these.
 func (s *Server) classifyStop(stopErr error) {
 	var be commdb.ErrBudgetExhausted
 	switch {
-	case stopErr == nil:
 	case errors.As(stopErr, &be) && be.Resource == commdb.ResourceResults:
 		s.stats.resultLimitStops.Add(1)
 	case errors.As(stopErr, &be), errors.Is(stopErr, commdb.ErrDeadlineExceeded):
 		s.stats.budgetExhausted.Add(1)
-	default:
+	case errors.Is(stopErr, commdb.ErrCanceled), errors.Is(stopErr, ErrServerClosed):
 		s.stats.canceled.Add(1)
 	}
+}
+
+// execution is what one engine run leaves behind for its handler.
+type execution struct {
+	results int
+	// stop is why the run ended early: nil after a clean exhaustion or
+	// when emit declined further communities.
+	stop    error
+	elapsed time.Duration
+	sum     *obs.Summary
+}
+
+// execute is one engine execution, however it ends. It opens the query
+// under a fresh trace stamped with the epoch, hands every community to
+// emit until emit declines or the stream ends, and then closes the
+// books exactly once: completed counter and latency, engine counters,
+// stop-reason counters, the epoch's probation window, the capture ring
+// and the workload journal. A non-nil error means the engine refused
+// the query (a limit tripping during projection fails closed there);
+// it is accounted like any other stop.
+func (s *Server) execute(ctx context.Context, open func(context.Context, commdb.Query) (Stream, error), epoch int64, endpoint, qid string, q commdb.Query, k int, emit func(*commdb.Community) bool) (execution, error) {
+	s.stats.queriesStarted.Add(1)
+	tr := obs.NewTrace(qid)
+	tr.SetEpoch(epoch)
+	start := time.Now()
+	var x execution
+	st, err := open(obs.ContextWithTrace(ctx, tr), q)
+	if err != nil {
+		x.stop = err
+	} else {
+		for {
+			c, ok := st.Next()
+			if !ok {
+				x.stop = st.Err()
+				break
+			}
+			x.results++
+			if !emit(c) {
+				break
+			}
+		}
+		// An abandoned stream (k reached) still has materialization
+		// workers running; Close stops them and closes the enumerate span.
+		st.Close()
+	}
+	x.elapsed = time.Since(start)
+	s.stats.queriesCompleted.Add(1)
+	s.metrics.latency.Observe(float64(x.elapsed) / float64(time.Millisecond))
+	s.metrics.totals.Fold(tr)
+	s.classifyStop(x.stop)
+	if s.snaps != nil {
+		s.snaps.ObserveQuery(epoch, x.stop)
+	}
+	x.sum = tr.Summary()
+	if x.sum.Fingerprint == "" {
+		// The query never reached a searcher session (a fake test engine,
+		// a refusal ahead of it): identity comes from the request.
+		n := q.Normalized()
+		x.sum.Fingerprint, x.sum.Keywords, x.sum.Rmax = n.Fingerprint(), n.Keywords, n.Rmax
+	}
+	rec := obs.NewQueryRecord(x.sum, obs.Serving{
+		QueryID: qid, Endpoint: endpoint, K: k, Results: x.results,
+		Stop: x.stop, StopReason: StopReason(x.stop), Start: start, Elapsed: x.elapsed,
+	})
+	s.collector.Observe(rec)
+	s.observeWorkload(rec, q, endpoint)
+	return x, err
 }
 
 // handleTopK answers POST /v1/search/topk: cache lookup, then a
@@ -611,55 +662,24 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 
 // runTopK is one engine execution of a top-k query: collect up to k
 // records and cache the answer when the enumeration completed cleanly.
-// Every execution runs under an internal trace whose summary feeds the
-// process metrics; the summary also rides the response when the
-// request asked for it.
+// The execution's trace summary rides the answer, for the waiters that
+// asked to see it.
 func (s *Server) runTopK(ctx context.Context, eng Engine, epoch int64, q commdb.Query, k int, compact bool, key cacheKey, qid string) (*CachedAnswer, error) {
-	s.stats.queriesStarted.Add(1)
-	tr := obs.NewTrace(qid)
-	if s.snaps != nil {
-		tr.SetLabel("epoch", strconv.FormatInt(epoch, 10))
-	}
-	ctx = obs.ContextWithTrace(ctx, tr)
-	start := time.Now()
-	var results int
-	var stopErr error
-	defer func() {
-		s.finishExecution(start)
-		sum := tr.Summary()
-		s.metrics.absorb(sum)
-		s.observeQuery(qid, "topk", q, k, results, stopErr, start, sum)
-	}()
-	st, err := eng.TopK(ctx, q)
-	if err != nil {
-		stopErr = err
-		s.observeEpoch(epoch, err)
-		return nil, err
-	}
-	// A top-k stream is abandoned once k results arrive; Close stops
-	// the searcher's in-flight materialization workers.
-	defer st.Close()
 	g := eng.Graph()
 	records := make([]CommunityRecord, 0, k)
-	for len(records) < k {
-		c, ok := st.Next()
-		if !ok {
-			break
-		}
+	x, err := s.execute(ctx, eng.TopK, epoch, "topk", qid, q, k, func(c *commdb.Community) bool {
 		records = append(records, NewRecord(len(records)+1, c, g, compact))
+		return len(records) < k
+	})
+	if err != nil {
+		return nil, err
 	}
-	if len(records) < k {
-		stopErr = st.Err()
-	}
-	s.classifyStop(stopErr)
-	s.observeEpoch(epoch, stopErr)
-	results = len(records)
 	val := &CachedAnswer{
 		Records:  records,
-		Complete: stopErr == nil,
-		Reason:   StopReason(stopErr),
+		Complete: x.stop == nil,
+		Reason:   StopReason(x.stop),
 		Bytes:    sizeOf(records),
-		Trace:    tr.Summary(),
+		Trace:    x.sum,
 	}
 	s.cache.Put(key, val)
 	return val, nil
@@ -687,30 +707,8 @@ func (s *Server) handleAll(w http.ResponseWriter, r *http.Request) {
 	// come from one epoch, even if a reload lands mid-stream.
 	eng, epoch, release := s.lease()
 	defer release()
-	tr := obs.NewTrace(qid)
-	if s.snaps != nil {
-		tr.SetLabel("epoch", strconv.FormatInt(epoch, 10))
-	}
-	ctx = obs.ContextWithTrace(ctx, tr)
-
-	s.stats.queriesStarted.Add(1)
 	s.stats.streamsStarted.Add(1)
-	start := time.Now()
-	defer s.finishExecution(start)
 
-	st, err := eng.All(ctx, q)
-	if err != nil {
-		s.observeQuery(qid, "all", q, 0, 0, err, start, tr.Summary())
-		s.observeEpoch(epoch, err)
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	// The stream is abandoned when the client disconnects mid-body;
-	// Close stops the searcher's in-flight materialization workers.
-	defer st.Close()
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Accel-Buffering", "no") // defeat proxy buffering
-	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 	flush := func() {
 		if flusher != nil {
@@ -719,32 +717,40 @@ func (s *Server) handleAll(w http.ResponseWriter, r *http.Request) {
 	}
 	enc := json.NewEncoder(w)
 	g := eng.Graph()
-	count := 0
-	for {
-		c, ok := st.Next()
-		if !ok {
-			break
+	// The stream's headers go out with its first line (a record or the
+	// trailer), once the engine has accepted the query.
+	begun := false
+	begin := func() {
+		if !begun {
+			begun = true
+			w.Header().Set("Content-Type", "application/x-ndjson")
+			w.Header().Set("X-Accel-Buffering", "no") // defeat proxy buffering
+			w.WriteHeader(http.StatusOK)
 		}
-		if err := enc.Encode(NewRecord(count+1, c, g, req.Compact)); err != nil {
+	}
+	n := 0
+	x, err := s.execute(ctx, eng.All, epoch, "all", qid, q, 0, func(c *commdb.Community) bool {
+		begin()
+		n++
+		if err := enc.Encode(NewRecord(n, c, g, req.Compact)); err != nil {
 			// Client gone mid-stream: stop enumerating.
 			cancel()
-			break
+			return false
 		}
-		count++
 		flush()
+		return true
+	})
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
 	}
-	stopErr := st.Err()
-	s.classifyStop(stopErr)
-	s.observeEpoch(epoch, stopErr)
-	trailer := NewTrailer(count, stopErr, time.Since(start))
+	begin()
+	trailer := NewTrailer(x.results, x.stop, x.elapsed)
 	trailer.Epoch = epoch
-	sum := tr.Summary()
-	s.metrics.absorb(sum)
-	s.observeQuery(qid, "all", q, 0, count, stopErr, start, sum)
 	if req.Trace {
-		trailer.Trace = sum
+		trailer.Trace = x.sum
 	}
-	s.logQuery(qid, "all", q, time.Since(start), count, trailer.Reason, false)
+	s.logQuery(qid, "all", q, x.elapsed, x.results, trailer.Reason, false)
 	_ = enc.Encode(trailer)
 	flush()
 }

@@ -34,9 +34,7 @@ type stats struct {
 
 // BucketBound is a histogram bucket's inclusive upper bound in
 // milliseconds. JSON has no infinity literal, so the unbounded last
-// bucket marshals as the string "+Inf" (the Prometheus spelling) —
-// previously it was encoded as 0, which is indistinguishable from a
-// real zero bound.
+// bucket marshals as the string "+Inf" (the Prometheus spelling).
 type BucketBound float64
 
 // MarshalJSON encodes finite bounds as numbers and +Inf as "+Inf".
@@ -47,9 +45,7 @@ func (b BucketBound) MarshalJSON() ([]byte, error) {
 	return json.Marshal(float64(b))
 }
 
-// UnmarshalJSON accepts a number, the "+Inf" sentinel, and — for
-// compatibility with snapshots from before the sentinel — treats the
-// ambiguous 0 as +Inf (no finite bucket bound is 0).
+// UnmarshalJSON accepts a number or the "+Inf" sentinel.
 func (b *BucketBound) UnmarshalJSON(data []byte) error {
 	if string(data) == `"+Inf"` {
 		*b = BucketBound(math.Inf(1))
@@ -58,9 +54,6 @@ func (b *BucketBound) UnmarshalJSON(data []byte) error {
 	var f float64
 	if err := json.Unmarshal(data, &f); err != nil {
 		return err
-	}
-	if f == 0 {
-		f = math.Inf(1)
 	}
 	*b = BucketBound(f)
 	return nil

@@ -6,7 +6,6 @@ package server
 // return at once.
 
 import (
-	"strconv"
 	"time"
 
 	"commdb"
@@ -31,8 +30,7 @@ func entryLimits(l commdb.Limits) *workload.Limits {
 	return &wl
 }
 
-// observeWorkload journals one executed query. The epoch rides the
-// trace's label (set only under hot reload).
+// observeWorkload journals one executed query.
 func (s *Server) observeWorkload(rec *obs.QueryRecord, q commdb.Query, algo string) {
 	if s.cfg.WorkloadJournal == nil {
 		return
@@ -41,17 +39,12 @@ func (s *Server) observeWorkload(rec *obs.QueryRecord, q commdb.Query, algo stri
 	e.Algo = algo
 	e.Cost = q.Ranker.Name()
 	e.Limits = entryLimits(q.Limits)
-	if tr := rec.Trace; tr != nil {
-		if ep := tr.Labels["epoch"]; ep != "" {
-			e.Epoch, _ = strconv.ParseInt(ep, 10, 64)
-		}
-	}
 	s.cfg.WorkloadJournal.Offer(e)
 }
 
 // observeCacheHit journals a query the result cache absorbed: no engine
 // execution, but the hit still belongs to the workload — a replay that
-// skipped it would re-run the engine work the cache saved. Indexedness
+// skipped it would re-run the engine work the cache saved. Identity
 // comes from the cached execution's trace.
 func (s *Server) observeCacheHit(qid string, q commdb.Query, key cacheKey, val *CachedAnswer, elapsed time.Duration) {
 	if s.cfg.WorkloadJournal == nil {
@@ -61,21 +54,19 @@ func (s *Server) observeCacheHit(qid string, q commdb.Query, key cacheKey, val *
 		UnixMS:      time.Now().UnixMilli(),
 		QueryID:     qid,
 		Fingerprint: key.fingerprint,
-		Keywords:    q.Keywords,
+		Keywords:    val.Trace.Keywords,
 		Rmax:        q.Rmax,
 		Cost:        q.Ranker.Name(),
 		Algo:        workload.AlgoTopK,
 		K:           key.k,
 		Limits:      entryLimits(q.Limits),
 		Epoch:       key.epoch,
+		Indexed:     val.Trace.Indexed,
 		CacheHit:    true,
 		Results:     len(val.Records),
 		Complete:    val.Complete,
 		StopReason:  val.Reason,
 		LatencyMS:   float64(elapsed) / float64(time.Millisecond),
-	}
-	if val.Trace != nil {
-		e.Indexed = val.Trace.Labels["projected"] == "true"
 	}
 	s.cfg.WorkloadJournal.Offer(e)
 }

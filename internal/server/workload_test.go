@@ -9,10 +9,12 @@ import (
 	"bufio"
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"commdb"
 	"commdb/internal/workload"
 )
 
@@ -235,5 +237,58 @@ func TestWorkloadJournalCapture(t *testing.T) {
 	}
 	if stream.Complete || !strings.Contains(stream.StopReason, "results") {
 		t.Fatalf("stream entry outcome: complete=%v stop=%q", stream.Complete, stream.StopReason)
+	}
+}
+
+// TestProjectionStopAccounted: a work budget that trips inside the
+// index projection fails the query closed before a stream exists — and
+// that exit is accounted like any other on both endpoints: the 400 the
+// client always got, a budget_exhausted stop, an errored capture
+// record, and the projection's Dijkstra work in the engine counters.
+func TestProjectionStopAccounted(t *testing.T) {
+	db, err := commdb.GenerateDBLP(2000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, _, err := commdb.GraphFromDatabase(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := commdb.Open(g, commdb.WithIndex(6), commdb.WithParallelism(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(s, Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	dijkstraRuns := func() string {
+		return grepLines(string(getBody(t, ts.URL+"/metricsz")), "commdb_dijkstra_runs_total ")
+	}
+	for i, endpoint := range []string{"topk", "all"} {
+		runsBefore := dijkstraRuns()
+		resp := postJSON(t, ts.URL+"/v1/search/"+endpoint, searchBody(t, []string{"web", "parallel"},
+			map[string]any{"rmax": 6, "limits": map[string]any{"max_relaxations": 1}}))
+		body := readAll(t, resp)
+		if resp.StatusCode != http.StatusBadRequest || !contains(body, "budget exhausted") {
+			t.Fatalf("%s: status %d body %s, want 400 naming the exhausted budget", endpoint, resp.StatusCode, body)
+		}
+		st := srv.Stats()
+		if st.BudgetExhausted != int64(i+1) || st.Canceled != 0 || st.QueriesCompleted != int64(i+1) {
+			t.Fatalf("%s: budget_exhausted=%d canceled=%d completed=%d, want %d/0/%d",
+				endpoint, st.BudgetExhausted, st.Canceled, st.QueriesCompleted, i+1, i+1)
+		}
+		if runsAfter := dijkstraRuns(); runsAfter == runsBefore {
+			t.Fatalf("%s: the projection's Dijkstra runs never reached /metricsz (%s)", endpoint, runsAfter)
+		}
+	}
+	log := srv.collector.SlowLog()
+	if len(log) != 2 {
+		t.Fatalf("captured %d records, want both refused queries", len(log))
+	}
+	for _, rec := range log {
+		if !rec.Errored || !rec.Indexed || !strings.Contains(rec.StopReason, "budget exhausted") {
+			t.Fatalf("refused query captured as %+v", rec)
+		}
 	}
 }

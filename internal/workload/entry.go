@@ -103,11 +103,10 @@ func entryOf(obj []byte, seq int64) (Entry, error) {
 	return e, nil
 }
 
-// EntryFromRecord builds the journal entry for one executed query from
-// its capture record: identity, class inputs, outcome and latency. The
-// caller fills the fields
-// the record does not know — Algo, Cost, Limits, Epoch, UnixMS — and
-// the journal assigns Seq.
+// EntryFromRecord projects one executed query's capture record onto
+// the journal: identity, epoch, outcome and latency. The caller fills
+// what the record does not know — Algo, Cost, Limits — and the journal
+// assigns Seq.
 func EntryFromRecord(rec *obs.QueryRecord) Entry {
 	e := Entry{
 		QueryID:     rec.QueryID,
@@ -115,6 +114,7 @@ func EntryFromRecord(rec *obs.QueryRecord) Entry {
 		Keywords:    rec.Keywords,
 		Rmax:        rec.Rmax,
 		K:           rec.K,
+		Epoch:       rec.Trace.Epoch,
 		Indexed:     rec.Indexed,
 		Results:     rec.Results,
 		Complete:    rec.StopReason == "",

@@ -5,6 +5,9 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
+
+	"commdb/internal/obs"
 )
 
 // renderAll drains an iterator into a canonical textual rendering of
@@ -195,38 +198,64 @@ func TestOpenOptionValidation(t *testing.T) {
 	}
 }
 
-// TestOpenCollectorObserved checks WithCollector wiring: each finished
-// query — exhausted or abandoned — is observed exactly once.
-func TestOpenCollectorObserved(t *testing.T) {
+// TestEmissionStampedAtHandover: a trace's emissions are the
+// communities the caller received, stamped when they are handed over —
+// not the cores the pipeline's producer ran ahead to, and not before
+// the community is materialized.
+func TestEmissionStampedAtHandover(t *testing.T) {
 	g, _ := PaperExampleGraph()
-	col := NewCollector(CollectorConfig{})
-	s, err := Open(g, WithParallelism(2), WithCollector(col))
+	s, err := Open(g, WithParallelism(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := Query{Keywords: []string{"a", "b"}, Rmax: 8}
-
-	it, err := s.All(q)
+	tr := obs.NewTrace("")
+	it, err := s.TopKCtx(obs.ContextWithTrace(context.Background(), tr), Query{Keywords: []string{"a", "b", "c"}, Rmax: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := it.Collect(0); err != nil {
-		t.Fatal(err)
+	if got := mustCollect(t, it, 2); len(got) != 2 {
+		t.Fatalf("took %d communities, want 2", len(got))
 	}
-	if observed, _ := col.CaptureStats(); observed != 1 {
-		t.Fatalf("after exhaustion: observed = %d, want 1", observed)
-	}
-
-	// Abandoned mid-stream: Close triggers the single observation;
-	// a redundant Close must not double-count.
-	it, err = s.All(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	it.Next()
 	it.Close()
-	it.Close()
-	if observed, _ := col.CaptureStats(); observed != 2 {
-		t.Fatalf("after abandon: observed = %d, want 2", observed)
+	if n := tr.Summary().Counter("emitted"); n != 2 {
+		t.Fatalf("emitted = %d after taking 2 of 5, want 2", n)
+	}
+
+	db, err := GenerateDBLP(2000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dblp, _, err := GraphFromDatabase(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, par := range []int{1, 4} {
+		s, err := Open(dblp, WithParallelism(par))
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		tr := obs.NewTrace("")
+		it, err := s.TopKCtx(obs.ContextWithTrace(context.Background(), tr), Query{Keywords: []string{"web", "parallel"}, Rmax: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := it.Next(); !ok {
+			t.Fatalf("parallelism %d: no community: %v", par, it.Err())
+		}
+		gotMS := float64(time.Since(start)) / float64(time.Millisecond)
+		it.Close()
+		sum := tr.Summary()
+		init, ok := sum.Span("engine_init")
+		if !ok || sum.Emissions == nil {
+			t.Fatalf("parallelism %d: trace lacks engine_init or emissions: %+v", par, sum)
+		}
+		// The stamp sits at the end of [engine_init end, Next returned]:
+		// the first core's search and its materialization precede it.
+		initEnd, first := init.StartMS+init.DurMS, sum.Emissions.FirstMS
+		if first <= initEnd || gotMS-first > (gotMS-initEnd)/8 {
+			t.Errorf("parallelism %d: first_ms %.3f, engine_init ended %.3f, Next returned %.3f: stamped before the handover",
+				par, first, initEnd, gotMS)
+		}
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"commdb/internal/core"
@@ -105,23 +104,6 @@ var ErrCorruptIndex = index.ErrCorruptIndex
 // one being opened. Match with errors.Is.
 var ErrIndexMismatch = index.ErrIndexMismatch
 
-// Collector is the always-on observability layer: pass one to
-// Open(WithCollector) and every finished query is folded into its
-// slow-query capture, per-class aggregates and SLO watchdog. See the
-// obs package for configuration.
-type Collector = obs.Collector
-
-// CollectorConfig bundles the Collector's knobs; the zero value gets
-// defaults throughout.
-type CollectorConfig = obs.CollectorConfig
-
-// QueryRecord is one finished query as seen by a Collector.
-type QueryRecord = obs.QueryRecord
-
-// NewCollector builds a continuous observability layer for
-// Open(WithCollector).
-func NewCollector(cfg CollectorConfig) *Collector { return obs.NewCollector(cfg) }
-
 // Query is one l-keyword community query.
 type Query struct {
 	// Keywords are the l query keywords; each must be a single term.
@@ -173,8 +155,10 @@ func (q Query) Normalized() Query {
 //
 // The encoding is injective: keywords are length-prefixed so no two
 // distinct keyword lists collide.
-func (q Query) Fingerprint() string {
-	n := q.Normalized()
+func (q Query) Fingerprint() string { return q.Normalized().fingerprint() }
+
+// fingerprint is Fingerprint for an already normalized query.
+func (n Query) fingerprint() string {
 	var b strings.Builder
 	b.WriteString("q1|rmax=")
 	b.WriteString(strconv.FormatFloat(n.Rmax, 'g', -1, 64))
@@ -213,8 +197,6 @@ type Searcher struct {
 	// par is the per-query parallelism degree; 1 means strictly
 	// sequential execution.
 	par int
-	// col, when non-nil, observes every finished query.
-	col *obs.Collector
 	// kc, when non-nil, serves precomputed keyword neighbor sets to
 	// eligible sessions (un-indexed execution, no work-shape limits,
 	// Rmax within the store radius).
@@ -229,7 +211,6 @@ type openConfig struct {
 	indexRmax   float64
 	indexReader io.Reader
 	parallelism int
-	collector   *obs.Collector
 	kwRadius    float64
 	kwEnable    bool
 }
@@ -264,13 +245,6 @@ func WithParallelism(n int) Option {
 	return func(c *openConfig) { c.parallelism = n }
 }
 
-// WithCollector wires an always-on observability collector: every
-// query finished through the searcher (exhausted or closed) is
-// observed. Share one collector across searchers to aggregate.
-func WithCollector(col *Collector) Option {
-	return func(c *openConfig) { c.collector = col }
-}
-
 // WithKeywordArtifactStore attaches an empty in-memory artifact store
 // at the given radius — the largest query Rmax the artifacts will
 // cover — to be filled with WarmKeywords. Only un-indexed searchers
@@ -284,8 +258,7 @@ func WithKeywordArtifactStore(radius float64) Option {
 
 // Open returns a Searcher over g. With no options it scans the graph
 // per query and parallelizes each query over runtime.GOMAXPROCS(0)
-// workers; see WithIndex, WithIndexReader, WithParallelism and
-// WithCollector.
+// workers; see WithIndex, WithIndexReader and WithParallelism.
 func Open(g *Graph, opts ...Option) (*Searcher, error) {
 	if g == nil {
 		return nil, fmt.Errorf("commdb: Open: nil graph")
@@ -301,7 +274,7 @@ func Open(g *Graph, opts ...Option) (*Searcher, error) {
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
 	}
-	s := &Searcher{g: g, pool: sssp.NewPool(), par: par, col: cfg.collector}
+	s := &Searcher{g: g, pool: sssp.NewPool(), par: par}
 	switch {
 	case cfg.buildIndex:
 		ix, err := index.Build(g, index.BuildOptions{R: cfg.indexRmax})
@@ -402,42 +375,14 @@ func (s *Searcher) KeywordArtifacts() KeywordArtifactStats {
 // session holds one query's execution state: the (possibly projected)
 // engine plus the mapping back to the searcher's graph.
 type session struct {
-	s     *Searcher
-	q     Query
-	eng   *core.Engine
-	sub   *graph.Subgraph // nil when running directly on s.g
-	start time.Time
-
-	// tr is the query's trace (nil when the context carries none); the
-	// enumerate span runs from the first Next to exhaustion, closed at
-	// most once by finishEnum.
-	tr        *obs.Trace
-	enumStart time.Time
-	enumDone  bool
+	s   *Searcher
+	eng *core.Engine
+	sub *graph.Subgraph // nil when running directly on s.g
+	// tr is the query's trace (nil when the context carries none).
+	tr *obs.Trace
 }
 
-// noteNext marks the start of enumeration on the first advance.
-func (sess *session) noteNext() {
-	if sess.tr != nil && sess.enumStart.IsZero() {
-		sess.enumStart = time.Now()
-	}
-}
-
-// finishEnum closes the enumerate span, once. It runs when the
-// iterator reports exhaustion, and again (as a no-op) from the trace's
-// finisher for queries abandoned mid-enumeration.
-func (sess *session) finishEnum() {
-	if sess.tr == nil || sess.enumDone {
-		return
-	}
-	sess.enumDone = true
-	if sess.enumStart.IsZero() {
-		return // never advanced: no enumerate span
-	}
-	sess.tr.RecordSpan("enumerate", sess.enumStart)
-}
-
-func (s *Searcher) newSession(ctx context.Context, q Query) (*session, error) {
+func (s *Searcher) newSession(ctx context.Context, algo Algorithm, q Query) (*session, error) {
 	if len(q.Keywords) == 0 {
 		return nil, core.ErrNoKeywords
 	}
@@ -449,34 +394,22 @@ func (s *Searcher) newSession(ctx context.Context, q Query) (*session, error) {
 	if q.Rmax < 0 {
 		return nil, fmt.Errorf("commdb: negative Rmax %v", q.Rmax)
 	}
-	bud := govern.New(ctx, q.Limits)
+	// Identity before any work, so a query that fails below (radius,
+	// projection, unknown keyword) still has a self-describing trace.
 	tr := obs.FromContext(ctx)
-	sess := &session{s: s, q: q, tr: tr, start: time.Now()}
 	if tr != nil {
-		if s.ix != nil {
-			tr.SetLabel("projected", "true")
-		} else {
-			tr.SetLabel("projected", "false")
-		}
-		// Identity labels make every trace self-describing, so the
-		// continuous layer (slow-query capture, per-class aggregates)
-		// can classify a trace without re-deriving the query.
-		tr.SetLabel("fingerprint", q.Fingerprint())
-		tr.SetLabel("keywords", strings.Join(q.Normalized().Keywords, ","))
-		tr.SetLabel("rmax", strconv.FormatFloat(q.Rmax, 'g', -1, 64))
-		tr.SetLabel("parallelism", strconv.Itoa(s.par))
-		// Snapshot what the query consumed once the trace is finalized;
-		// the enumerate span is also closed here for queries abandoned
-		// mid-enumeration.
-		tr.OnFinish(func(t *obs.Trace) {
-			sess.finishEnum()
-			for _, r := range govern.AllResources {
-				if n := bud.Spent(r); n > 0 {
-					t.Add("budget_"+strings.ReplaceAll(string(r), "-", "_"), n)
-				}
-			}
+		n := q.Normalized()
+		tr.SetIdentity(obs.Identity{
+			Fingerprint: n.fingerprint(),
+			Keywords:    n.Keywords,
+			Rmax:        q.Rmax,
+			Algorithm:   algo.String(),
+			Indexed:     s.ix != nil,
+			Parallelism: s.par,
 		})
 	}
+	bud := govern.New(ctx, q.Limits)
+	sess := &session{s: s, tr: tr}
 	target := s.g
 	var ft *fulltext.Index = s.ft
 	if s.ix != nil {
@@ -622,9 +555,9 @@ type Iterator interface {
 	// Next or NextCore has returned ok == false.
 	Err() error
 	// Close releases the query's resources: it stops any in-flight
-	// parallel materialization, returns pooled workspaces, and reports
-	// the query to the searcher's Collector. Exhausting the iterator
-	// closes it implicitly; Close is idempotent and returns Err.
+	// parallel materialization and returns pooled workspaces. Exhausting
+	// the iterator closes it implicitly; Close is idempotent and returns
+	// Err.
 	Close() error
 }
 
@@ -640,14 +573,15 @@ type Iterator interface {
 // implicitly.
 type Results struct {
 	sess *session
-	algo Algorithm
 	enum enumerator
 	pipe *core.Pipeline
 
-	err      error // panic recovered at the public boundary
-	done     bool  // enumeration finished (naturally or stopped)
-	closed   bool  // resources released, collector observed
-	produced int
+	err    error // panic recovered at the public boundary
+	done   bool  // enumeration finished (naturally or stopped)
+	closed bool  // resources released
+	// enumStart is when a traced query first advanced: the start of its
+	// enumerate span, which release closes.
+	enumStart time.Time
 }
 
 // SearchCtx starts an enumeration of q under algo, bound to ctx:
@@ -659,12 +593,11 @@ func (s *Searcher) SearchCtx(ctx context.Context, algo Algorithm, q Query) (it *
 			it, err = nil, recoverQueryPanic(p)
 		}
 	}()
-	sess, err := s.newSession(ctx, q)
+	sess, err := s.newSession(ctx, algo, q)
 	if err != nil {
 		return nil, err
 	}
-	sess.tr.SetLabel("algorithm", algo.String())
-	r := &Results{sess: sess, algo: algo}
+	r := &Results{sess: sess}
 	if algo == AlgoTopK {
 		r.enum = core.NewTopK(sess.eng)
 	} else {
@@ -691,6 +624,14 @@ func (s *Searcher) TopK(q Query) (*Results, error) {
 // TopKCtx is TopK bound to a context.
 func (s *Searcher) TopKCtx(ctx context.Context, q Query) (*Results, error) {
 	return s.SearchCtx(ctx, AlgoTopK, q)
+}
+
+// noteNext marks the start of a traced query's enumeration on its
+// first advance.
+func (it *Results) noteNext() {
+	if it.sess.tr != nil && it.enumStart.IsZero() {
+		it.enumStart = time.Now()
+	}
 }
 
 // startPipeline begins parallel materialization when the searcher is
@@ -728,7 +669,7 @@ func (it *Results) Next() (r *Community, ok bool) {
 			r, ok = nil, false
 		}
 	}()
-	it.sess.noteNext()
+	it.noteNext()
 	it.startPipeline()
 	var r0 *Community
 	if it.pipe != nil {
@@ -740,8 +681,9 @@ func (it *Results) Next() (r *Community, ok bool) {
 		it.finish()
 		return nil, false
 	}
-	it.produced++
-	return it.sess.mapBack(r0), true
+	r = it.sess.mapBack(r0)
+	it.sess.tr.Emission()
+	return r, true
 }
 
 // NextCore advances without materializing the community subgraph;
@@ -758,7 +700,7 @@ func (it *Results) NextCore() (cc CoreCost, ok bool) {
 			cc, ok = CoreCost{}, false
 		}
 	}()
-	it.sess.noteNext()
+	it.noteNext()
 	if it.pipe != nil {
 		cc, _, ok = it.pipe.Next()
 	} else {
@@ -768,8 +710,9 @@ func (it *Results) NextCore() (cc CoreCost, ok bool) {
 		it.finish()
 		return CoreCost{}, false
 	}
-	it.produced++
-	return it.sess.mapBackCore(cc), true
+	cc = it.sess.mapBackCore(cc)
+	it.sess.tr.Emission()
+	return cc, true
 }
 
 // finish records natural exhaustion and releases resources.
@@ -787,8 +730,8 @@ func (it *Results) Close() error {
 	return it.Err()
 }
 
-// release tears down the pipeline, closes spans, returns workspaces
-// and reports to the collector — exactly once.
+// release tears down the pipeline, closes the enumerate span and
+// returns workspaces — exactly once.
 func (it *Results) release() {
 	if it.closed {
 		return
@@ -797,38 +740,10 @@ func (it *Results) release() {
 	if it.pipe != nil {
 		it.pipe.Close()
 	}
-	it.sess.finishEnum()
+	if !it.enumStart.IsZero() {
+		it.sess.tr.RecordSpan("enumerate", it.enumStart)
+	}
 	it.sess.eng.Close()
-	it.observe()
-}
-
-// queryCounter numbers collector records for queries run outside any
-// serving layer (which mint their own query IDs).
-var queryCounter atomic.Int64
-
-// observe reports the finished query to the searcher's collector.
-func (it *Results) observe() {
-	col := it.sess.s.col
-	if col == nil {
-		return
-	}
-	var sum *obs.Summary
-	if it.sess.tr != nil {
-		sum = it.sess.tr.Summary()
-	}
-	err := it.Err()
-	stop := ""
-	if err != nil {
-		stop = err.Error()
-	}
-	n := it.sess.q.Normalized()
-	rec := obs.NewQueryRecord(
-		fmt.Sprintf("search-%d", queryCounter.Add(1)),
-		it.algo.String(),
-		n.Keywords, n.Rmax, it.produced, it.sess.s.Indexed(),
-		it.produced, err, stop, it.sess.start, time.Since(it.sess.start), sum,
-	)
-	col.Observe(rec)
 }
 
 // Collect drains up to max communities from the iterator (max <= 0
