@@ -28,6 +28,21 @@ func repl(g *commdb.Graph, s *commdb.Searcher, rmax float64, lim commdb.Limits, 
 	var lastTr *obs.Trace // trace of the current query, for 'stats'
 	var qn int            // query counter, numbers the trace IDs
 
+	// The epoch manager behind `reload`: the same fail-closed swap path
+	// commserve uses, sized down to one session. A rejected artifact
+	// (corrupt, truncated, wrong graph, shrunken radius) leaves the
+	// current searcher untouched, an open iterator keeps answering 'more'
+	// from the epoch it started on, and every finished query feeds the
+	// new epoch's probation window, so the previous index is dropped
+	// after the window's clean queries (or restored by a rollback).
+	var reloadPath string
+	snaps := snapshot.New(s, snapshot.Config{
+		Load: func(inj *fault.Injector) (*commdb.Searcher, error) {
+			return snapshot.IndexFileLoader(g, reloadPath)(inj)
+		},
+		Logf: func(format string, a ...any) { fmt.Fprintf(out, "  "+format+"\n", a...) },
+	})
+
 	// The session-local slow-query log: every finished query is run
 	// through the same capture/watchdog/aggregation layer the server
 	// uses. A query is finalized when the next one starts, on 'slowlog',
@@ -41,7 +56,7 @@ func repl(g *commdb.Graph, s *commdb.Searcher, rmax float64, lim commdb.Limits, 
 	var pending *replQuery
 	flush := func() {
 		if pending != nil {
-			pending.flush(col, it.Err(), shown)
+			pending.flush(col, snaps, it.Err(), shown)
 			pending = nil
 		}
 	}
@@ -54,19 +69,6 @@ func repl(g *commdb.Graph, s *commdb.Searcher, rmax float64, lim commdb.Limits, 
 		flush()
 	}
 
-	// The epoch manager behind `reload`: the same fail-closed swap path
-	// commserve uses, sized down to one session. A rejected artifact
-	// (corrupt, truncated, wrong graph, shrunken radius) leaves the
-	// current searcher untouched, and an open iterator keeps answering
-	// 'more' from the epoch it started on.
-	var reloadPath string
-	snaps := snapshot.New(s, snapshot.Config{
-		Load: func(inj *fault.Injector) (*commdb.Searcher, error) {
-			return snapshot.IndexFileLoader(g, reloadPath)(inj)
-		},
-		Logf: func(format string, a ...any) { fmt.Fprintf(out, "  "+format+"\n", a...) },
-	})
-
 	scanner := bufio.NewScanner(in)
 	for {
 		fmt.Fprint(out, "> ")
@@ -77,6 +79,10 @@ func repl(g *commdb.Graph, s *commdb.Searcher, rmax float64, lim commdb.Limits, 
 		if len(fields) == 0 {
 			continue
 		}
+		// Commands answer from the serving epoch, which a reload or a
+		// rollback may have moved since the last one.
+		epoch := snaps.Serving()
+		s = epoch.Searcher()
 		switch cmd := fields[0]; cmd {
 		case "help":
 			fmt.Fprintln(out, "  q <kw> [kw...]   start a ranked community query")
@@ -143,6 +149,7 @@ func repl(g *commdb.Graph, s *commdb.Searcher, rmax float64, lim commdb.Limits, 
 			finish()
 			qn++
 			tr := obs.NewTrace(fmt.Sprintf("repl-%d", qn))
+			tr.SetEpoch(epoch.ID())
 			ctx := obs.ContextWithTrace(context.Background(), tr)
 			begin := time.Now()
 			nit, err := s.TopKCtx(ctx, commdb.Query{Keywords: fields[1:], Rmax: rmax, Ranker: ranker, Limits: lim})
@@ -150,7 +157,7 @@ func repl(g *commdb.Graph, s *commdb.Searcher, rmax float64, lim commdb.Limits, 
 				fmt.Fprintln(out, "error:", err)
 				// Even a query that failed to start enters the log: errored
 				// queries are always retained.
-				(&replQuery{start: begin, active: time.Since(begin), tr: tr}).flush(col, err, 0)
+				(&replQuery{start: begin, active: time.Since(begin), tr: tr}).flush(col, snaps, err, 0)
 				it, lastTr = nil, nil
 				continue
 			}
@@ -171,17 +178,19 @@ func repl(g *commdb.Graph, s *commdb.Searcher, rmax float64, lim commdb.Limits, 
 			}
 			// New queries run on the new epoch; an open iterator keeps its
 			// old searcher and stays valid for 'more'.
-			l := snaps.Acquire()
-			s = l.Searcher()
-			l.Release()
+			ns := snaps.Serving().Searcher()
 			fmt.Fprintf(out, "reload ok: epoch %d serving (indexed=%v, radius=%v)\n",
-				snaps.Current(), s.Indexed(), s.IndexRadius())
+				snaps.Current(), ns.Indexed(), ns.IndexRadius())
 		case "mem":
-			// The footprint is the reload-aware view: after a successful
-			// 'reload', s is the new epoch's searcher, so the report
-			// follows the swap.
+			// Every epoch the session keeps resident: the serving one and,
+			// while a reload is on probation, the one retained for rollback.
 			var b strings.Builder
-			s.Footprint().WriteText(&b)
+			for i, e := range snaps.LiveEpochs() {
+				if i > 0 {
+					fmt.Fprintf(&b, "epoch %d, retained for rollback until probation passes:\n", e.ID())
+				}
+				e.Searcher().Footprint().WriteText(&b)
+			}
 			fmt.Fprint(out, b.String())
 		case "stats":
 			if lastTr == nil {
@@ -242,15 +251,17 @@ type replQuery struct {
 	tr     *obs.Trace
 }
 
-// flush finalizes the query into the collector: trace summary, the
-// iterator's stop error (nil after a clean finish), results shown so
-// far.
-func (p *replQuery) flush(col *obs.Collector, stop error, shown int) {
+// flush finalizes the query as the server does: its epoch and stop
+// error (nil after a clean finish) go to the epoch's probation window,
+// the trace summary and the results shown so far to the collector.
+func (p *replQuery) flush(col *obs.Collector, snaps *snapshot.Manager, stop error, shown int) {
 	reason := ""
 	if stop != nil {
 		reason = stopReason(stop)
 	}
-	col.Observe(obs.NewQueryRecord(p.tr.Summary(), obs.Serving{
+	sum := p.tr.Summary()
+	snaps.ObserveQuery(sum.Epoch, stop)
+	col.Observe(obs.NewQueryRecord(sum, obs.Serving{
 		QueryID: p.tr.QueryID(), Endpoint: "repl", Results: shown,
 		Stop: stop, StopReason: reason, Start: p.start, Elapsed: p.active,
 	}))

@@ -17,6 +17,7 @@ import (
 	"commdb"
 	"commdb/internal/obs"
 	"commdb/internal/server"
+	"commdb/internal/snapshot"
 )
 
 func runReplScript(t *testing.T, script string) string {
@@ -211,6 +212,23 @@ func TestReplReload(t *testing.T) {
 	if !strings.Contains(out, "#1 cost=7.000") {
 		t.Fatalf("query after reload wrong:\n%s", out)
 	}
+
+	// The session feeds the new epoch's probation window: right after the
+	// reload 'mem' reports two resident indexes, and once the window's 20
+	// queries have finished cleanly the previous one is dropped rather
+	// than pinned until the next reload.
+	const retained = "retained for rollback"
+	out = runReplScript(t, "reload "+good+"\nmem\n"+strings.Repeat("q a b c\n", 21)+"mem\nquit\n")
+	before, after, ok := strings.Cut(out, "#1 cost=7.000")
+	if !ok || !strings.Contains(before, retained) {
+		t.Fatalf("previous epoch not reported while on probation:\n%s", out)
+	}
+	if !strings.Contains(after, "epoch 1 released (probation passed)") {
+		t.Fatalf("20 clean queries did not pass probation:\n%s", out)
+	}
+	if final := after[strings.LastIndex(after, "> searcher"):]; strings.Contains(final, retained) {
+		t.Fatalf("previous epoch still retained after probation:\n%s", final)
+	}
 	if help := runReplScript(t, "help\nquit\n"); !strings.Contains(help, "reload <file>") {
 		t.Fatalf("help does not mention reload:\n%s", help)
 	}
@@ -241,7 +259,7 @@ func TestReplRecordMatchesServer(t *testing.T) {
 	replShow(io.Discard, g, it, &shown, 5)
 	it.Close()
 	col := obs.NewCollector(obs.CollectorConfig{})
-	(&replQuery{start: begin, active: time.Since(begin), tr: tr}).flush(col, it.Err(), shown)
+	(&replQuery{start: begin, active: time.Since(begin), tr: tr}).flush(col, snapshot.New(s, snapshot.Config{}), it.Err(), shown)
 	fromRepl := col.SlowLog()[0]
 
 	ts := httptest.NewServer(server.New(s, server.Config{}).Handler())

@@ -96,7 +96,7 @@ func (p *deltaPipeline) loader(parallelism int) snapshot.Loader {
 // (probation, breach) leaves the previous epoch serving; the maintainer
 // still advances and the next batch retries the swap.
 func (p *deltaPipeline) follow(ctx context.Context, logPath string, debounce time.Duration, snaps *snapshot.Manager) error {
-	return p.m.Follow(ctx, delta.NewTail(logPath, 0), delta.FollowOptions{Debounce: debounce},
+	return p.m.Follow(ctx, delta.NewTail(logPath), debounce,
 		func(bs delta.BatchStats) error {
 			if err := p.publish(); err != nil {
 				return err

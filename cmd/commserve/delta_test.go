@@ -29,7 +29,6 @@ import (
 
 	"commdb/internal/datagen"
 	"commdb/internal/delta"
-	"commdb/internal/obs"
 	"commdb/internal/server"
 	"commdb/internal/snapshot"
 )
@@ -128,7 +127,6 @@ func TestDeltaServeLiveRepublish(t *testing.T) {
 		MaxQueue:      64,
 		Snapshots:     mgr,
 		Deltas:        pipe.m.Stats,
-		Obs:           obs.CollectorConfig{Watchdog: obs.WatchdogConfig{Disabled: true}},
 	})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()

@@ -27,17 +27,15 @@
 // the commdb_mem_* gauge families export on /metricsz. -pprof mounts
 // the standard net/http/pprof handlers under /debug/pprof/, behind the
 // same bearer token as /admin/reload (profiles leak symbol names, so
-// they are admin surface). -profile-every starts continuous profiling:
-// heap and CPU profiles captured on that interval into a bounded
-// in-memory ring, listed at GET /debug/profilez and fetched at
-// GET /debug/profilez/{id} (both token-authenticated).
+// they are admin surface); it is the one profiling surface — keeping
+// profiles from before an incident is a scraper's job.
 //
 // -workload-log turns on the workload flight recorder: every completed
 // query (cache hits included) is journaled as one CRC-framed NDJSON
-// line (with -workload-log-max-bytes rotation and deterministic 1-in-N
-// -workload-sample), which benchrunner -replay can re-execute
-// deterministically; its counters are the "workload_journal" block in
-// /statsz and the commdb_workload_journal_* families.
+// line (-workload-log-max-bytes bounds the file, rotating once), which
+// benchrunner -replay can re-execute deterministically; its counters
+// are the "workload_journal" block in /statsz and the
+// commdb_workload_journal_* families.
 //
 // Per-request limits are clamped to the -max-* flags, so one client
 // cannot monopolize the query governor's budget. On SIGINT/SIGTERM the
@@ -77,7 +75,6 @@ import (
 	"time"
 
 	"commdb"
-	"commdb/internal/prof"
 	"commdb/internal/server"
 	"commdb/internal/snapshot"
 	"commdb/internal/workload"
@@ -117,13 +114,8 @@ func main() {
 		logQueries  = flag.Bool("log", false, "log one structured line per query (JSON on stderr)")
 		pprofEnable = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (requires the admin token)")
 
-		profileEvery = flag.Duration("profile-every", 0, "continuous profiling: capture heap+CPU profiles at this interval into a bounded ring at /debug/profilez (0 disables)")
-		profileCPU   = flag.Duration("profile-cpu", 5*time.Second, "continuous profiling: CPU sample length per round (clamped to half the interval)")
-		profileKeep  = flag.Int("profile-keep", 4, "continuous profiling: captures retained per profile kind")
-
 		workloadLog    = flag.String("workload-log", "", "workload flight recorder: append one NDJSON entry per completed query (cache hits included) to this journal file; replay it with benchrunner -replay (empty disables)")
 		workloadLogMax = flag.Int64("workload-log-max-bytes", 64<<20, "workload journal size bound; on overflow the file rotates once to <path>.1")
-		workloadSample = flag.Int("workload-sample", 1, "workload journal sampling: record 1 in every N completed queries (1 = all)")
 	)
 	flag.Parse()
 	if *adminToken == "" {
@@ -153,23 +145,12 @@ func main() {
 	var journal *workload.Journal
 	if *workloadLog != "" {
 		var err error
-		journal, err = workload.OpenJournal(workload.JournalConfig{
-			Path:        *workloadLog,
-			MaxBytes:    *workloadLogMax,
-			SampleEvery: *workloadSample,
-		})
+		journal, err = workload.OpenJournal(workload.JournalConfig{Path: *workloadLog, MaxBytes: *workloadLogMax})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "commserve:", err)
 			os.Exit(1)
 		}
 		cfg.WorkloadJournal = journal
-	}
-	if *profileEvery > 0 {
-		cfg.Profiler = prof.NewProfiler(prof.ProfilerConfig{
-			Interval:    *profileEvery,
-			CPUDuration: *profileCPU,
-			Keep:        *profileKeep,
-		})
 	}
 	if err := run(runOptions{
 		addr: *addr, graphPath: *graphPath, indexPath: *indexPath, example: *example,
@@ -243,10 +224,6 @@ func run(o runOptions) error {
 
 	watchCtx, stopWatch := context.WithCancel(context.Background())
 	defer stopWatch()
-	if cfg.Profiler != nil {
-		log.Printf("continuous profiling on (ring at /debug/profilez)")
-		go cfg.Profiler.Run(watchCtx)
-	}
 	if snaps != nil && o.watchEvery > 0 && o.dbPath == "" {
 		// Watch the artifact the reload actually re-reads: the index file
 		// when serving one, otherwise the graph file. indexbuild publishes

@@ -144,7 +144,7 @@ func runFromDB(ctx context.Context, dbPath string, rmax float64, out, outGraph, 
 	}
 
 	fmt.Printf("following %s (debounce %v); SIGINT to stop\n", follow, debounce)
-	return m.Follow(ctx, delta.NewTail(follow, 0), delta.FollowOptions{Debounce: debounce},
+	return m.Follow(ctx, delta.NewTail(follow), debounce,
 		func(bs delta.BatchStats) error {
 			if err := publish(); err != nil {
 				return err

@@ -116,7 +116,7 @@ func TestTornWriteTolerance(t *testing.T) {
 	if err := os.WriteFile(path, torn, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	tail := delta.NewTail(path, 0)
+	tail := delta.NewTail(path)
 	got, err := tail.Poll()
 	if err != nil {
 		t.Fatal(err)
@@ -193,7 +193,7 @@ func TestLogRejectsDamage(t *testing.T) {
 		if err := os.WriteFile(path, bad, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if got, err := delta.NewTail(path, 0).Poll(); err == nil {
+		if got, err := delta.NewTail(path).Poll(); err == nil {
 			t.Errorf("%s: Tail.Poll accepted the log (%d ops)", name, len(got))
 		}
 	}
@@ -203,7 +203,7 @@ func TestLogRejectsDamage(t *testing.T) {
 	if err := os.WriteFile(path, bytes.Join(lines[:2], nil), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	tail := delta.NewTail(path, 0)
+	tail := delta.NewTail(path)
 	if got, err := tail.Poll(); err != nil || len(got) != 2 {
 		t.Fatalf("first poll: %d ops, err %v", len(got), err)
 	}
@@ -222,7 +222,7 @@ func TestLogWriterTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tail := delta.NewTail(path, 0)
+	tail := delta.NewTail(path)
 	total := 0
 	for i := 0; i < 3; i++ {
 		if err := w.Append(

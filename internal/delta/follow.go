@@ -5,43 +5,18 @@ import (
 	"time"
 )
 
-// FollowOptions tunes the tail-apply-publish loop.
-type FollowOptions struct {
-	// Debounce is how long the follower waits for a burst of appends
-	// to go quiet before applying the accumulated batch — the
-	// republish cadence knob. Defaults to 500ms.
-	Debounce time.Duration
-	// Poll is the file-polling interval. Defaults to Debounce/4,
-	// clamped to [25ms, 250ms].
-	Poll time.Duration
-}
-
-func (o *FollowOptions) defaults() {
-	if o.Debounce <= 0 {
-		o.Debounce = 500 * time.Millisecond
-	}
-	if o.Poll <= 0 {
-		o.Poll = o.Debounce / 4
-		if o.Poll < 25*time.Millisecond {
-			o.Poll = 25 * time.Millisecond
-		}
-		if o.Poll > 250*time.Millisecond {
-			o.Poll = 250 * time.Millisecond
-		}
-	}
-}
-
 // Follow tails a mutation log until ctx is done: newly appended
-// complete ops are accumulated until the log goes quiet for the
-// debounce interval, then applied as one batch; after every batch that
+// complete ops are accumulated until the log goes quiet for debounce
+// (the republish cadence), then applied as one batch; after every batch that
 // changed the artifacts, publish runs (republish the files, reload the
 // serving snapshot, ...) and its duration is recorded. Publish errors
 // are logged and the loop continues — the next batch will publish the
 // newer state anyway. Returns nil on context cancellation; a tail read
 // error (e.g. a truncated log) is permanent and returned.
-func (m *Maintainer) Follow(ctx context.Context, tail *Tail, opts FollowOptions, publish func(BatchStats) error) error {
-	opts.defaults()
-	timer := time.NewTimer(opts.Poll)
+func (m *Maintainer) Follow(ctx context.Context, tail *Tail, debounce time.Duration, publish func(BatchStats) error) error {
+	// The file is polled four times per quiet period, within [25ms, 250ms].
+	poll := min(max(debounce/4, 25*time.Millisecond), 250*time.Millisecond)
+	timer := time.NewTimer(poll)
 	defer timer.Stop()
 	var batch []Op
 	var quietSince time.Time
@@ -55,7 +30,7 @@ func (m *Maintainer) Follow(ctx context.Context, tail *Tail, opts FollowOptions,
 			batch = append(batch, ops...)
 			quietSince = time.Now()
 		}
-		if len(batch) > 0 && time.Since(quietSince) >= opts.Debounce {
+		if len(batch) > 0 && time.Since(quietSince) >= debounce {
 			bs, err := m.Apply(batch)
 			if err != nil {
 				return err
@@ -70,7 +45,7 @@ func (m *Maintainer) Follow(ctx context.Context, tail *Tail, opts FollowOptions,
 				}
 			}
 		}
-		timer.Reset(opts.Poll)
+		timer.Reset(poll)
 		select {
 		case <-ctx.Done():
 			return nil

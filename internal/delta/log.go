@@ -178,9 +178,9 @@ type Tail struct {
 	seq  int64 // sequence number of the last op consumed (0 = none yet)
 }
 
-// NewTail starts tailing path from the given offset (0 = the start).
-func NewTail(path string, offset int64) *Tail {
-	return &Tail{path: path, off: offset}
+// NewTail starts tailing path from its first byte.
+func NewTail(path string) *Tail {
+	return &Tail{path: path}
 }
 
 // Poll returns newly appended complete ops, or nil when there are

@@ -1,9 +1,8 @@
 // Package prof is the resource-accounting and profiling layer: exact
 // byte/cardinality footprints for the long-lived data structures
 // (graph CSR, invertedN/invertedE postings, fulltext, result cache,
-// snapshot epochs, delta maintainer), named stage timers for the
-// build and delta-apply pipelines, and an opt-in continuous profiler
-// that keeps a bounded ring of recent CPU/heap profiles.
+// snapshot epochs, delta maintainer) and named stage timers for the
+// build and delta-apply pipelines.
 //
 // The accounting model is deliberate about what it counts:
 //

@@ -1,7 +1,6 @@
 package prof
 
 import (
-	"context"
 	"strings"
 	"testing"
 	"time"
@@ -152,93 +151,5 @@ func TestDisabledStagesZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled stages allocated %v per run, want 0", allocs)
-	}
-}
-
-func TestProfilerHeapRing(t *testing.T) {
-	p := NewProfiler(ProfilerConfig{Keep: 2})
-	var ids []int
-	for i := 0; i < 3; i++ {
-		id := p.CaptureHeap()
-		if id < 0 {
-			t.Fatalf("capture %d failed", i)
-		}
-		ids = append(ids, id)
-	}
-	list := p.Profiles()
-	if len(list) != 2 {
-		t.Fatalf("ring holds %d, want 2", len(list))
-	}
-	if list[0].ID != ids[1] || list[1].ID != ids[2] {
-		t.Fatalf("ring = %+v, want ids %v", list, ids[1:])
-	}
-	for _, pr := range list {
-		if pr.Kind != "heap" || pr.Size <= 0 {
-			t.Fatalf("bad profile meta: %+v", pr)
-		}
-		if pr.Data() != nil {
-			t.Fatal("Profiles() must not carry payloads")
-		}
-	}
-	got, err := p.Get(ids[2])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Data()) == 0 || len(got.Data()) != got.Size {
-		t.Fatalf("payload size %d, meta %d", len(got.Data()), got.Size)
-	}
-	if _, err := p.Get(ids[0]); err == nil {
-		t.Fatal("evicted profile still retrievable")
-	}
-}
-
-func TestProfilerCPUCapture(t *testing.T) {
-	p := NewProfiler(ProfilerConfig{CPUDuration: 20 * time.Millisecond, Interval: time.Hour})
-	id := p.CaptureCPU(context.Background())
-	if id < 0 {
-		t.Fatal("cpu capture failed")
-	}
-	pr, err := p.Get(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pr.Kind != "cpu" || pr.Size == 0 {
-		t.Fatalf("bad cpu profile: %+v", pr)
-	}
-}
-
-func TestNilProfilerSafe(t *testing.T) {
-	var p *Profiler
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	p.Run(ctx)
-	if p.CaptureHeap() != -1 || p.CaptureCPU(ctx) != -1 {
-		t.Fatal("nil captures should report failure")
-	}
-	if p.Profiles() != nil {
-		t.Fatal("nil Profiles should be nil")
-	}
-	if _, err := p.Get(0); err == nil {
-		t.Fatal("nil Get should error")
-	}
-}
-
-func TestProfilerRunLoop(t *testing.T) {
-	p := NewProfiler(ProfilerConfig{Interval: 30 * time.Millisecond, CPUDuration: 5 * time.Millisecond, Keep: 8})
-	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Millisecond)
-	defer cancel()
-	p.Run(ctx)
-	list := p.Profiles()
-	var heaps, cpus int
-	for _, pr := range list {
-		switch pr.Kind {
-		case "heap":
-			heaps++
-		case "cpu":
-			cpus++
-		}
-	}
-	if heaps == 0 || cpus == 0 {
-		t.Fatalf("run loop captured heap=%d cpu=%d, want both > 0", heaps, cpus)
 	}
 }

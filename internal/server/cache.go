@@ -11,8 +11,8 @@ import (
 // cacheKey identifies one cacheable top-k answer: the query's answer-set
 // identity, how many communities were asked for, the record shape, and
 // the snapshot epoch the answer was produced under. The epoch is part of
-// every key, so a stale epoch's answers can never serve a request leased
-// to a newer one.
+// every key, so a stale epoch's answers can never serve a request
+// answered from a newer one.
 type cacheKey struct {
 	fingerprint string // commdb.Query.Fingerprint()
 	k           int

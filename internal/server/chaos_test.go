@@ -34,7 +34,6 @@ import (
 
 	"commdb"
 	"commdb/internal/fault"
-	"commdb/internal/obs"
 	"commdb/internal/snapshot"
 )
 
@@ -260,9 +259,6 @@ func runChaos(t *testing.T, seed int64) {
 		MaxQueue:      64,
 		Snapshots:     mgr,
 		AdminToken:    chaosToken,
-		// The watchdog is exercised by its own tests; under -race on a
-		// loaded runner its jitter heuristics would add nondeterminism.
-		Obs: obs.CollectorConfig{Watchdog: obs.WatchdogConfig{Disabled: true}},
 	})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -558,12 +554,7 @@ func TestEpochConsistencyAcrossReload(t *testing.T) {
 		t.Fatal(err)
 	}
 	mgr := snapshot.New(initial, snapshot.Config{Load: loader, Probation: 1})
-	// The emission watchdog is off: the reload below can stall the parked
-	// stream for longer than its SLO floor on a small host, and a breach
-	// during probation rolls epoch 2 back — a timing verdict this test is
-	// not about.
-	srv := New(initial, Config{Snapshots: mgr, AdminToken: chaosToken,
-		Obs: obs.CollectorConfig{Watchdog: obs.WatchdogConfig{Disabled: true}}})
+	srv := New(initial, Config{Snapshots: mgr, AdminToken: chaosToken})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -612,5 +603,57 @@ func TestEpochConsistencyAcrossReload(t *testing.T) {
 	}
 	if epoch != 2 || gen != 2 {
 		t.Fatalf("fresh query: epoch %d gen %d, want 2/2", epoch, gen)
+	}
+}
+
+// stallingWriter is a client that reads slowly: its stallAt-th Write
+// blocks for stall before returning.
+type stallingWriter struct {
+	http.ResponseWriter
+	writes, stallAt int
+	stall           time.Duration
+}
+
+func (w *stallingWriter) Write(p []byte) (int, error) {
+	if w.writes++; w.writes == w.stallAt {
+		time.Sleep(w.stall)
+	}
+	return w.ResponseWriter.Write(p)
+}
+
+// TestSlowReaderDoesNotRollBack: an emission gap includes the write to
+// the client, so a stream whose reader stalls during a fresh epoch's
+// probation breaches the emission SLO. The breach is an alert — it is
+// counted — and must not discard the freshly loaded epoch.
+func TestSlowReaderDoesNotRollBack(t *testing.T) {
+	open := func(gen int) *commdb.Searcher {
+		s, err := commdb.Open(chaosGraph(t, gen, 40), commdb.WithIndex(4), commdb.WithParallelism(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	initial := open(1)
+	mgr := snapshot.New(initial, snapshot.Config{
+		Load: func(*fault.Injector) (*commdb.Searcher, error) { return open(2), nil },
+	})
+	srv := New(initial, Config{Snapshots: mgr})
+	if out, err := mgr.Reload(context.Background()); err != nil || out != snapshot.OutcomeSuccess {
+		t.Fatalf("reload: %s %v", out, err)
+	}
+
+	req := httptest.NewRequest("POST", "/v1/search/all",
+		strings.NewReader(`{"keywords":["alpha","beta"],"rmax":3}`))
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(&stallingWriter{ResponseWriter: rec, stallAt: 8, stall: 300 * time.Millisecond}, req)
+	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"type":"`+RecordTrailer+`"`) {
+		t.Fatalf("stream did not complete: status %d\n%s", rec.Code, rec.Body)
+	}
+
+	if got := srv.Stats().SLOBreaches; got != 1 {
+		t.Fatalf("slo_breaches = %d, want 1 (the alert must still fire)", got)
+	}
+	if got := mgr.Counts()[snapshot.OutcomeRolledBack]; got != 0 || mgr.Current() != 2 {
+		t.Fatalf("serving epoch %d, rolled_back %d: a slow reader rolled the epoch back", mgr.Current(), got)
 	}
 }

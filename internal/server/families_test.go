@@ -261,11 +261,10 @@ func driveCoreFamilies(t *testing.T) []map[string]string {
 	return append(scrapes, scrapeFamilies(t, ts.URL))
 }
 
-// driveJournalFamilies: a journal small enough to rotate, sampling one
-// entry in two.
+// driveJournalFamilies: a journal small enough to rotate.
 func driveJournalFamilies(t *testing.T) []map[string]string {
 	j, err := workload.OpenJournal(workload.JournalConfig{
-		Path: filepath.Join(t.TempDir(), "journal.ndjson"), MaxBytes: 600, SampleEvery: 2,
+		Path: filepath.Join(t.TempDir(), "journal.ndjson"), MaxBytes: 600,
 	})
 	if err != nil {
 		t.Fatal(err)

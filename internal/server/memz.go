@@ -60,20 +60,17 @@ type MemorySnapshot struct {
 	Runtime RuntimeMemory `json:"runtime"`
 }
 
-// memorySnapshot assembles the ledger. Per-epoch footprints are read
-// under leases from LiveEpochs, so a concurrent reload can never
-// retire an epoch mid-walk; the footprint trees themselves are
+// memorySnapshot assembles the ledger. The footprint trees are
 // Once-cached on the immutable artifacts, so repeated scrapes cost a
 // few atomic loads, not a re-count.
 func (s *Server) memorySnapshot() MemorySnapshot {
 	var out MemorySnapshot
 	if s.snaps != nil {
-		for _, l := range s.snaps.LiveEpochs() {
-			f := l.Searcher().Footprint()
-			f.Name = "epoch_" + strconv.FormatInt(l.Epoch(), 10)
+		for _, e := range s.snaps.LiveEpochs() {
+			f := e.Searcher().Footprint()
+			f.Name = "epoch_" + strconv.FormatInt(e.ID(), 10)
 			out.Components = append(out.Components, f)
-			out.Epochs = append(out.Epochs, EpochMemory{Epoch: l.Epoch(), Bytes: f.Bytes})
-			l.Release()
+			out.Epochs = append(out.Epochs, EpochMemory{Epoch: e.ID(), Bytes: f.Bytes})
 		}
 	} else if fp, ok := s.eng.(footprinter); ok {
 		out.Components = append(out.Components, fp.Footprint())
@@ -102,11 +99,10 @@ func (s *Server) memorySnapshot() MemorySnapshot {
 }
 
 // servingFootprint is the current serving engine's footprint — the
-// epoch a request admitted now would lease, or the fixed engine. The
-// zero Footprint when the engine doesn't report one (fake engines).
+// epoch a request admitted now would answer from, or the fixed engine.
+// The zero Footprint when the engine doesn't report one (fake engines).
 func (s *Server) servingFootprint() prof.Footprint {
-	eng, _, release := s.lease()
-	defer release()
+	eng, _ := s.lease()
 	if fp, ok := eng.(footprinter); ok {
 		return fp.Footprint()
 	}

@@ -277,59 +277,3 @@ func TestPprofAdminAuth(t *testing.T) {
 		t.Fatalf("good token: status %d, want 200", got)
 	}
 }
-
-// TestProfilez: the capture ring's endpoints list retained profiles
-// and serve raw payloads, behind the same admin auth as pprof.
-func TestProfilez(t *testing.T) {
-	p := prof.NewProfiler(prof.ProfilerConfig{})
-	if id := p.CaptureHeap(); id < 0 {
-		t.Fatal("heap capture failed")
-	}
-	_, ts := newPaperServer(t, Config{Profiler: p, AdminToken: "tok"})
-
-	do := func(path, token string) *http.Response {
-		req, err := http.NewRequest("GET", ts.URL+path, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if token != "" {
-			req.Header.Set("Authorization", "Bearer "+token)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp
-	}
-
-	if resp := do("/debug/profilez", ""); resp.StatusCode != http.StatusUnauthorized {
-		t.Fatalf("unauthenticated list: status %d, want 401", resp.StatusCode)
-	} else {
-		resp.Body.Close()
-	}
-
-	resp := do("/debug/profilez", "tok")
-	var list ProfilezResponse
-	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if len(list.Profiles) != 1 || list.Profiles[0].Kind != "heap" {
-		t.Fatalf("profile list = %+v", list.Profiles)
-	}
-	id := list.Profiles[0].ID
-
-	resp = do(fmt.Sprintf("/debug/profilez/%d", id), "tok")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("profile fetch: status %d", resp.StatusCode)
-	}
-	payload := readAll(t, resp)
-	if len(payload) != list.Profiles[0].Size || len(payload) == 0 {
-		t.Fatalf("payload %d bytes, listed size %d", len(payload), list.Profiles[0].Size)
-	}
-	if resp := do("/debug/profilez/999", "tok"); resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("missing profile: status %d, want 404", resp.StatusCode)
-	} else {
-		resp.Body.Close()
-	}
-}

@@ -74,8 +74,6 @@ func newMetrics(s *Server) *metrics {
 	if j := s.cfg.WorkloadJournal; j != nil {
 		reg.CounterFunc("commdb_workload_journal_records_total", "entries appended to the workload journal",
 			func() int64 { return j.Stats().Records })
-		reg.CounterFunc("commdb_workload_journal_sampled_out_total", "entries dropped by the journal sampling policy",
-			func() int64 { return j.Stats().SampledOut })
 		reg.CounterFunc("commdb_workload_journal_rotations_total", "workload journal rotations",
 			func() int64 { return j.Stats().Rotations })
 		reg.GaugeFunc("commdb_workload_journal_bytes", "current workload journal file size",
@@ -91,7 +89,7 @@ func newMetrics(s *Server) *metrics {
 	reg.GaugeFunc("commdb_mem_heap_sys_bytes", "runtime heap bytes obtained from the OS",
 		func() float64 { return float64(m.mem.Runtime.HeapSysBytes) })
 	// Component footprints are Once-cached on the immutable artifacts,
-	// so these cost a lease acquire/release plus atomic loads.
+	// so these cost a pointer load plus atomic loads.
 	servingPart := func(part string) func() float64 {
 		return func() float64 {
 			f, _ := s.servingFootprint().Find(part)

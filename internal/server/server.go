@@ -78,8 +78,6 @@ type Config struct {
 	// maximum is set, requests asking for more — or for unlimited —
 	// get the maximum. The zero value leaves requests unclamped.
 	MaxLimits commdb.Limits
-	// MaxBodyBytes bounds request bodies (default 1 MiB).
-	MaxBodyBytes int64
 	// Logger, when non-nil, receives one structured line per query with
 	// the query ID that also rides the X-Query-Id response header and
 	// the trace, tying logs, traces and metrics together — plus a
@@ -98,21 +96,16 @@ type Config struct {
 	// symbol names and allocation sites, so they are never served to
 	// unauthenticated scrapers.
 	Pprof bool
-	// Profiler, when non-nil, exposes the continuous profiler's capture
-	// ring: GET /debug/profilez lists retained profiles and
-	// GET /debug/profilez/{id} downloads one, both admin-authenticated
-	// like Pprof. The caller owns the profiler's Run loop.
-	Profiler *prof.Profiler
 	// DeltaMem, when non-nil, reports the incremental maintainer's
 	// artifact footprint (staging graph + index) in /debug/memz, the
 	// /statsz memory block and the commdb_mem_delta_bytes gauge.
 	DeltaMem func() prof.Footprint
 	// Snapshots, when non-nil, turns on epoch-versioned hot reload:
-	// every request leases the manager's current epoch for its full
-	// duration (streams included), responses carry the epoch they were
-	// answered from, reload outcomes surface in /statsz and /metricsz,
-	// and POST /admin/reload triggers a reload. An SLO breach or
-	// internal errors during a fresh epoch's probation roll it back.
+	// every request answers from the epoch that was serving when it
+	// arrived (streams included), responses carry that epoch, reload
+	// outcomes surface in /statsz and /metricsz, and POST /admin/reload
+	// triggers a reload. An internal error during a fresh epoch's
+	// probation rolls it back.
 	Snapshots *snapshot.Manager
 	// AdminToken authorizes POST /admin/reload (Bearer token). Empty
 	// disables the endpoint (requests get 403), so reload-over-HTTP is
@@ -125,8 +118,8 @@ type Config struct {
 	Deltas func() delta.Stats
 	// WorkloadJournal, when non-nil, is the workload flight recorder:
 	// every completed query — engine executions and cache hits alike —
-	// is offered to it (its sampling policy may drop some). The caller
-	// owns the journal's lifecycle (Close on shutdown).
+	// is offered to it. The caller owns the journal's lifecycle (Close
+	// on shutdown).
 	WorkloadJournal *workload.Journal
 }
 
@@ -152,11 +145,11 @@ func (c Config) withDefaults() Config {
 	if c.MaxK <= 0 {
 		c.MaxK = 1000
 	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 1 << 20
-	}
 	return c
 }
+
+// maxBodyBytes bounds a request body.
+const maxBodyBytes = 1 << 20
 
 // Server serves community queries from one Engine. Create it with New
 // or NewWithEngine, mount Handler on an http.Server, and call Shutdown
@@ -205,24 +198,19 @@ func NewWithEngine(eng Engine, cfg Config) *Server {
 		cancelBase: cancel,
 	}
 	s.collector = obs.NewCollector(cfg.Obs)
-	// One combined breach hook (OnBreach replaces, not chains): log the
-	// breach and, during a fresh epoch's probation, roll the epoch back.
-	if cfg.Logger != nil || s.snaps != nil {
-		logger, snaps := cfg.Logger, s.snaps
+	// A breach is an alert — a counter, a forced slow-log capture and
+	// this line — never a verdict on the epoch: an emission gap includes
+	// the write to the client, so a slow reader can cause one.
+	if logger := cfg.Logger; logger != nil {
 		s.collector.OnBreach(func(rec *obs.QueryRecord) {
-			if logger != nil {
-				logger.Warn("emission SLO breach",
-					"qid", rec.QueryID,
-					"endpoint", rec.Endpoint,
-					"keywords", rec.Keywords,
-					"class", rec.Class,
-					"max_delay_ms", rec.MaxEmissionDelayMS,
-					"median_delay_ms", rec.MedianEmissionDelayMS,
-					"total_ms", rec.TotalMS)
-			}
-			if snaps != nil {
-				snaps.NoteBreach()
-			}
+			logger.Warn("emission SLO breach",
+				"qid", rec.QueryID,
+				"endpoint", rec.Endpoint,
+				"keywords", rec.Keywords,
+				"class", rec.Class,
+				"max_delay_ms", rec.MaxEmissionDelayMS,
+				"median_delay_ms", rec.MedianEmissionDelayMS,
+				"total_ms", rec.TotalMS)
 		})
 	}
 	s.metrics = newMetrics(s)
@@ -241,10 +229,6 @@ func NewWithEngine(eng Engine, cfg Config) *Server {
 		mux.HandleFunc("GET /debug/pprof/profile", s.admin(pprof.Profile))
 		mux.HandleFunc("GET /debug/pprof/symbol", s.admin(pprof.Symbol))
 		mux.HandleFunc("GET /debug/pprof/trace", s.admin(pprof.Trace))
-	}
-	if cfg.Profiler != nil {
-		mux.HandleFunc("GET /debug/profilez", s.admin(s.handleProfilez))
-		mux.HandleFunc("GET /debug/profilez/{id}", s.admin(s.handleProfileGet))
 	}
 	s.mux = mux
 	return s
@@ -276,17 +260,17 @@ func (s *Server) logQuery(qid, endpoint string, q commdb.Query, elapsed time.Dur
 // Handler returns the server's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// lease pins the epoch one request serves from. Without a snapshot
-// manager it returns the fixed engine, epoch 0, and a no-op release.
-// With one, the caller must invoke release only after the response —
-// including a full NDJSON stream — is written, so a concurrent reload
-// can never retire the epoch mid-response.
-func (s *Server) lease() (eng Engine, epoch int64, release func()) {
+// lease picks the epoch one request serves from: the fixed engine and
+// epoch 0 without a snapshot manager, the serving epoch with one. The
+// caller uses the returned engine for the whole response — a full
+// NDJSON stream included — so a concurrent reload never changes what a
+// response is answered from.
+func (s *Server) lease() (eng Engine, epoch int64) {
 	if s.snaps == nil {
-		return s.eng, 0, func() {}
+		return s.eng, 0
 	}
-	l := s.snaps.Acquire()
-	return searcherEngine{s: l.Searcher()}, l.Epoch(), l.Release
+	e := s.snaps.Serving()
+	return searcherEngine{s: e.Searcher()}, e.ID()
 }
 
 // Stats snapshots the serving counters.
@@ -340,9 +324,9 @@ func (s *Server) authAdmin(w http.ResponseWriter, r *http.Request) bool {
 	return true
 }
 
-// admin wraps a handler behind authAdmin. pprof and the profile ring
-// mount through it; reload keeps its own snapshot-manager precondition
-// ahead of the same check.
+// admin wraps a handler behind authAdmin. pprof mounts through it;
+// reload keeps its own snapshot-manager precondition ahead of the same
+// check.
 func (s *Server) admin(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		s.reqs.Add(1)
@@ -431,7 +415,7 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 // normalized query with clamped limits already attached. A false ok
 // means the response has been written.
 func (s *Server) parseSearch(w http.ResponseWriter, r *http.Request) (req SearchRequest, q commdb.Query, ok bool) {
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
@@ -579,11 +563,10 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	}
 	qid := s.nextQueryID()
 	w.Header().Set("X-Query-Id", qid)
-	// The lease covers the whole request, cache lookup included: the
-	// epoch is part of the cache key, so a stale epoch's answers can
-	// never serve a request leased to a newer epoch.
-	eng, epoch, release := s.lease()
-	defer release()
+	// One epoch for the whole request, cache lookup included: the epoch
+	// is part of the cache key, so a stale epoch's answers can never
+	// serve a request answered from a newer epoch.
+	eng, epoch := s.lease()
 	key := cacheKey{fingerprint: q.Fingerprint(), k: k, compact: req.Compact, epoch: epoch}
 	// One invalidation sweep per observed epoch change frees the prior
 	// epoch's answers promptly (the epoch inside every key already
@@ -703,10 +686,9 @@ func (s *Server) handleAll(w http.ResponseWriter, r *http.Request) {
 
 	qid := s.nextQueryID()
 	w.Header().Set("X-Query-Id", qid)
-	// The lease spans the entire stream: every record and the trailer
-	// come from one epoch, even if a reload lands mid-stream.
-	eng, epoch, release := s.lease()
-	defer release()
+	// One epoch for the entire stream: every record and the trailer
+	// come from it, even if a reload lands mid-stream.
+	eng, epoch := s.lease()
 	s.stats.streamsStarted.Add(1)
 
 	flusher, _ := w.(http.Flusher)

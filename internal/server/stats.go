@@ -100,9 +100,9 @@ type StatsSnapshot struct {
 	// emission-delay stats per class.
 	QueryClasses []obs.ClassSnapshot `json:"query_classes,omitempty"`
 
-	// Epochs is the snapshot subsystem's state — serving epoch, active
-	// leases, probation, per-outcome reload counters — present only
-	// when the server runs with hot reload enabled.
+	// Epochs is the snapshot subsystem's state — serving epoch,
+	// probation, per-outcome reload counters — present only when the
+	// server runs with hot reload enabled.
 	Epochs *snapshot.Status `json:"epochs,omitempty"`
 
 	// Deltas is the incremental maintainer's cumulative view — batches,

@@ -150,12 +150,11 @@ func TestWorkloadzGone(t *testing.T) {
 }
 
 // TestWorkloadJournalMetrics drives requests through a server with a
-// journal attached — sampling one in two, rotating at every record —
-// and requires every commdb_workload_journal_* series and the /statsz
+// journal attached, rotating at every record, and requires every commdb_workload_journal_* series and the /statsz
 // workload_journal block to move.
 func TestWorkloadJournalMetrics(t *testing.T) {
 	j, err := workload.OpenJournal(workload.JournalConfig{
-		Path: filepath.Join(t.TempDir(), "wl.ndjson"), MaxBytes: 1, SampleEvery: 2,
+		Path: filepath.Join(t.TempDir(), "wl.ndjson"), MaxBytes: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -168,9 +167,8 @@ func TestWorkloadJournalMetrics(t *testing.T) {
 	}
 	text := string(getBody(t, ts.URL+"/metricsz"))
 	for _, want := range []string{
-		"commdb_workload_journal_records_total 2\n",
-		"commdb_workload_journal_sampled_out_total 2\n",
-		"commdb_workload_journal_rotations_total 1\n",
+		"commdb_workload_journal_records_total 4\n",
+		"commdb_workload_journal_rotations_total 3\n",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("missing %q in /metricsz", want)
@@ -185,8 +183,8 @@ func TestWorkloadJournalMetrics(t *testing.T) {
 	if err := json.Unmarshal(getBody(t, ts.URL+"/statsz"), &stats); err != nil {
 		t.Fatal(err)
 	}
-	if stats.Journal == nil || stats.Journal.Records != 2 || stats.Journal.LastSeq != 2 {
-		t.Fatalf("/statsz workload_journal = %+v, want 2 records", stats.Journal)
+	if stats.Journal == nil || stats.Journal.Records != 4 || stats.Journal.LastSeq != 4 {
+		t.Fatalf("/statsz workload_journal = %+v, want 4 records", stats.Journal)
 	}
 }
 

@@ -1,8 +1,10 @@
 // Package snapshot gives a serving process epoch-versioned hot reload
 // of its graph+index: a running server atomically swaps in a freshly
 // loaded Searcher while every in-flight query — including long NDJSON
-// streams — finishes on the epoch it started on, with refcounted
-// retirement of the old epoch once its last query drains.
+// streams — finishes on the epoch it started on. An epoch is an
+// immutable value behind a pointer: a request loads the pointer once
+// and holds it for its whole response, and the garbage collector
+// retires an epoch when the manager and the last request have let go.
 //
 // Loading is fail-closed. A reload that fails for any reason —
 // corrupt or truncated artifact, wrong-graph index, I/O error, panic
@@ -10,19 +12,20 @@
 // records the rejection; transient I/O errors are retried a bounded
 // number of times with doubling backoff, while corruption and
 // validation failures are permanent and fail immediately. After a
-// successful swap the new epoch serves on probation: if its first
-// queries hit internal errors or the SLO watchdog fires, the manager
-// rolls back to the previous epoch, which is kept alive (one slot
-// reference) until probation passes.
+// successful swap the new epoch serves on probation: if one of its
+// first queries hits an internal error (a recovered engine panic, on
+// data that passed every load-time check), the manager rolls back to
+// the previous epoch, which it keeps a pointer to until probation
+// passes.
 //
 // Epoch lifecycle:
 //
 //	          Reload ok                 probation passes
 //	serving ───────────► probation ───────────────────► committed
-//	   ▲  ▲                  │                        (prev released)
-//	   │  │ load fails       │ ErrInternal ≥ N, or SLO breach
+//	   ▲  ▲                  │                        (prev dropped)
+//	   │  │ load fails       │ ErrInternal
 //	   │  └──(no change)     ▼
-//	   └──────────────── rolled back (prev restored, new epoch drains)
+//	   └──────────────── rolled back (prev restored)
 package snapshot
 
 import (
@@ -89,11 +92,9 @@ type Config struct {
 	// (default 50ms).
 	Backoff time.Duration
 	// Probation is how many queries the new epoch must serve cleanly
-	// before the previous epoch is released (default 20).
+	// before the previous epoch is dropped (default 20). The first
+	// internal error inside the window rolls the epoch back.
 	Probation int
-	// ProbationFailures is how many internal errors within probation
-	// trigger rollback (default 1).
-	ProbationFailures int
 	// Logf, when non-nil, receives reload lifecycle messages.
 	Logf func(format string, args ...any)
 }
@@ -122,29 +123,23 @@ func (c *Config) probation() int {
 	return c.Probation
 }
 
-func (c *Config) probationFailures() int {
-	if c.ProbationFailures <= 0 {
-		return 1
-	}
-	return c.ProbationFailures
-}
-
 func (c *Config) logf(format string, args ...any) {
 	if c.Logf != nil {
 		c.Logf(format, args...)
 	}
 }
 
-// Epoch is one immutable generation of graph+index. Queries hold it
-// through a Lease; the manager holds one slot reference while the
-// epoch is current (and, during probation, while it is previous), so
-// refs hitting zero means no query can ever see it again.
+// Epoch is one immutable generation of graph+index. A request takes
+// the pointer from Manager.Serving before touching the searcher
+// (cache lookups keyed by epoch included) and uses that one pointer
+// until the response — the whole stream, not just the first byte — is
+// done; a swap or rollback in between changes what the manager hands
+// out next, never what an Epoch already handed out answers with.
 type Epoch struct {
 	id       int64
 	searcher *commdb.Searcher
 	source   string
 	started  time.Time
-	refs     atomic.Int64
 }
 
 // ID is the epoch's monotonically increasing number. It appears in
@@ -154,49 +149,6 @@ func (e *Epoch) ID() int64 { return e.id }
 
 // Searcher is the epoch's engine.
 func (e *Epoch) Searcher() *commdb.Searcher { return e.searcher }
-
-// acquire takes a query reference; it fails only when the epoch is
-// already fully drained (refs hit zero), which a current epoch never is
-// because the manager's slot reference pins it.
-func (e *Epoch) acquire() bool {
-	for {
-		n := e.refs.Load()
-		if n <= 0 {
-			return false
-		}
-		if e.refs.CompareAndSwap(n, n+1) {
-			return true
-		}
-	}
-}
-
-func (e *Epoch) release() {
-	if e.refs.Add(-1) < 0 {
-		panic("snapshot: epoch over-released")
-	}
-}
-
-// Lease pins one epoch for the duration of one query. Acquire before
-// touching the searcher (including cache lookups keyed by epoch) and
-// Release when the response — the whole stream, not just the first
-// byte — is done. Release is idempotent.
-type Lease struct {
-	e        *Epoch
-	released atomic.Bool
-}
-
-// Epoch is the leased epoch's ID.
-func (l *Lease) Epoch() int64 { return l.e.id }
-
-// Searcher is the leased epoch's engine, valid until Release.
-func (l *Lease) Searcher() *commdb.Searcher { return l.e.searcher }
-
-// Release returns the query reference. Idempotent.
-func (l *Lease) Release() {
-	if l.released.CompareAndSwap(false, true) {
-		l.e.release()
-	}
-}
 
 // Manager owns the current epoch and runs the reload state machine.
 // All methods are safe for concurrent use.
@@ -218,7 +170,6 @@ type Manager struct {
 	probActive    bool
 	probEpoch     int64
 	probRemaining int
-	probFailures  int
 
 	// statMu guards the outcome counters and last-reload record.
 	statMu      sync.Mutex
@@ -231,26 +182,14 @@ type Manager struct {
 // New returns a manager serving initial as epoch 1.
 func New(initial *commdb.Searcher, cfg Config) *Manager {
 	m := &Manager{cfg: cfg, nextID: 2, counts: make(map[string]int64, len(Outcomes))}
-	e := &Epoch{id: 1, searcher: initial, source: "initial", started: time.Now()}
-	e.refs.Store(1) // the manager's slot reference
-	m.cur.Store(e)
+	m.cur.Store(&Epoch{id: 1, searcher: initial, source: "initial", started: time.Now()})
 	return m
 }
 
-// Acquire leases the current epoch. It always succeeds: the manager's
-// slot reference keeps the current epoch acquirable, and the retry
-// loop covers the instant where a swap retires the epoch between the
-// load and the acquire.
-func (m *Manager) Acquire() *Lease {
-	for {
-		e := m.cur.Load()
-		if e.acquire() {
-			return &Lease{e: e}
-		}
-	}
-}
+// Serving returns the epoch a request admitted now answers from.
+func (m *Manager) Serving() *Epoch { return m.cur.Load() }
 
-// Current returns the current epoch's ID without leasing it.
+// Current returns the serving epoch's ID.
 func (m *Manager) Current() int64 { return m.cur.Load().id }
 
 // record counts an outcome and remembers the last reload's result.
@@ -287,8 +226,6 @@ type Status struct {
 	Source string `json:"source"`
 	// StartedAt is when the serving epoch took over.
 	StartedAt time.Time `json:"started_at"`
-	// ActiveLeases counts queries currently pinned to the serving epoch.
-	ActiveLeases int64 `json:"active_leases"`
 	// PrevEpoch is the previous epoch's ID while it is retained for
 	// rollback (0 once committed).
 	PrevEpoch int64 `json:"prev_epoch,omitempty"`
@@ -311,9 +248,7 @@ func (m *Manager) Status() Status {
 		Epoch:     e.id,
 		Source:    e.source,
 		StartedAt: e.started,
-		// refs includes the slot reference; leases are the rest.
-		ActiveLeases: e.refs.Load() - 1,
-		Reloads:      m.Counts(),
+		Reloads:   m.Counts(),
 	}
 	m.probMu.Lock()
 	if m.probActive && m.probEpoch == e.id {
@@ -332,23 +267,16 @@ func (m *Manager) Status() Status {
 	return st
 }
 
-// LiveEpochs leases every epoch the manager is keeping alive: the
-// serving epoch and, during a probation window, the retained previous
-// epoch (current first). Taking the leases under mu — the lock every
-// transition that moves the slot references holds — means both
-// acquires hit epochs whose slot reference is still in place, so the
-// refcount can never race to zero mid-acquire. Callers walk the
-// searchers (e.g. to compute per-epoch memory footprints for
-// /debug/memz) after this returns and must Release every lease.
-func (m *Manager) LiveEpochs() []*Lease {
+// LiveEpochs returns every epoch the manager points at: the serving
+// epoch and, during a probation window, the retained previous epoch
+// (current first). Read under mu, so the pair is one consistent state
+// of the reload machine.
+func (m *Manager) LiveEpochs() []*Epoch {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]*Lease, 0, 2)
-	if cur := m.cur.Load(); cur.acquire() {
-		out = append(out, &Lease{e: cur})
-	}
-	if m.prev != nil && m.prev.acquire() {
-		out = append(out, &Lease{e: m.prev})
+	out := []*Epoch{m.cur.Load()}
+	if m.prev != nil {
+		out = append(out, m.prev)
 	}
 	return out
 }
@@ -413,14 +341,13 @@ func (m *Manager) Reload(ctx context.Context) (string, error) {
 	defer m.mu.Unlock()
 
 	// A reload during probation adjudicates it: the operator is moving
-	// forward, so the probationary epoch is accepted and prev released.
+	// forward, so the probationary epoch is accepted and prev dropped.
 	m.probMu.Lock()
-	if m.probActive {
-		m.probActive = false
-		m.probMu.Unlock()
-		m.finalizePrevLocked("superseded by new reload")
-	} else {
-		m.probMu.Unlock()
+	superseded := m.probActive
+	m.probActive = false
+	m.probMu.Unlock()
+	if superseded {
+		m.dropPrevLocked("superseded by new reload")
 	}
 
 	var s *commdb.Searcher
@@ -464,16 +391,14 @@ func (m *Manager) Reload(ctx context.Context) (string, error) {
 
 	e := &Epoch{id: m.nextID, searcher: s, source: "reload", started: time.Now()}
 	m.nextID++
-	e.refs.Store(1)
+	// The old epoch becomes prev: the rollback target while the new one
+	// is on probation.
 	old := m.cur.Swap(e)
-	// old keeps its slot reference and becomes prev: the rollback target
-	// while the new epoch is on probation.
 	m.prev = old
 	m.probMu.Lock()
 	m.probActive = true
 	m.probEpoch = e.id
 	m.probRemaining = m.cfg.probation()
-	m.probFailures = 0
 	m.probMu.Unlock()
 	m.record(OutcomeSuccess, nil)
 	m.cfg.logf("snapshot: epoch %d serving (probation: next %d queries), epoch %d retained for rollback",
@@ -481,23 +406,21 @@ func (m *Manager) Reload(ctx context.Context) (string, error) {
 	return OutcomeSuccess, nil
 }
 
-// finalizePrevLocked drops the previous epoch's slot reference,
-// letting it drain. Caller holds m.mu.
-func (m *Manager) finalizePrevLocked(why string) {
+// dropPrevLocked forgets the previous epoch: its in-flight queries
+// finish on it, then the collector frees it. Caller holds m.mu.
+func (m *Manager) dropPrevLocked(why string) {
 	if m.prev == nil {
 		return
 	}
 	m.cfg.logf("snapshot: epoch %d released (%s)", m.prev.id, why)
-	m.prev.release()
 	m.prev = nil
 }
 
 // rollback restores prev as the serving epoch if badEpoch is still
-// serving. The bad epoch loses its slot reference and drains as its
-// in-flight queries finish — they complete on the epoch they started
-// on, consistent to the last byte, just against data the manager no
-// longer trusts.
-func (m *Manager) rollback(badEpoch int64, why string) {
+// serving. The bad epoch's in-flight queries complete on the epoch
+// they started on, consistent to the last byte, just against data the
+// manager no longer trusts.
+func (m *Manager) rollback(badEpoch int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	cur := m.cur.Load()
@@ -507,63 +430,45 @@ func (m *Manager) rollback(badEpoch int64, why string) {
 	restored := m.prev
 	m.prev = nil
 	m.cur.Store(restored)
-	cur.release() // drop the bad epoch's slot reference
-	m.record(OutcomeRolledBack, fmt.Errorf("snapshot: epoch %d rolled back: %s", badEpoch, why))
-	m.cfg.logf("snapshot: rolled back to epoch %d (%s); epoch %d draining", restored.id, why, badEpoch)
+	m.record(OutcomeRolledBack, fmt.Errorf("snapshot: epoch %d rolled back: internal error in probation", badEpoch))
+	m.cfg.logf("snapshot: rolled back to epoch %d (internal error in probation); epoch %d draining", restored.id, badEpoch)
 }
 
 // ObserveQuery feeds the probation window: the serving layer reports
-// each finished query's epoch and stop error. Internal errors
-// (commdb.ErrInternal — recovered engine panics) count against the new
-// epoch; enough of them trigger rollback, and a clean window commits
-// the epoch and releases prev.
+// each finished query's epoch and stop error. An internal error
+// (commdb.ErrInternal — a recovered engine panic) inside the window
+// rolls the new epoch back; a clean window commits it and drops prev.
 func (m *Manager) ObserveQuery(epochID int64, err error) {
 	m.probMu.Lock()
 	if !m.probActive || epochID != m.probEpoch {
 		m.probMu.Unlock()
 		return
 	}
-	if err != nil && errors.Is(err, commdb.ErrInternal) {
-		m.probFailures++
-	}
+	failed := errors.Is(err, commdb.ErrInternal)
 	m.probRemaining--
-	if m.probFailures >= m.cfg.probationFailures() {
-		bad := m.probEpoch
-		m.probActive = false
-		m.probMu.Unlock() // before taking m.mu: lock order is mu → probMu
-		m.rollback(bad, fmt.Sprintf("%d internal errors in probation", m.cfg.probationFailures()))
-		return
-	}
-	if m.probRemaining <= 0 {
-		m.probActive = false
-		m.probMu.Unlock()
-		m.mu.Lock()
-		m.finalizePrevLocked("probation passed")
-		m.mu.Unlock()
-		return
-	}
-	m.probMu.Unlock()
-}
-
-// NoteBreach reports an SLO watchdog breach. During probation it rolls
-// the new epoch back; outside probation it is ignored (the watchdog
-// already alerts through the collector).
-func (m *Manager) NoteBreach() {
-	m.probMu.Lock()
-	if !m.probActive {
+	if !failed && m.probRemaining > 0 {
 		m.probMu.Unlock()
 		return
 	}
-	bad := m.probEpoch
 	m.probActive = false
-	m.probMu.Unlock()
-	m.rollback(bad, "SLO watchdog breach in probation")
+	m.probMu.Unlock() // before taking m.mu: lock order is mu → probMu
+	if failed {
+		m.rollback(epochID)
+		return
+	}
+	m.mu.Lock()
+	m.dropPrevLocked("probation passed")
+	m.mu.Unlock()
 }
 
 // Watch polls path's mtime every interval and triggers Reload when it
 // changes, until ctx is done. It returns the number of reloads it
 // triggered. Watch tolerates the path briefly not existing (the window
-// inside an atomic rename).
+// inside an atomic rename). A change counts as seen once its load
+// succeeded or the artifact was rejected for good; a load that failed
+// transiently past its retries, or lost the race to a SIGHUP or admin
+// reload, is tried again on the next tick — otherwise the artifact
+// would wait for some later publish to move the mtime again.
 func (m *Manager) Watch(ctx context.Context, path string, interval time.Duration) int {
 	if interval <= 0 {
 		interval = 2 * time.Second
@@ -585,13 +490,18 @@ func (m *Manager) Watch(ctx context.Context, path string, interval time.Duration
 		if err != nil {
 			continue
 		}
-		if mt := fi.ModTime(); mt.After(last) {
+		mt := fi.ModTime()
+		if !mt.After(last) {
+			continue
+		}
+		reloads++
+		m.cfg.logf("snapshot: %s changed, reloading", path)
+		outcome, err := m.Reload(ctx)
+		if err != nil {
+			m.cfg.logf("snapshot: watch-triggered reload failed: %v", err)
+		}
+		if outcome != OutcomeRejectedIO && !errors.Is(err, ErrReloadInFlight) {
 			last = mt
-			reloads++
-			m.cfg.logf("snapshot: %s changed, reloading", path)
-			if _, err := m.Reload(ctx); err != nil && !errors.Is(err, ErrReloadInFlight) {
-				m.cfg.logf("snapshot: watch-triggered reload failed: %v", err)
-			}
 		}
 	}
 }

@@ -20,10 +20,6 @@ type JournalConfig struct {
 	// current file past the bound triggers rotation first. Default
 	// 64 MiB.
 	MaxBytes int64
-	// SampleEvery records one in every M offered entries (default 1 =
-	// record everything). The policy is deterministic count-based, not
-	// random, so identical traffic produces identical journals.
-	SampleEvery int
 	// now overrides the clock in tests; entries with UnixMS already set
 	// (synthetic workloads) are never stamped.
 	now func() time.Time
@@ -33,9 +29,6 @@ func (c JournalConfig) withDefaults() JournalConfig {
 	if c.MaxBytes <= 0 {
 		c.MaxBytes = 64 << 20
 	}
-	if c.SampleEvery <= 0 {
-		c.SampleEvery = 1
-	}
 	if c.now == nil {
 		c.now = time.Now
 	}
@@ -44,12 +37,11 @@ func (c JournalConfig) withDefaults() JournalConfig {
 
 // JournalStats is the journal's exported view, shown in /statsz.
 type JournalStats struct {
-	Path       string `json:"path"`
-	Records    int64  `json:"records"`
-	SampledOut int64  `json:"sampled_out"`
-	Rotations  int64  `json:"rotations"`
-	Bytes      int64  `json:"bytes"`
-	LastSeq    int64  `json:"last_seq"`
+	Path      string `json:"path"`
+	Records   int64  `json:"records"`
+	Rotations int64  `json:"rotations"`
+	Bytes     int64  `json:"bytes"`
+	LastSeq   int64  `json:"last_seq"`
 	// WriteErrors counts appends that failed at the filesystem; the
 	// journal keeps serving (recording is best-effort observability,
 	// never on a query's critical correctness path).
@@ -57,8 +49,9 @@ type JournalStats struct {
 }
 
 // Journal is the durable workload log: an append-only NDJSON file of
-// CRC-framed entries with single rotation and deterministic sampling.
-// Safe for concurrent use. Appends are single Write calls so a crash
+// CRC-framed entries with single rotation, every offered entry
+// recorded — the replay that reads it re-executes arrival order, cache
+// hits included. Safe for concurrent use. Appends are single Write calls so a crash
 // tears at most the final line; fsync happens on rotation and Close,
 // not per record — the journal favors low overhead over zero loss,
 // unlike the delta mutation log whose records are source-of-truth.
@@ -69,9 +62,7 @@ type Journal struct {
 	f           *os.File
 	size        int64
 	seq         int64
-	offered     int64
 	records     int64
-	sampledOut  int64
 	rotations   int64
 	writeErrors int64
 	closed      bool
@@ -97,10 +88,9 @@ func OpenJournal(cfg JournalConfig) (*Journal, error) {
 	return j, nil
 }
 
-// Offer submits one entry to the journal. The sampling policy may drop
-// it; recorded entries get the next sequence number and a timestamp
-// (when UnixMS is unset). Write failures are counted, not returned —
-// the flight recorder never fails a query.
+// Offer appends one entry to the journal under the next sequence
+// number and a timestamp (when UnixMS is unset). Write failures are
+// counted, not returned — the flight recorder never fails a query.
 func (j *Journal) Offer(e Entry) {
 	if j == nil {
 		return
@@ -108,12 +98,6 @@ func (j *Journal) Offer(e Entry) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.closed {
-		return
-	}
-	j.offered++
-	// Keep the first of every M so a fresh journal is never empty.
-	if (j.offered-1)%int64(j.cfg.SampleEvery) != 0 {
-		j.sampledOut++
 		return
 	}
 	e.Seq = j.seq + 1
@@ -204,7 +188,6 @@ func (j *Journal) Stats() JournalStats {
 	return JournalStats{
 		Path:        j.cfg.Path,
 		Records:     j.records,
-		SampledOut:  j.sampledOut,
 		Rotations:   j.rotations,
 		Bytes:       j.size,
 		LastSeq:     j.seq,

@@ -153,26 +153,6 @@ func TestJournalRotation(t *testing.T) {
 	}
 }
 
-func TestJournalSampling(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wl.ndjson")
-	j := writeJournal(t, path, 10, JournalConfig{SampleEvery: 3})
-	st := j.Stats()
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadJournalFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Offers 0,3,6,9 are kept (first of every 3).
-	if len(got) != 4 || st.Records != 4 || st.SampledOut != 6 {
-		t.Fatalf("kept %d (stats records=%d sampled_out=%d), want 4/4/6", len(got), st.Records, st.SampledOut)
-	}
-	if got[0].QueryID != "q-0" || got[1].QueryID != "q-3" {
-		t.Fatalf("wrong sample: %s, %s", got[0].QueryID, got[1].QueryID)
-	}
-}
-
 func TestJournalSeqResume(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wl.ndjson")
 	j := writeJournal(t, path, 3, JournalConfig{})
