@@ -37,8 +37,9 @@
 // are the "workload_journal" block in /statsz and the
 // commdb_workload_journal_* families.
 //
-// Per-request limits are clamped to the -max-* flags, so one client
-// cannot monopolize the query governor's budget. On SIGINT/SIGTERM the
+// Per-request limits are clamped to the -max-visited and -max-results
+// flags and to a 30s wall-clock ceiling, so one client cannot
+// monopolize the query governor's budget. On SIGINT/SIGTERM the
 // server stops admitting, cancels in-flight queries through the
 // governor, drains streams with correct trailers, then exits.
 //
@@ -80,6 +81,9 @@ import (
 	"commdb/internal/workload"
 )
 
+// maxTimeout is every query's wall-clock ceiling.
+const maxTimeout = 30 * time.Second
+
 func main() {
 	var (
 		addr        = flag.String("addr", ":8080", "listen address")
@@ -93,12 +97,9 @@ func main() {
 		maxConcurrent = flag.Int("max-concurrent", 0, "concurrently executing queries (0 = GOMAXPROCS)")
 		maxQueue      = flag.Int("max-queue", 0, "requests allowed to wait for a slot (0 = 2x max-concurrent)")
 		queueWait     = flag.Duration("queue-wait", 5*time.Second, "longest a request may wait for a slot")
-		retryAfter    = flag.Duration("retry-after", time.Second, "Retry-After hint on 429 responses")
 		cacheEntries  = flag.Int("cache-entries", 256, "top-k result cache entries (-1 disables)")
 		cacheBytes    = flag.Int64("cache-bytes", 64<<20, "top-k result cache approximate byte bound")
-		maxK          = flag.Int("max-k", 1000, "largest per-request k")
 
-		maxTimeout = flag.Duration("max-timeout", 30*time.Second, "per-query wall-clock ceiling (0 = unlimited)")
 		maxVisited = flag.Int64("max-visited", 0, "per-query shortest-path work ceiling (0 = unlimited)")
 		maxResults = flag.Int64("max-results", 100000, "per-query result-count ceiling (0 = unlimited)")
 
@@ -129,12 +130,10 @@ func main() {
 		MaxConcurrent: *maxConcurrent,
 		MaxQueue:      *maxQueue,
 		QueueWait:     *queueWait,
-		RetryAfter:    *retryAfter,
 		CacheEntries:  *cacheEntries,
 		CacheBytes:    *cacheBytes,
-		MaxK:          *maxK,
 		MaxLimits: commdb.Limits{
-			Timeout:        *maxTimeout,
+			Timeout:        maxTimeout,
 			MaxRelaxations: *maxVisited,
 			MaxResults:     *maxResults,
 		},

@@ -6,13 +6,14 @@ package obs
 // record is made after the query finishes, when its latency, stop
 // reason and SLO verdict are known — with three capture classes:
 //
-//   - the N slowest queries seen so far (a min-replace pool, so a new
-//     slow query evicts the fastest of the retained slow set);
+//   - the captureSlowN slowest queries seen so far (a min-replace pool,
+//     so a new slow query evicts the fastest of the retained slow set);
 //   - every errored, budget-tripped or SLO-breaching query (a ring of
-//     the most recent R, so misbehavior cannot be crowded out by
-//     healthy traffic);
-//   - a deterministic 1-in-M sample of everything else (same ring),
-//     giving the slow-log unbiased background coverage.
+//     the most recent captureRingSize, so misbehavior cannot be crowded
+//     out by healthy traffic);
+//   - a deterministic 1-in-captureSampleEvery sample of everything else
+//     (same ring), giving the slow-log unbiased background coverage for
+//     the price of one modulo.
 
 import (
 	"sort"
@@ -26,7 +27,13 @@ const (
 	CapturedErrored = "errored"    // stopped early or failed
 	CapturedBreach  = "slo_breach" // emission-delay SLO watchdog fired
 	CapturedSampled = "sampled"    // deterministic 1-in-M background sample
-	CapturedForced  = "forced"     // caller demanded capture (e.g. REPL)
+)
+
+// The retention policy every deployment runs.
+const (
+	captureSlowN       = 32  // slowest queries kept in the pool
+	captureRingSize    = 256 // errored/breaching/sampled records kept
+	captureSampleEvery = 32  // one in this many other queries is sampled
 )
 
 // QueryRecord is one completed query as the capture layer sees it:
@@ -65,75 +72,20 @@ type QueryRecord struct {
 	Trace *Summary `json:"trace,omitempty"`
 }
 
-// CaptureConfig tunes the retention policy. The zero value gets
-// defaults; Disabled turns capture off entirely.
-type CaptureConfig struct {
-	// SlowN is how many of the slowest queries to retain (default 32).
-	SlowN int
-	// RingSize bounds the ring of errored/breaching/sampled records
-	// (default 256).
-	RingSize int
-	// SampleEvery keeps one in every M otherwise-uninteresting queries
-	// (default 32; 1 captures everything).
-	SampleEvery int
-	// Disabled turns capture off: Observe decides nothing and retains
-	// nothing.
-	Disabled bool
-}
-
-func (c CaptureConfig) withDefaults() CaptureConfig {
-	if c.SlowN <= 0 {
-		c.SlowN = 32
-	}
-	if c.RingSize <= 0 {
-		c.RingSize = 256
-	}
-	if c.SampleEvery <= 0 {
-		c.SampleEvery = 32
-	}
-	return c
-}
-
-// Capture is the concurrency-safe tail-sampling store. Create it with
-// NewCapture; a nil *Capture is a valid disabled store.
+// Capture is the concurrency-safe tail-sampling store; the zero value
+// is ready to use.
 type Capture struct {
-	cfg CaptureConfig
-
-	mu       sync.Mutex
-	seq      int64          // completed queries seen
-	kept     int64          // records retained (any reason)
-	ring     []*QueryRecord // errored/breach/sampled, circular
-	ringPos  int
-	slow     []*QueryRecord // slowest-N pool, min at index minIdx
-	slowCap  int
-	sampleM  int64
-	disabled bool
-}
-
-// NewCapture builds a capture store with the given policy.
-func NewCapture(cfg CaptureConfig) *Capture {
-	cfg = cfg.withDefaults()
-	if cfg.Disabled {
-		return &Capture{disabled: true}
-	}
-	return &Capture{
-		cfg:     cfg,
-		ring:    make([]*QueryRecord, 0, cfg.RingSize),
-		slow:    make([]*QueryRecord, 0, cfg.SlowN),
-		slowCap: cfg.SlowN,
-		sampleM: int64(cfg.SampleEvery),
-	}
+	mu      sync.Mutex
+	seq     int64          // completed queries seen
+	kept    int64          // records retained (any reason)
+	ring    []*QueryRecord // errored/breach/sampled, circular
+	ringPos int
+	slow    []*QueryRecord // slowest-N pool
 }
 
 // Observe decides whether to retain rec, stamping rec.Captured with the
-// reasons. force demands retention regardless of policy (used when a
-// caller wants a specific trace kept, e.g. on SLO breach the collector
-// passes records with SLOBreach already set). Returns whether the
-// record was retained.
-func (c *Capture) Observe(rec *QueryRecord, force bool) bool {
-	if c == nil || c.disabled || rec == nil {
-		return false
-	}
+// reasons.
+func (c *Capture) Observe(rec *QueryRecord) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.seq++
@@ -145,10 +97,7 @@ func (c *Capture) Observe(rec *QueryRecord, force bool) bool {
 	if rec.SLOBreach {
 		reasons = append(reasons, CapturedBreach)
 	}
-	if force {
-		reasons = append(reasons, CapturedForced)
-	}
-	sampled := len(reasons) == 0 && c.seq%c.sampleM == 0
+	sampled := len(reasons) == 0 && c.seq%captureSampleEvery == 0
 	if sampled {
 		reasons = append(reasons, CapturedSampled)
 	}
@@ -156,7 +105,7 @@ func (c *Capture) Observe(rec *QueryRecord, force bool) bool {
 	// Slowest-N pool: admit when the pool has room or rec is slower
 	// than the pool's current fastest member.
 	inSlow := false
-	if len(c.slow) < c.slowCap {
+	if len(c.slow) < captureSlowN {
 		c.slow = append(c.slow, rec)
 		inSlow = true
 	} else if i := c.fastestIdx(); c.slow[i].TotalMS < rec.TotalMS {
@@ -168,26 +117,26 @@ func (c *Capture) Observe(rec *QueryRecord, force bool) bool {
 	}
 
 	if len(reasons) == 0 {
-		return false
+		return
 	}
 	rec.Captured = reasons
 	c.kept++
 	// The slow pool holds its members itself; everything else goes to
 	// the ring. (A record can live in both; Snapshot dedups.)
-	if rec.Errored || rec.SLOBreach || sampled || force {
-		if len(c.ring) < c.cfg.RingSize {
+	if rec.Errored || rec.SLOBreach || sampled {
+		if len(c.ring) < captureRingSize {
 			c.ring = append(c.ring, rec)
 		} else {
 			c.ring[c.ringPos] = rec
-			c.ringPos = (c.ringPos + 1) % c.cfg.RingSize
+			c.ringPos = (c.ringPos + 1) % captureRingSize
 		}
 	}
-	return true
 }
 
 // fastestIdx locates the pool member with the smallest latency — the
-// eviction candidate. The pool is small (SlowN), so a linear scan is
-// cheaper than maintaining heap order under concurrent eviction.
+// eviction candidate. The pool is small (captureSlowN), so a linear
+// scan is cheaper than maintaining heap order under concurrent
+// eviction.
 func (c *Capture) fastestIdx() int {
 	min := 0
 	for i := 1; i < len(c.slow); i++ {
@@ -202,9 +151,6 @@ func (c *Capture) fastestIdx() int {
 // across the slow pool and the ring. The records are shared (not
 // copied); treat them as immutable after Observe.
 func (c *Capture) Snapshot() []QueryRecord {
-	if c == nil || c.disabled {
-		return nil
-	}
 	c.mu.Lock()
 	seen := make(map[*QueryRecord]struct{}, len(c.slow)+len(c.ring))
 	out := make([]QueryRecord, 0, len(c.slow)+len(c.ring))
@@ -225,9 +171,6 @@ func (c *Capture) Snapshot() []QueryRecord {
 // Stats reports how many completions the store has seen and how many
 // records it retained.
 func (c *Capture) Stats() (observed, retained int64) {
-	if c == nil || c.disabled {
-		return 0, 0
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.seq, c.kept

@@ -2,6 +2,8 @@ package obs
 
 import (
 	"fmt"
+	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -12,20 +14,21 @@ func mkRec(id string, totalMS float64) *QueryRecord {
 	return &QueryRecord{QueryID: id, Keywords: []string{"a", "b"}, Class: ClassKey(2, false), TotalMS: totalMS}
 }
 
-// TestCaptureSlowestN: the slow pool retains exactly the N slowest
-// queries, evicting the fastest member when a slower one arrives.
+// TestCaptureSlowestN: the slow pool retains exactly the captureSlowN
+// slowest queries, evicting the fastest member when a slower one
+// arrives.
 func TestCaptureSlowestN(t *testing.T) {
-	c := NewCapture(CaptureConfig{SlowN: 3, RingSize: 4, SampleEvery: 1 << 30})
-	for i := 1; i <= 10; i++ {
-		c.Observe(mkRec(fmt.Sprintf("q%d", i), float64(i)), false)
+	var c Capture
+	for i := 1; i <= captureSlowN+1; i++ {
+		c.Observe(mkRec(fmt.Sprintf("q%d", i), float64(i)))
 	}
 	snap := c.Snapshot()
-	if len(snap) != 3 {
-		t.Fatalf("retained %d records, want 3: %+v", len(snap), snap)
+	if len(snap) != captureSlowN {
+		t.Fatalf("retained %d records, want %d: %+v", len(snap), captureSlowN, snap)
 	}
-	for i, want := range []float64{10, 9, 8} {
-		if snap[i].TotalMS != want {
-			t.Errorf("snapshot[%d].TotalMS = %v, want %v (slowest first)", i, snap[i].TotalMS, want)
+	for i := range snap {
+		if want := float64(captureSlowN + 1 - i); snap[i].TotalMS != want {
+			t.Errorf("snapshot[%d].TotalMS = %v, want %v (slowest first, fastest evicted)", i, snap[i].TotalMS, want)
 		}
 		if !hasReason(snap[i].Captured, CapturedSlow) {
 			t.Errorf("record %s lacks %q reason: %v", snap[i].QueryID, CapturedSlow, snap[i].Captured)
@@ -36,13 +39,13 @@ func TestCaptureSlowestN(t *testing.T) {
 // TestCaptureErroredAlwaysKept: errored queries are retained even when
 // they are fast, and survive in the ring when the slow pool evicts them.
 func TestCaptureErroredAlwaysKept(t *testing.T) {
-	c := NewCapture(CaptureConfig{SlowN: 2, RingSize: 8, SampleEvery: 1 << 30})
+	var c Capture
 	bad := mkRec("bad", 0.001)
 	bad.Errored = true
 	bad.StopReason = "budget exhausted: relaxations"
-	c.Observe(bad, false)
-	for i := 0; i < 5; i++ {
-		c.Observe(mkRec(fmt.Sprintf("slow%d", i), 100+float64(i)), false)
+	c.Observe(bad)
+	for i := 0; i < captureSlowN+8; i++ {
+		c.Observe(mkRec(fmt.Sprintf("slow%d", i), 100+float64(i)))
 	}
 	snap := c.Snapshot()
 	found := false
@@ -59,57 +62,48 @@ func TestCaptureErroredAlwaysKept(t *testing.T) {
 	}
 }
 
-// TestCaptureDeterministicSample: exactly one in every M healthy
-// queries is retained with the sampled reason.
+// TestCaptureDeterministicSample: exactly one in every
+// captureSampleEvery healthy queries is retained with the sampled
+// reason.
 func TestCaptureDeterministicSample(t *testing.T) {
-	c := NewCapture(CaptureConfig{SlowN: 1, RingSize: 100, SampleEvery: 10})
-	for i := 0; i < 100; i++ {
-		c.Observe(mkRec(fmt.Sprintf("q%d", i), 1), false)
+	var c Capture
+	for i := 0; i < 2*captureSampleEvery; i++ {
+		c.Observe(mkRec(fmt.Sprintf("q%d", i), 1))
 	}
-	sampled := 0
+	var sampled []string
 	for _, r := range c.Snapshot() {
 		if hasReason(r.Captured, CapturedSampled) {
-			sampled++
+			sampled = append(sampled, r.QueryID)
 		}
 	}
-	if sampled != 10 {
-		t.Fatalf("sampled %d of 100 with M=10, want 10", sampled)
+	sort.Strings(sampled)
+	if want := []string{fmt.Sprint("q", captureSampleEvery-1), fmt.Sprint("q", 2*captureSampleEvery-1)}; !reflect.DeepEqual(sampled, want) {
+		t.Fatalf("sampled %v of %d, want %v", sampled, 2*captureSampleEvery, want)
 	}
 }
 
-// TestCaptureRingEviction: the ring holds at most RingSize records and
-// evicts the oldest.
+// TestCaptureRingEviction: the ring holds at most captureRingSize
+// records and evicts the oldest.
 func TestCaptureRingEviction(t *testing.T) {
-	c := NewCapture(CaptureConfig{SlowN: 1, RingSize: 4, SampleEvery: 1})
-	for i := 0; i < 20; i++ {
-		c.Observe(mkRec(fmt.Sprintf("q%d", i), float64(i)), false)
+	var c Capture
+	for i := 0; i <= captureRingSize; i++ {
+		rec := mkRec(fmt.Sprintf("q%d", i), float64(i))
+		rec.Errored = true
+		c.Observe(rec)
 	}
+	// The ring keeps the most recent captureRingSize errored records; the
+	// slow pool's members (the slowest, also the newest) are among them.
 	snap := c.Snapshot()
-	// Ring keeps the most recent 4 sampled records; the slow pool holds
-	// the single slowest (q19, also the newest ring entry).
-	if len(snap) > 5 {
-		t.Fatalf("retained %d records with ring=4 slow=1: %+v", len(snap), snap)
+	if len(snap) != captureRingSize {
+		t.Fatalf("retained %d records, want the ring's %d", len(snap), captureRingSize)
 	}
 	for _, r := range snap {
-		var n int
-		fmt.Sscanf(r.QueryID, "q%d", &n)
-		if n < 15 {
-			t.Errorf("ring retained stale record %s", r.QueryID)
+		if r.QueryID == "q0" {
+			t.Fatal("ring retained its oldest record past capacity")
 		}
 	}
-}
-
-// TestCaptureDisabled: a disabled store retains nothing.
-func TestCaptureDisabled(t *testing.T) {
-	c := NewCapture(CaptureConfig{Disabled: true})
-	c.Observe(mkRec("q", 100), true)
-	if got := c.Snapshot(); got != nil {
-		t.Fatalf("disabled capture returned %+v", got)
-	}
-	var nilC *Capture
-	nilC.Observe(mkRec("q", 1), false)
-	if nilC.Snapshot() != nil {
-		t.Fatal("nil capture returned records")
+	if observed, retained := c.Stats(); observed != captureRingSize+1 || retained != observed {
+		t.Fatalf("stats = %d observed, %d retained", observed, retained)
 	}
 }
 
@@ -122,32 +116,38 @@ func hasReason(reasons []string, want string) bool {
 	return false
 }
 
-// TestWatchdogBreach: a stall far above the query's own median trips
-// the SLO; steady cadences (fast or slow) do not.
+// TestWatchdogBreach: a stall more than sloMultiple times the query's
+// own median trips the SLO; steady cadences (fast or slow), short
+// queries and sub-floor jitter do not.
 func TestWatchdogBreach(t *testing.T) {
-	w := WatchdogConfig{Multiple: 8, MinDelayMS: 1, MinEmissions: 4}
 	stalled := &EmissionSummary{Count: 5, MaxDelayMS: 80, DelaysMS: []float64{0.5, 0.5, 0.5, 0.5, 80}}
-	if breach, max, med := w.Check(stalled); !breach || max != 80 || med != 0.5 {
+	if breach, max, med := checkSLO(stalled); !breach || max != 80 || med != 0.5 {
 		t.Fatalf("stalled query: breach=%v max=%v median=%v, want breach at 80 vs 0.5", breach, max, med)
 	}
 	steady := &EmissionSummary{Count: 5, MaxDelayMS: 60, DelaysMS: []float64{40, 45, 50, 55, 60}}
-	if breach, _, _ := w.Check(steady); breach {
+	if breach, _, _ := checkSLO(steady); breach {
 		t.Fatal("uniformly slow query flagged as a stall")
 	}
+	// The multiple is strict: 31x the median is not a breach, 33x is.
+	under := &EmissionSummary{Count: 5, MaxDelayMS: 31, DelaysMS: []float64{1, 1, 1, 1, 31}}
+	over := &EmissionSummary{Count: 5, MaxDelayMS: 33, DelaysMS: []float64{1, 1, 1, 1, 33}}
+	if b1, _, _ := checkSLO(under); b1 {
+		t.Fatal("breach at 31x the median")
+	}
+	if b2, _, _ := checkSLO(over); !b2 {
+		t.Fatal("no breach at 33x the median")
+	}
 	// Too few emissions: median is noise, no verdict.
-	tiny := &EmissionSummary{Count: 2, MaxDelayMS: 80, DelaysMS: []float64{0.5, 80}}
-	if breach, _, _ := w.Check(tiny); breach {
-		t.Fatal("breach on fewer than MinEmissions delays")
+	tiny := &EmissionSummary{Count: 3, MaxDelayMS: 80, DelaysMS: []float64{0.5, 0.5, 80}}
+	if breach, _, _ := checkSLO(tiny); breach {
+		t.Fatal("breach on fewer than sloMinEmissions delays")
 	}
 	// Below the absolute floor: microsecond jitter is not a stall.
-	jitter := &EmissionSummary{Count: 5, MaxDelayMS: 0.9, DelaysMS: []float64{0.01, 0.01, 0.01, 0.01, 0.9}}
-	if breach, _, _ := w.Check(jitter); breach {
-		t.Fatal("breach below MinDelayMS floor")
+	jitter := &EmissionSummary{Count: 5, MaxDelayMS: 4.9, DelaysMS: []float64{0.01, 0.01, 0.01, 0.01, 4.9}}
+	if breach, _, _ := checkSLO(jitter); breach {
+		t.Fatal("breach below the sloMinDelayMS floor")
 	}
-	if breach, _, _ := (WatchdogConfig{Disabled: true}).Check(stalled); breach {
-		t.Fatal("disabled watchdog breached")
-	}
-	if breach, max, med := w.Check(nil); breach || max != 0 || med != 0 {
+	if breach, max, med := checkSLO(nil); breach || max != 0 || med != 0 {
 		t.Fatal("nil emissions produced a verdict")
 	}
 }
@@ -156,8 +156,8 @@ func TestWatchdogBreach(t *testing.T) {
 // ages out, and quantiles come from the merged slices.
 func TestClassesWindow(t *testing.T) {
 	now := time.Unix(1000, 0)
-	cfg := ClassesConfig{Window: 60 * time.Second, Slices: 6, now: func() time.Time { return now }}
-	cl := NewClasses(cfg)
+	cl := NewClasses()
+	cl.now = func() time.Time { return now }
 
 	for i := 0; i < 100; i++ {
 		rec := mkRec(fmt.Sprintf("q%d", i), 10)
@@ -228,12 +228,7 @@ func TestClassKeyBuckets(t *testing.T) {
 // counter, is force-captured, and lands in its class — while a healthy
 // query does none of that.
 func TestCollectorEndToEnd(t *testing.T) {
-	col := NewCollector(CollectorConfig{
-		Capture:  CaptureConfig{SlowN: 1, RingSize: 8, SampleEvery: 1 << 30},
-		Watchdog: WatchdogConfig{Multiple: 8, MinDelayMS: 1, MinEmissions: 3},
-	})
-	var hookRec *QueryRecord
-	col.OnBreach(func(r *QueryRecord) { hookRec = r })
+	col := NewCollector()
 
 	// A healthy trace: steady sub-threshold delays.
 	okSum := &Summary{
@@ -260,9 +255,6 @@ func TestCollectorEndToEnd(t *testing.T) {
 	if col.Breaches() != 1 {
 		t.Fatalf("breaches = %d, want 1", col.Breaches())
 	}
-	if hookRec != stallRec {
-		t.Fatal("OnBreach hook did not receive the breaching record")
-	}
 	if stallRec.Fingerprint != stallSum.Fingerprint || !stallRec.Indexed || stallRec.Class != "kw2/indexed" || stallRec.TotalMS != 95 {
 		t.Fatalf("record is not a view of its trace: %+v", stallRec)
 	}
@@ -270,8 +262,7 @@ func TestCollectorEndToEnd(t *testing.T) {
 		t.Fatalf("delay stats = max %v median %v", stallRec.MaxEmissionDelayMS, stallRec.MedianEmissionDelayMS)
 	}
 
-	// The breach is in the slow-log even though SlowN=1 favors q-stall
-	// anyway; check the reason list names the breach.
+	// The breach leads the slow-log, and its reasons name the breach.
 	log := col.SlowLog()
 	if len(log) == 0 || log[0].QueryID != "q-stall" || !hasReason(log[0].Captured, CapturedBreach) {
 		t.Fatalf("slow-log = %+v", log)
@@ -293,9 +284,7 @@ func TestCollectorEndToEnd(t *testing.T) {
 // produces a lint-clean exposition with labeled per-class families in
 // a fixed label order.
 func TestCollectorRegisterExposition(t *testing.T) {
-	col := NewCollector(CollectorConfig{
-		Watchdog: WatchdogConfig{Multiple: 8, MinDelayMS: 1, MinEmissions: 3},
-	})
+	col := NewCollector()
 	reg := NewRegistry()
 	col.Register(reg)
 
@@ -331,10 +320,7 @@ func TestCollectorRegisterExposition(t *testing.T) {
 // TestCaptureConcurrency hammers the capture ring and class aggregates
 // from many goroutines while snapshotting — run under -race in CI.
 func TestCaptureConcurrency(t *testing.T) {
-	col := NewCollector(CollectorConfig{
-		Capture: CaptureConfig{SlowN: 8, RingSize: 32, SampleEvery: 4},
-		Classes: ClassesConfig{Window: time.Second, Slices: 4},
-	})
+	col := NewCollector()
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)

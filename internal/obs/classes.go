@@ -50,31 +50,12 @@ func indexedWord(indexed bool) string {
 	return "plain"
 }
 
-// ClassesConfig tunes the sliding window. The zero value gets a 60s
-// window in 6 slices.
-type ClassesConfig struct {
-	// Window is the sliding-window span for rates and quantiles.
-	Window time.Duration
-	// Slices is how many rotating sub-intervals the window is cut into;
-	// more slices age traffic out more smoothly.
-	Slices int
-
-	// now overrides the clock in tests.
-	now func() time.Time
-}
-
-func (c ClassesConfig) withDefaults() ClassesConfig {
-	if c.Window <= 0 {
-		c.Window = time.Minute
-	}
-	if c.Slices <= 0 {
-		c.Slices = 6
-	}
-	if c.now == nil {
-		c.now = time.Now
-	}
-	return c
-}
+// The sliding window every deployment runs: a minute in six slices.
+const (
+	classWindow   = time.Minute
+	classSlices   = 6
+	classSliceDur = classWindow / classSlices
+)
 
 // classSlice is one time slice of one class's window.
 type classSlice struct {
@@ -97,36 +78,25 @@ type classAgg struct {
 	total       int64
 	errors      int64
 	sloBreaches int64
-	slices      []classSlice
+	slices      [classSlices]classSlice
 }
 
-// Classes holds the per-class aggregates. Create with NewClasses; a nil
-// *Classes ignores observations.
+// Classes holds the per-class aggregates. Create with NewClasses.
 type Classes struct {
-	cfg      ClassesConfig
-	sliceDur time.Duration
+	now func() time.Time // the clock; tests substitute it
 
 	mu      sync.Mutex
 	classes map[string]*classAgg
 }
 
 // NewClasses builds the per-class aggregate store.
-func NewClasses(cfg ClassesConfig) *Classes {
-	cfg = cfg.withDefaults()
-	return &Classes{
-		cfg:      cfg,
-		sliceDur: cfg.Window / time.Duration(cfg.Slices),
-		classes:  make(map[string]*classAgg),
-	}
+func NewClasses() *Classes {
+	return &Classes{now: time.Now, classes: make(map[string]*classAgg)}
 }
 
 // Observe folds one completed query into its class.
 func (c *Classes) Observe(rec *QueryRecord) {
-	if c == nil || rec == nil {
-		return
-	}
-	now := c.cfg.now()
-	epoch := now.UnixNano() / int64(c.sliceDur)
+	epoch := c.now().UnixNano() / int64(classSliceDur)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	agg, ok := c.classes[rec.Class]
@@ -134,7 +104,6 @@ func (c *Classes) Observe(rec *QueryRecord) {
 		agg = &classAgg{
 			keywords: KeywordBucket(len(rec.Keywords)),
 			indexed:  rec.Indexed,
-			slices:   make([]classSlice, c.cfg.Slices),
 		}
 		c.classes[rec.Class] = agg
 	}
@@ -145,7 +114,7 @@ func (c *Classes) Observe(rec *QueryRecord) {
 	if rec.SLOBreach {
 		agg.sloBreaches++
 	}
-	sl := &agg.slices[int(epoch)%c.cfg.Slices]
+	sl := &agg.slices[int(epoch%classSlices)]
 	if sl.epoch != epoch {
 		*sl = classSlice{epoch: epoch} // the slice's previous interval aged out
 	}
@@ -194,12 +163,8 @@ type ClassSnapshot struct {
 // Snapshot exports every class, sorted by class key for deterministic
 // output.
 func (c *Classes) Snapshot() []ClassSnapshot {
-	if c == nil {
-		return nil
-	}
-	now := c.cfg.now()
-	epoch := now.UnixNano() / int64(c.sliceDur)
-	minEpoch := epoch - int64(c.cfg.Slices) + 1
+	epoch := c.now().UnixNano() / int64(classSliceDur)
+	minEpoch := epoch - classSlices + 1
 
 	c.mu.Lock()
 	out := make([]ClassSnapshot, 0, len(c.classes))
@@ -233,7 +198,7 @@ func (c *Classes) Snapshot() []ClassSnapshot {
 			}
 		}
 		if snap.WindowCount > 0 {
-			snap.RatePerSec = float64(snap.WindowCount) / c.cfg.Window.Seconds()
+			snap.RatePerSec = float64(snap.WindowCount) / classWindow.Seconds()
 			snap.MeanMS = latSum / float64(snap.WindowCount)
 			snap.P50MS = HistQuantile(classLatencyBucketsMS[:], hist[:], 0.50)
 			snap.P95MS = HistQuantile(classLatencyBucketsMS[:], hist[:], 0.95)

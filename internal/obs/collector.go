@@ -1,13 +1,12 @@
 package obs
 
-// Collector is the always-on continuous layer: every completed query —
-// served over HTTP, run from the CLI, or replayed in a benchmark — is
-// turned into a QueryRecord, judged by the SLO watchdog, folded into
-// the per-class rolling aggregates, and offered to the tail-sampling
-// capture ring. It owns no exposition of its own; Register wires its
-// state into an existing Registry, and SlowLog/Classes snapshots feed
-// JSON surfaces (GET /debug/queries, /statsz, the commsearch slowlog
-// command).
+// Collector is the always-on continuous layer: every query the server
+// completes is turned into a QueryRecord, judged by the SLO watchdog,
+// folded into the per-class rolling aggregates, and offered to the
+// tail-sampling capture ring. Its policy is fixed (the capture*, slo*
+// and class* constants). It owns no exposition of its own; Register
+// wires its state into an existing Registry, and SlowLog/Classes
+// snapshots feed the JSON surfaces (GET /debug/queries, /statsz).
 
 import (
 	"errors"
@@ -17,38 +16,17 @@ import (
 	"commdb/internal/govern"
 )
 
-// CollectorConfig bundles the continuous layer's knobs. Zero values get
-// defaults throughout.
-type CollectorConfig struct {
-	Capture  CaptureConfig
-	Watchdog WatchdogConfig
-	Classes  ClassesConfig
-}
-
 // Collector glues capture, classes and the watchdog together.
 type Collector struct {
-	capture  *Capture
+	capture  Capture
 	classes  *Classes
-	watchdog WatchdogConfig
 	breaches atomic.Int64
-
-	// onBreach, when set, runs synchronously for every SLO breach —
-	// the server hangs its slog warning here.
-	onBreach func(*QueryRecord)
 }
 
 // NewCollector builds the continuous observability layer.
-func NewCollector(cfg CollectorConfig) *Collector {
-	return &Collector{
-		capture:  NewCapture(cfg.Capture),
-		classes:  NewClasses(cfg.Classes),
-		watchdog: cfg.Watchdog.withDefaults(),
-	}
+func NewCollector() *Collector {
+	return &Collector{classes: NewClasses()}
 }
-
-// OnBreach registers the breach hook (replacing any previous one). Set
-// it before traffic starts; it is not synchronized against Observe.
-func (c *Collector) OnBreach(f func(*QueryRecord)) { c.onBreach = f }
 
 // Serving holds the facts about a finished query only its serving layer
 // knows; everything else in a QueryRecord comes from the trace.
@@ -98,7 +76,7 @@ func NewQueryRecord(sum *Summary, sv Serving) *QueryRecord {
 // returns the record's breach verdict.
 func (c *Collector) Observe(rec *QueryRecord) (breached bool) {
 	if rec.Trace != nil {
-		breach, maxMS, medMS := c.watchdog.Check(rec.Trace.Emissions)
+		breach, maxMS, medMS := checkSLO(rec.Trace.Emissions)
 		rec.MaxEmissionDelayMS = maxMS
 		rec.MedianEmissionDelayMS = medMS
 		if breach {
@@ -107,10 +85,7 @@ func (c *Collector) Observe(rec *QueryRecord) (breached bool) {
 		}
 	}
 	c.classes.Observe(rec)
-	c.capture.Observe(rec, false)
-	if rec.SLOBreach && c.onBreach != nil {
-		c.onBreach(rec)
-	}
+	c.capture.Observe(rec)
 	return rec.SLOBreach
 }
 

@@ -5,63 +5,40 @@ package obs
 // A healthy enumeration emits at a roughly steady cadence; a stall —
 // one inter-emission gap far above the query's own median — is exactly
 // the regression the polynomial-delay bound forbids, so the watchdog
-// flags it, the breach counter increments, and the trace is
-// force-captured for the slow-log.
+// flags it, the breach counter increments, and the trace is always
+// captured for the slow-log.
 
 import "sort"
 
-// WatchdogConfig tunes the emission-delay SLO. The zero value gets
-// defaults; Disabled turns the check off.
-type WatchdogConfig struct {
-	// Multiple is the breach threshold: a query breaches when its max
-	// inter-emission gap exceeds Multiple × its median gap (default 32).
-	Multiple float64
-	// MinDelayMS is an absolute floor: gaps below it never breach, so
-	// scheduler jitter on microsecond-scale queries is not flagged
-	// (default 5ms).
-	MinDelayMS float64
-	// MinEmissions is how many emissions a query needs before its median
-	// is meaningful (default 4).
-	MinEmissions int
-	// Disabled turns the watchdog off.
-	Disabled bool
-}
+// The emission-delay SLO every deployment runs. A query breaches when
+// its max inter-emission gap exceeds sloMultiple × its median gap. Gaps
+// below sloMinDelayMS never breach, so scheduler jitter on
+// microsecond-scale queries is not flagged, and a query needs
+// sloMinEmissions emissions before its median is meaningful.
+const (
+	sloMultiple     = 32
+	sloMinDelayMS   = 5
+	sloMinEmissions = 4
+)
 
-func (w WatchdogConfig) withDefaults() WatchdogConfig {
-	if w.Multiple <= 0 {
-		w.Multiple = 32
-	}
-	if w.MinDelayMS <= 0 {
-		w.MinDelayMS = 5
-	}
-	if w.MinEmissions <= 0 {
-		w.MinEmissions = 4
-	}
-	return w
-}
-
-// Check applies the SLO to one query's emission summary, returning
+// checkSLO applies the SLO to one query's emission summary, returning
 // whether it breached plus the max and median delays (both 0 when the
 // query emitted nothing). The median comes from the stored delays —
 // MaxStoredDelays individual gaps — while the max covers every
 // emission, so a stall in a huge result set's tail is still caught.
-func (w WatchdogConfig) Check(e *EmissionSummary) (breach bool, maxMS, medianMS float64) {
+func checkSLO(e *EmissionSummary) (breach bool, maxMS, medianMS float64) {
 	if e == nil || len(e.DelaysMS) == 0 {
 		return false, 0, 0
 	}
-	w = w.withDefaults()
 	sorted := append([]float64(nil), e.DelaysMS...)
 	sort.Float64s(sorted)
 	medianMS = sorted[len(sorted)/2]
 	maxMS = e.MaxDelayMS
-	if w.Disabled {
+	if len(e.DelaysMS) < sloMinEmissions || e.Count < sloMinEmissions {
 		return false, maxMS, medianMS
 	}
-	if int64(len(e.DelaysMS)) < int64(w.MinEmissions) || e.Count < int64(w.MinEmissions) {
+	if maxMS < sloMinDelayMS {
 		return false, maxMS, medianMS
 	}
-	if maxMS < w.MinDelayMS {
-		return false, maxMS, medianMS
-	}
-	return maxMS > w.Multiple*medianMS, maxMS, medianMS
+	return maxMS > sloMultiple*medianMS, maxMS, medianMS
 }

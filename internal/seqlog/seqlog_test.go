@@ -2,6 +2,7 @@ package seqlog
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -51,6 +52,39 @@ func TestSealOpen(t *testing.T) {
 			t.Errorf("Open(%q) accepted a line without a valid frame", bad)
 		}
 	}
+}
+
+// FuzzOpen: Open never panics on arbitrary bytes; Seal then Open is the
+// identity on any non-empty JSON object and sequence number ≥ 1; and a
+// sealed line with any single byte changed is rejected.
+func FuzzOpen(f *testing.F) {
+	f.Add([]byte(`{"op":"insert","table":"T","values":[1,"x"]}`), int64(17), uint(3), byte(0x01))
+	f.Add([]byte(`{"keywords":["evil,\"crc\":123","b,\"seq\":9"]}`), int64(1), uint(40), byte(0x20))
+	f.Add([]byte(`{"a":1,"seq":5,"crc":7}`), int64(9223372036854775807), uint(1<<20), byte(0xff))
+	f.Add([]byte(`{"a":1,"seq":1,"crc":3}`), int64(0), uint(0), byte(0))
+	f.Add([]byte(` { "spaced" : [ 1 , 2 ] } `), int64(2), uint(5), byte(0x10))
+	f.Add([]byte(`{}`), int64(3), uint(1), byte(0x02))
+	f.Fuzz(func(t *testing.T, data []byte, seq int64, pos uint, flip byte) {
+		Open(data) // must not panic
+
+		var obj bytes.Buffer
+		if seq < 1 || json.Compact(&obj, data) != nil || obj.Len() < 2 || obj.Bytes()[0] != '{' || obj.String() == "{}" {
+			return
+		}
+		line := Seal(obj.Bytes(), seq)
+		got, gotSeq, err := Open(line)
+		if err != nil || gotSeq != seq || !bytes.Equal(got, obj.Bytes()) {
+			t.Fatalf("Open(Seal(%s, %d)) = %s, %d, %v", obj.Bytes(), seq, got, gotSeq, err)
+		}
+		if flip == 0 {
+			return
+		}
+		i := int(pos % uint(len(line)))
+		line[i] ^= flip
+		if got, gotSeq, err := Open(line); err == nil {
+			t.Fatalf("byte %d ^ %#x of %s opened cleanly as %s seq %d", i, flip, obj.Bytes(), got, gotSeq)
+		}
+	})
 }
 
 // TestScanRule: a torn unterminated tail is dropped silently; a complete

@@ -125,24 +125,31 @@ func TestLRUDropOtherEpochs(t *testing.T) {
 }
 
 // TestClampLimits: request limits are capped field-by-field, unlimited
-// requests are pulled down to the maxima, and unset maxima pass the
-// request through.
+// requests — zero or, for a budget, negative — are pulled down to the
+// maxima, and unset maxima pass the request through.
 func TestClampLimits(t *testing.T) {
-	max := commdb.Limits{Timeout: time.Second, MaxRelaxations: 1000, MaxResults: 10}
+	max := commdb.Limits{Timeout: time.Second, MaxRelaxations: 1000, MaxNeighborRuns: 50,
+		MaxCanTuples: 60, MaxHeapBytes: 70, MaxResults: 10}
 	cases := []struct {
 		name string
 		req  commdb.Limits
 		want commdb.Limits
 	}{
-		{"unlimited request clamps to maxima",
-			commdb.Limits{},
-			commdb.Limits{Timeout: time.Second, MaxRelaxations: 1000, MaxResults: 10}},
+		{"unlimited request clamps to maxima", commdb.Limits{}, max},
 		{"over-ask clamps down",
 			commdb.Limits{Timeout: time.Hour, MaxRelaxations: 1 << 40, MaxResults: 99, MaxCanTuples: 7},
-			commdb.Limits{Timeout: time.Second, MaxRelaxations: 1000, MaxResults: 10, MaxCanTuples: 7}},
+			commdb.Limits{Timeout: time.Second, MaxRelaxations: 1000, MaxNeighborRuns: 50, MaxCanTuples: 7, MaxHeapBytes: 70, MaxResults: 10}},
 		{"tighter request passes through",
-			commdb.Limits{Timeout: time.Millisecond, MaxRelaxations: 5, MaxResults: 1},
-			commdb.Limits{Timeout: time.Millisecond, MaxRelaxations: 5, MaxResults: 1}},
+			commdb.Limits{Timeout: time.Millisecond, MaxRelaxations: 5, MaxNeighborRuns: 4, MaxCanTuples: 3, MaxHeapBytes: 2, MaxResults: 1},
+			commdb.Limits{Timeout: time.Millisecond, MaxRelaxations: 5, MaxNeighborRuns: 4, MaxCanTuples: 3, MaxHeapBytes: 2, MaxResults: 1}},
+		{"negative max_relaxations clamps", commdb.Limits{MaxRelaxations: -1}, max},
+		{"negative max_neighbor_runs clamps", commdb.Limits{MaxNeighborRuns: -1}, max},
+		{"negative max_can_tuples clamps", commdb.Limits{MaxCanTuples: -1}, max},
+		{"negative max_heap_bytes clamps", commdb.Limits{MaxHeapBytes: -1}, max},
+		{"negative max_results clamps", commdb.Limits{MaxResults: -1 << 62}, max},
+		{"negative timeout is already expired, kept",
+			commdb.Limits{Timeout: -time.Second},
+			commdb.Limits{Timeout: -time.Second, MaxRelaxations: 1000, MaxNeighborRuns: 50, MaxCanTuples: 60, MaxHeapBytes: 70, MaxResults: 10}},
 	}
 	for _, tc := range cases {
 		if got := ClampLimits(tc.req, max); got != tc.want {

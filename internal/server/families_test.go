@@ -160,7 +160,6 @@ func driveCoreFamilies(t *testing.T) []map[string]string {
 	srv := NewWithEngine(eng, Config{
 		MaxConcurrent: 1,
 		MaxQueue:      1,
-		Obs:           obs.CollectorConfig{Watchdog: obs.WatchdogConfig{Multiple: 2, MinDelayMS: 1, MinEmissions: 3}},
 	})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -228,10 +227,10 @@ func driveCoreFamilies(t *testing.T) []map[string]string {
 	waitFor(t, "cancellation counted", func() bool { return srv.Stats().Canceled == 1 })
 	wg.Wait()
 
-	// A stream that stalls before its fourth community breaches the
+	// A stream that stalls before its fifth community breaches the
 	// emission SLO.
 	stall := func(_ context.Context, i int) {
-		if i == 3 {
+		if i == 4 {
 			time.Sleep(40 * time.Millisecond)
 		}
 	}

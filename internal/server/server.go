@@ -64,16 +64,12 @@ type Config struct {
 	// QueueWait bounds how long an admitted request may wait for a
 	// slot before being rejected (default 5s).
 	QueueWait time.Duration
-	// RetryAfter is the hint sent with 429 responses (default 1s).
-	RetryAfter time.Duration
 	// CacheEntries bounds the top-k result cache's entry count
 	// (default 256; -1 disables the cache).
 	CacheEntries int
 	// CacheBytes bounds the cache's approximate resident bytes
 	// (default 64 MiB, which 0 selects).
 	CacheBytes int64
-	// MaxK caps the per-request k (default 1000).
-	MaxK int
 	// MaxLimits clamps every request's Limits field-by-field: where a
 	// maximum is set, requests asking for more — or for unlimited —
 	// get the maximum. The zero value leaves requests unclamped.
@@ -84,12 +80,6 @@ type Config struct {
 	// warning line for every emission-delay SLO breach. nil disables
 	// request logging.
 	Logger *slog.Logger
-	// Obs tunes the always-on continuous observability layer: the
-	// tail-sampled slow-query capture ring (GET /debug/queries), the
-	// per-class rolling aggregates (/statsz, /metricsz), and the
-	// emission-delay SLO watchdog. Zero values get defaults; set
-	// Obs.Capture.Disabled to turn retention off.
-	Obs obs.CollectorConfig
 	// Pprof mounts net/http/pprof under GET /debug/pprof/ on the
 	// server's handler, behind the admin token (403 with no token
 	// configured, 401 on a bad one): heap and CPU captures expose
@@ -133,23 +123,23 @@ func (c Config) withDefaults() Config {
 	if c.QueueWait <= 0 {
 		c.QueueWait = 5 * time.Second
 	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
-	}
 	if c.CacheEntries == 0 {
 		c.CacheEntries = 256
 	}
 	if c.CacheBytes == 0 && c.CacheEntries > 0 {
 		c.CacheBytes = 64 << 20
 	}
-	if c.MaxK <= 0 {
-		c.MaxK = 1000
-	}
 	return c
 }
 
-// maxBodyBytes bounds a request body.
-const maxBodyBytes = 1 << 20
+const (
+	// maxBodyBytes bounds a request body.
+	maxBodyBytes = 1 << 20
+	// maxK caps the per-request k.
+	maxK = 1000
+	// retryAfterSeconds is the Retry-After hint on a 429.
+	retryAfterSeconds = "1"
+)
 
 // Server serves community queries from one Engine. Create it with New
 // or NewWithEngine, mount Handler on an http.Server, and call Shutdown
@@ -197,22 +187,7 @@ func NewWithEngine(eng Engine, cfg Config) *Server {
 		baseCtx:    baseCtx,
 		cancelBase: cancel,
 	}
-	s.collector = obs.NewCollector(cfg.Obs)
-	// A breach is an alert — a counter, a forced slow-log capture and
-	// this line — never a verdict on the epoch: an emission gap includes
-	// the write to the client, so a slow reader can cause one.
-	if logger := cfg.Logger; logger != nil {
-		s.collector.OnBreach(func(rec *obs.QueryRecord) {
-			logger.Warn("emission SLO breach",
-				"qid", rec.QueryID,
-				"endpoint", rec.Endpoint,
-				"keywords", rec.Keywords,
-				"class", rec.Class,
-				"max_delay_ms", rec.MaxEmissionDelayMS,
-				"median_delay_ms", rec.MedianEmissionDelayMS,
-				"total_ms", rec.TotalMS)
-		})
-	}
+	s.collector = obs.NewCollector()
 	s.metrics = newMetrics(s)
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/search/topk", s.handleTopK)
@@ -456,7 +431,7 @@ func (s *Server) admit(ctx context.Context, w http.ResponseWriter) (ok bool) {
 // writeSaturated answers a request the admission valve rejected.
 func (s *Server) writeSaturated(w http.ResponseWriter) {
 	s.stats.admissionRejections.Add(1)
-	w.Header().Set("Retry-After", strconv.Itoa(int((s.cfg.RetryAfter+time.Second-1)/time.Second)))
+	w.Header().Set("Retry-After", retryAfterSeconds)
 	writeError(w, http.StatusTooManyRequests, "saturated: %d queries executing and %d queued; retry later",
 		s.cfg.MaxConcurrent, s.cfg.MaxQueue)
 }
@@ -540,7 +515,19 @@ func (s *Server) execute(ctx context.Context, open func(context.Context, commdb.
 		QueryID: qid, Endpoint: endpoint, K: k, Results: x.results,
 		Stop: x.stop, StopReason: StopReason(x.stop), Start: start, Elapsed: x.elapsed,
 	})
-	s.collector.Observe(rec)
+	// A breach is an alert — a counter, a slow-log capture and this
+	// line — never a verdict on the epoch: an emission gap includes the
+	// write to the client, so a slow reader can cause one.
+	if s.collector.Observe(rec) && s.cfg.Logger != nil {
+		s.cfg.Logger.Warn("emission SLO breach",
+			"qid", rec.QueryID,
+			"endpoint", rec.Endpoint,
+			"keywords", rec.Keywords,
+			"class", rec.Class,
+			"max_delay_ms", rec.MaxEmissionDelayMS,
+			"median_delay_ms", rec.MedianEmissionDelayMS,
+			"total_ms", rec.TotalMS)
+	}
 	s.observeWorkload(rec, q, endpoint)
 	return x, err
 }
@@ -558,8 +545,8 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	if k <= 0 {
 		k = 10
 	}
-	if k > s.cfg.MaxK {
-		k = s.cfg.MaxK
+	if k > maxK {
+		k = maxK
 	}
 	qid := s.nextQueryID()
 	w.Header().Set("X-Query-Id", qid)

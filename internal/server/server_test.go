@@ -434,35 +434,38 @@ func TestE2ECacheIdenticalResults(t *testing.T) {
 }
 
 // TestE2ELimitsClamped runs against the real engine: a request asking
-// for more results than the server's maximum is clamped, the stream
-// stops at the cap, and the trailer reports the tripped budget.
+// for more results than the server's maximum, for none, or for a
+// negative (unlimited) count is clamped, the stream stops at the cap,
+// and the trailer reports the tripped budget.
 func TestE2ELimitsClamped(t *testing.T) {
 	_, ts := newPaperServer(t, Config{MaxLimits: commdb.Limits{MaxResults: 2}})
 
-	resp := postJSON(t, ts.URL+"/v1/search/all",
-		searchBody(t, []string{"a", "b", "c"}, map[string]any{"limits": map[string]any{"max_results": 100}}))
-	defer resp.Body.Close()
-	sc := bufio.NewScanner(resp.Body)
-	var records int
-	var trailer Trailer
-	for sc.Scan() {
-		var probe struct {
-			Type string `json:"type"`
+	for _, limits := range []map[string]any{{"max_results": 100}, {}, {"max_results": -1}} {
+		resp := postJSON(t, ts.URL+"/v1/search/all",
+			searchBody(t, []string{"a", "b", "c"}, map[string]any{"limits": limits}))
+		sc := bufio.NewScanner(resp.Body)
+		var records int
+		var trailer Trailer
+		for sc.Scan() {
+			var probe struct {
+				Type string `json:"type"`
+			}
+			if err := json.Unmarshal(sc.Bytes(), &probe); err != nil {
+				t.Fatalf("bad line %q: %v", sc.Text(), err)
+			}
+			if probe.Type == RecordCommunity {
+				records++
+			} else if err := json.Unmarshal(sc.Bytes(), &trailer); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if err := json.Unmarshal(sc.Bytes(), &probe); err != nil {
-			t.Fatalf("bad line %q: %v", sc.Text(), err)
+		resp.Body.Close()
+		if records != 2 {
+			t.Fatalf("limits %v: streamed %d communities, want the clamped 2", limits, records)
 		}
-		if probe.Type == RecordCommunity {
-			records++
-		} else if err := json.Unmarshal(sc.Bytes(), &trailer); err != nil {
-			t.Fatal(err)
+		if trailer.Complete || !strings.Contains(trailer.Reason, "results") {
+			t.Fatalf("limits %v: trailer = %+v, want a results-budget stop", limits, trailer)
 		}
-	}
-	if records != 2 {
-		t.Fatalf("streamed %d communities, want the clamped 2", records)
-	}
-	if trailer.Complete || !strings.Contains(trailer.Reason, "results") {
-		t.Fatalf("trailer = %+v, want a results-budget stop", trailer)
 	}
 }
 

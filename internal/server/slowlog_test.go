@@ -108,11 +108,11 @@ func debugQueries(t *testing.T, baseURL string) DebugQueriesResponse {
 // TestSLOBreachEndToEnd is the acceptance test for the watchdog: a
 // query whose enumeration stalls mid-stream (fast emissions, then one
 // long gap) must increment commdb_emission_slo_breaches_total, be
-// force-captured into /debug/queries with its trace, and produce a
-// structured warning log line.
+// captured into /debug/queries with its trace, and produce a structured
+// warning log line.
 func TestSLOBreachEndToEnd(t *testing.T) {
-	// Seven quick emissions then an 80ms stall: median gap is tiny, the
-	// max is > 8x the median and above the 1ms absolute floor.
+	// Seven quick emissions then an 80ms stall: the median gap is ~1ms,
+	// the max is > 32x the median and above the 5ms absolute floor.
 	delays := []time.Duration{
 		time.Millisecond, time.Millisecond, time.Millisecond, time.Millisecond,
 		time.Millisecond, time.Millisecond, time.Millisecond, 80 * time.Millisecond,
@@ -120,9 +120,6 @@ func TestSLOBreachEndToEnd(t *testing.T) {
 	logw := &syncWriter{}
 	srv := NewWithEngine(&stallEngine{delays: delays}, Config{
 		Logger: slog.New(slog.NewTextHandler(logw, nil)),
-		Obs: obs.CollectorConfig{
-			Watchdog: obs.WatchdogConfig{Multiple: 8, MinDelayMS: 1, MinEmissions: 4},
-		},
 	})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -176,17 +173,14 @@ func TestSLOBreachEndToEnd(t *testing.T) {
 }
 
 // TestSLONoFalsePositiveUniformSlow: a uniformly slow stream has a
-// large max gap but an equally large median, so it must not breach.
+// large max gap, above the absolute floor, but an equally large median,
+// so it must not breach.
 func TestSLONoFalsePositiveUniformSlow(t *testing.T) {
 	delays := []time.Duration{
-		4 * time.Millisecond, 4 * time.Millisecond, 4 * time.Millisecond,
-		4 * time.Millisecond, 4 * time.Millisecond,
+		8 * time.Millisecond, 8 * time.Millisecond, 8 * time.Millisecond,
+		8 * time.Millisecond, 8 * time.Millisecond,
 	}
-	srv := NewWithEngine(&stallEngine{delays: delays}, Config{
-		Obs: obs.CollectorConfig{
-			Watchdog: obs.WatchdogConfig{Multiple: 8, MinDelayMS: 1, MinEmissions: 4},
-		},
-	})
+	srv := NewWithEngine(&stallEngine{delays: delays}, Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -327,10 +321,6 @@ func TestCaptureConcurrencyStress(t *testing.T) {
 		// A slot per writer: admission must not shed load here (a 429 is
 		// never observed), whatever the host's core count.
 		MaxConcurrent: writers,
-		Obs: obs.CollectorConfig{
-			Capture:  obs.CaptureConfig{SlowN: 8, RingSize: 32, SampleEvery: 4},
-			Watchdog: obs.WatchdogConfig{Multiple: 8, MinDelayMS: 1, MinEmissions: 4},
-		},
 	})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()

@@ -66,11 +66,13 @@ func (l LimitsSpec) Limits() commdb.Limits {
 
 // ClampLimits caps req to the server maxima: where a maximum is set
 // (non-zero), the effective value is the tighter of the two, and an
-// unlimited request (zero field) is pulled down to the maximum. Where
+// unlimited request is pulled down to the maximum. An unlimited budget
+// is any non-positive one, as the governor reads it; an unlimited
+// timeout is zero only, since a negative one has already expired. Where
 // no maximum is set the request passes through.
 func ClampLimits(req, max commdb.Limits) commdb.Limits {
 	clampI := func(r, m int64) int64 {
-		if m > 0 && (r == 0 || r > m) {
+		if m > 0 && (r <= 0 || r > m) {
 			return m
 		}
 		return r
