@@ -4,8 +4,10 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 
@@ -77,6 +79,48 @@ func TestJSONMatchesServerStream(t *testing.T) {
 	}
 	if ct.Count != st.Count || ct.Complete != st.Complete || ct.Reason != st.Reason {
 		t.Fatalf("trailers disagree: CLI %+v, server %+v", ct, st)
+	}
+}
+
+// runStdout runs the tool's -all path on the paper example and returns
+// what it printed.
+func runStdout(t *testing.T, max int, jsonOut bool) string {
+	t.Helper()
+	f, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	stdout := os.Stdout
+	os.Stdout = f
+	err = run("", "paper", "", "a,b,c", 8, 0, true, max, false, false, jsonOut, false, 1, commdb.Limits{})
+	os.Stdout = stdout
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
+}
+
+// TestMaxFlagModesAgree: -max caps -all output the same way in text and
+// -json mode, and 0 means unlimited in both.
+func TestMaxFlagModesAgree(t *testing.T) {
+	for max, want := range map[int]int{0: 5, 2: 2} {
+		text := runStdout(t, max, false)
+		if !strings.Contains(text, fmt.Sprintf("\n%d communities\n", want)) {
+			t.Errorf("-max %d text mode printed:\n%s\nwant %d communities", max, text, want)
+		}
+		lines := strings.Split(strings.TrimSpace(runStdout(t, max, true)), "\n")
+		var trailer server.Trailer
+		if err := json.Unmarshal([]byte(lines[len(lines)-1]), &trailer); err != nil {
+			t.Fatal(err)
+		}
+		if trailer.Count != want || len(lines) != want+1 {
+			t.Errorf("-max %d -json: %d records, trailer count %d, want %d", max, len(lines)-1, trailer.Count, want)
+		}
 	}
 }
 

@@ -55,7 +55,7 @@ func main() {
 		rmax       = flag.Float64("rmax", 6, "community radius Rmax")
 		top        = flag.Int("top", 0, "return the top-k communities by cost")
 		all        = flag.Bool("all", false, "enumerate all communities")
-		max        = flag.Int("max", 1000, "cap on -all output")
+		max        = flag.Int("max", 1000, "cap on -all output (0 = unlimited)")
 		useIndex   = flag.Bool("index", false, "build inverted indexes and search a projected subgraph")
 		verbose    = flag.Bool("v", false, "print every community node, not just a summary")
 		jsonOut    = flag.Bool("json", false, "emit NDJSON (one community record per line plus a trailer, the serving endpoint's schema)")
@@ -164,7 +164,7 @@ func run(graphPath, example, indexPath, keywords string, rmax float64, top int, 
 			return emitNDJSON(os.Stdout, g, it, max, !verbose, tr)
 		}
 		n := 0
-		for n < max {
+		for max <= 0 || n < max {
 			r, ok := it.Next()
 			if !ok {
 				break

@@ -118,9 +118,7 @@ func TestDeltaServeLiveRepublish(t *testing.T) {
 	}
 	mgr := snapshot.New(s, snapshot.Config{
 		Load: pipe.loader(1),
-		// Short probation so epochs commit under test-scale traffic.
-		Probation: 2,
-		Logf:      t.Logf,
+		Logf: t.Logf,
 	})
 	srv := server.New(s, server.Config{
 		MaxConcurrent: 8,

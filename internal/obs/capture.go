@@ -37,7 +37,7 @@ const (
 )
 
 // QueryRecord is one completed query as the capture layer sees it:
-// identity (fingerprint, normalized keywords, operating point), class,
+// identity (fingerprint, normalized keywords, operating point),
 // outcome, headline latencies and the full trace summary.
 type QueryRecord struct {
 	QueryID     string   `json:"query_id,omitempty"`
@@ -47,11 +47,8 @@ type QueryRecord struct {
 	K           int      `json:"k,omitempty"` // 0 for COMM-all
 	Endpoint    string   `json:"endpoint,omitempty"`
 	// Indexed reports whether the query ran through the inverted-index
-	// projection; with the keyword count it determines Class.
-	Indexed bool `json:"indexed"`
-	// Class is the rolling-aggregate key: keyword-count bucket ×
-	// indexed/plain (see ClassKey).
-	Class   string    `json:"class"`
+	// projection.
+	Indexed bool      `json:"indexed"`
 	Start   time.Time `json:"start"`
 	TotalMS float64   `json:"total_ms"`
 	Results int       `json:"results"`
@@ -60,7 +57,8 @@ type QueryRecord struct {
 	// Errored marks queries that failed or stopped early (budget,
 	// deadline, cancellation) — always captured.
 	Errored bool `json:"errored,omitempty"`
-	// Emission-delay statistics from the watchdog check.
+	// Inter-emission gap statistics from the watchdog check (the time
+	// to the first result is not a gap).
 	MaxEmissionDelayMS    float64 `json:"max_emission_delay_ms,omitempty"`
 	MedianEmissionDelayMS float64 `json:"median_emission_delay_ms,omitempty"`
 	// SLOBreach marks queries whose max inter-emission gap exceeded the

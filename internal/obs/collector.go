@@ -1,12 +1,11 @@
 package obs
 
 // Collector is the always-on continuous layer: every query the server
-// completes is turned into a QueryRecord, judged by the SLO watchdog,
-// folded into the per-class rolling aggregates, and offered to the
-// tail-sampling capture ring. Its policy is fixed (the capture*, slo*
-// and class* constants). It owns no exposition of its own; Register
-// wires its state into an existing Registry, and SlowLog/Classes
-// snapshots feed the JSON surfaces (GET /debug/queries, /statsz).
+// completes is turned into a QueryRecord, judged by the SLO watchdog
+// and offered to the tail-sampling capture ring. Its policy is fixed
+// (the capture* and slo* constants). It owns no exposition of its own;
+// Register wires its counters into an existing Registry, and SlowLog
+// feeds GET /debug/queries.
 
 import (
 	"errors"
@@ -16,16 +15,11 @@ import (
 	"commdb/internal/govern"
 )
 
-// Collector glues capture, classes and the watchdog together.
+// Collector glues capture and the watchdog together; the zero value is
+// ready to use.
 type Collector struct {
 	capture  Capture
-	classes  *Classes
 	breaches atomic.Int64
-}
-
-// NewCollector builds the continuous observability layer.
-func NewCollector() *Collector {
-	return &Collector{classes: NewClasses()}
 }
 
 // Serving holds the facts about a finished query only its serving layer
@@ -57,7 +51,6 @@ func NewQueryRecord(sum *Summary, sv Serving) *QueryRecord {
 		K:           sv.K,
 		Endpoint:    sv.Endpoint,
 		Indexed:     sum.Indexed,
-		Class:       ClassKey(len(sum.Keywords), sum.Indexed),
 		Start:       sv.Start,
 		TotalMS:     durMS(sv.Elapsed),
 		Results:     sv.Results,
@@ -72,8 +65,8 @@ func NewQueryRecord(sum *Summary, sv Serving) *QueryRecord {
 }
 
 // Observe runs one completed query through the continuous layer:
-// watchdog verdict, per-class aggregation, capture decision. It
-// returns the record's breach verdict.
+// watchdog verdict, then capture decision. It returns the record's
+// breach verdict.
 func (c *Collector) Observe(rec *QueryRecord) (breached bool) {
 	if rec.Trace != nil {
 		breach, maxMS, medMS := checkSLO(rec.Trace.Emissions)
@@ -84,7 +77,6 @@ func (c *Collector) Observe(rec *QueryRecord) (breached bool) {
 			c.breaches.Add(1)
 		}
 	}
-	c.classes.Observe(rec)
 	c.capture.Observe(rec)
 	return rec.SLOBreach
 }
@@ -99,21 +91,13 @@ func (c *Collector) SlowLog() []QueryRecord {
 	return c.capture.Snapshot()
 }
 
-// Classes snapshots the per-class rolling aggregates.
-func (c *Collector) Classes() []ClassSnapshot {
-	return c.classes.Snapshot()
-}
-
 // CaptureStats reports (queries observed, records retained).
 func (c *Collector) CaptureStats() (observed, retained int64) {
 	return c.capture.Stats()
 }
 
 // Register wires the collector into a metrics registry: the global
-// breach counter, capture occupancy, and the per-class families —
-// cumulative counters labeled by class plus windowed gauges for rate,
-// latency quantiles and emission delays. Labels render in a fixed
-// order (indexed, keywords) across every family.
+// breach counter and the capture ring's occupancy.
 func (c *Collector) Register(reg *Registry) {
 	reg.CounterFunc("commdb_emission_slo_breaches_total",
 		"queries whose max inter-emission gap exceeded the SLO multiple of their median",
@@ -122,43 +106,4 @@ func (c *Collector) Register(reg *Registry) {
 		func() int64 { observed, _ := c.capture.Stats(); return observed })
 	reg.CounterFunc("commdb_capture_retained_total", "query records retained by the capture ring",
 		func() int64 { _, retained := c.capture.Stats(); return retained })
-
-	classLabels := func(s *ClassSnapshot) []Label {
-		return []Label{{Name: "indexed", Value: boolWord(s.Indexed)}, {Name: "keywords", Value: s.Keywords}}
-	}
-	family := func(value func(*ClassSnapshot) float64) func() []LabeledSample {
-		return func() []LabeledSample {
-			classes := c.classes.Snapshot()
-			out := make([]LabeledSample, len(classes))
-			for i := range classes {
-				out[i] = LabeledSample{Labels: classLabels(&classes[i]), Value: value(&classes[i])}
-			}
-			return out
-		}
-	}
-	reg.LabeledCounterFunc("commdb_class_queries_total", "completed queries per query class",
-		family(func(s *ClassSnapshot) float64 { return float64(s.Total) }))
-	reg.LabeledCounterFunc("commdb_class_errors_total", "errored or early-stopped queries per query class",
-		family(func(s *ClassSnapshot) float64 { return float64(s.Errors) }))
-	reg.LabeledCounterFunc("commdb_class_slo_breaches_total", "emission-delay SLO breaches per query class",
-		family(func(s *ClassSnapshot) float64 { return float64(s.SLOBreaches) }))
-	reg.LabeledGaugeFunc("commdb_class_query_rate", "sliding-window query rate per second per class",
-		family(func(s *ClassSnapshot) float64 { return s.RatePerSec }))
-	reg.LabeledGaugeFunc("commdb_class_latency_p50_ms", "sliding-window median latency per class",
-		family(func(s *ClassSnapshot) float64 { return s.P50MS }))
-	reg.LabeledGaugeFunc("commdb_class_latency_p95_ms", "sliding-window p95 latency per class",
-		family(func(s *ClassSnapshot) float64 { return s.P95MS }))
-	reg.LabeledGaugeFunc("commdb_class_latency_p99_ms", "sliding-window p99 latency per class",
-		family(func(s *ClassSnapshot) float64 { return s.P99MS }))
-	reg.LabeledGaugeFunc("commdb_class_emission_delay_max_ms", "sliding-window max inter-emission delay per class",
-		family(func(s *ClassSnapshot) float64 { return s.EmissionMaxMS }))
-	reg.LabeledGaugeFunc("commdb_class_emission_delay_mean_max_ms", "sliding-window mean of per-query max inter-emission delays per class",
-		family(func(s *ClassSnapshot) float64 { return s.EmissionMeanMaxMS }))
-}
-
-func boolWord(b bool) string {
-	if b {
-		return "true"
-	}
-	return "false"
 }

@@ -162,10 +162,10 @@ func TestRegistryPrometheusFormat(t *testing.T) {
 	}
 	r.GaugeFunc("commdb_cache_entries", "cache entries", func() float64 { return 5 })
 	r.CounterFunc("commdb_queries_started_total", "queries started", func() int64 { return 9 })
-	h := r.Histogram("commdb_query_latency_ms", "query latency", []float64{1, 10, 100})
-	h.Observe(0.5)
-	h.Observe(50)
-	h.Observe(5000)
+	hs := r.Histograms("commdb_query_latency_ms", "query latency", []float64{1, 10, 100}, "keywords", []string{"1", "2"})
+	hs[0].Observe(0.5)
+	hs[0].Observe(50)
+	hs[0].Observe(5000)
 
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {
@@ -181,12 +181,15 @@ func TestRegistryPrometheusFormat(t *testing.T) {
 		"commdb_cache_entries 5",
 		"commdb_queries_started_total 9",
 		"# TYPE commdb_query_latency_ms histogram",
-		`commdb_query_latency_ms_bucket{le="1"} 1`,
-		`commdb_query_latency_ms_bucket{le="10"} 1`,
-		`commdb_query_latency_ms_bucket{le="100"} 2`,
-		`commdb_query_latency_ms_bucket{le="+Inf"} 3`,
-		"commdb_query_latency_ms_sum 5050.5",
-		"commdb_query_latency_ms_count 3",
+		`commdb_query_latency_ms_bucket{keywords="1",le="1"} 1`,
+		`commdb_query_latency_ms_bucket{keywords="1",le="10"} 1`,
+		`commdb_query_latency_ms_bucket{keywords="1",le="100"} 2`,
+		`commdb_query_latency_ms_bucket{keywords="1",le="+Inf"} 3`,
+		`commdb_query_latency_ms_sum{keywords="1"} 5050.5`,
+		`commdb_query_latency_ms_count{keywords="1"} 3`,
+		// Every child is exported from registration on, observed or not.
+		`commdb_query_latency_ms_bucket{keywords="2",le="+Inf"} 0`,
+		`commdb_query_latency_ms_count{keywords="2"} 0`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, out)
@@ -221,6 +224,17 @@ func TestRegistryRejectsBadNames(t *testing.T) {
 		}()
 		r.GaugeFunc("ok_name", "", func() float64 { return 0 })
 	}()
+	// A histogram's label may not collide with its buckets' le.
+	for _, bad := range []string{"le", "9x", ""} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("histogram label %q accepted", bad)
+				}
+			}()
+			r.Histograms("h_ms", "", []float64{1}, bad, []string{"a"})
+		}()
+	}
 }
 
 func TestLintPrometheus(t *testing.T) {
@@ -287,13 +301,13 @@ func TestLintPrometheusLabels(t *testing.T) {
 // escaped values and mix cleanly with plain metrics.
 func TestRegistryLabeledFamilies(t *testing.T) {
 	r := NewRegistry()
-	r.LabeledCounterFunc("commdb_class_queries_total", "queries per class", func() []LabeledSample {
+	r.LabeledCounterFunc("commdb_op_total", "ops per kind", func() []LabeledSample {
 		return []LabeledSample{
 			{Labels: []Label{{Name: "indexed", Value: "true"}, {Name: "keywords", Value: "2"}}, Value: 7},
 			{Labels: []Label{{Name: "indexed", Value: "false"}, {Name: "keywords", Value: `odd"value`}}, Value: 1},
 		}
 	})
-	r.LabeledGaugeFunc("commdb_class_latency_p50_ms", "p50 per class", func() []LabeledSample {
+	r.LabeledGaugeFunc("commdb_op_p50_ms", "p50 per kind", func() []LabeledSample {
 		return []LabeledSample{{Labels: []Label{{Name: "indexed", Value: "true"}, {Name: "keywords", Value: "2"}}, Value: 1.5}}
 	})
 	r.CounterFunc("commdb_plain_total", "plain", func() int64 { return 3 })
@@ -304,10 +318,10 @@ func TestRegistryLabeledFamilies(t *testing.T) {
 	}
 	out := b.String()
 	for _, want := range []string{
-		"# TYPE commdb_class_queries_total counter",
-		`commdb_class_queries_total{indexed="true",keywords="2"} 7`,
-		`commdb_class_queries_total{indexed="false",keywords="odd\"value"} 1`,
-		`commdb_class_latency_p50_ms{indexed="true",keywords="2"} 1.5`,
+		"# TYPE commdb_op_total counter",
+		`commdb_op_total{indexed="true",keywords="2"} 7`,
+		`commdb_op_total{indexed="false",keywords="odd\"value"} 1`,
+		`commdb_op_p50_ms{indexed="true",keywords="2"} 1.5`,
 		"commdb_plain_total 3",
 	} {
 		if !strings.Contains(out, want) {

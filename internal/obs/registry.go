@@ -11,8 +11,9 @@ import (
 	"sync/atomic"
 )
 
-// Histogram is a fixed-bucket histogram. Buckets are cumulative on
-// export, Prometheus-style. Safe for concurrent use.
+// Histogram is one fixed-bucket child of a histogram family (see
+// Registry.Histograms). Buckets are cumulative on export,
+// Prometheus-style. Safe for concurrent use.
 type Histogram struct {
 	bounds []float64 // finite inclusive upper bounds, ascending
 	counts []atomic.Int64
@@ -111,7 +112,10 @@ type metric struct {
 	counterFn  func() int64
 	gaugeFn    func() float64
 	samplesFn  func() []LabeledSample
-	hist       *Histogram
+	// A histogram family's children: hists[i] carries label=values[i].
+	label  string
+	values []string
+	hists  []*Histogram
 }
 
 // Label is one name="value" pair on a labeled sample.
@@ -191,11 +195,10 @@ func (r *Registry) GaugeFunc(name, help string, f func() float64) {
 }
 
 // LabeledCounterFunc registers a counter family whose labeled samples
-// are produced at scrape time — the exposition for per-class rolling
-// aggregates, where the label sets (query classes) are discovered at
-// runtime. Every sample must carry the same label names in the same
-// order; values must be non-decreasing per label set (counter
-// semantics are the caller's contract).
+// are produced at scrape time — for label sets (reload outcomes, delta
+// op kinds) read from state kept elsewhere. Every sample must carry the
+// same label names in the same order; values must be non-decreasing
+// per label set (counter semantics are the caller's contract).
 func (r *Registry) LabeledCounterFunc(name, help string, f func() []LabeledSample) {
 	m := r.register(name, help, kindCounter)
 	r.mu.Lock()
@@ -265,19 +268,27 @@ func writeLabeledSamples(b *strings.Builder, name string, samples []LabeledSampl
 	}
 }
 
-// Histogram returns the named histogram with the given finite upper
-// bounds (ascending), creating it on first use; the +Inf bucket is
-// implicit.
-func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
+// Histograms returns the named histogram family: one child per value of
+// its one label, in values order, each with the given finite upper
+// bounds (ascending; the +Inf bucket is implicit). The children are
+// created on first use, so every value is exported from the first
+// scrape.
+func (r *Registry) Histograms(name, help string, bounds []float64, label string, values []string) []*Histogram {
+	if !validLabelName(label) || label == "le" {
+		panic(fmt.Sprintf("obs: histogram %q has invalid label name %q", name, label))
+	}
 	m := r.register(name, help, kindHistogram)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if m.hist == nil {
+	if m.hists == nil {
 		b := append([]float64(nil), bounds...)
 		sort.Float64s(b)
-		m.hist = &Histogram{bounds: b, counts: make([]atomic.Int64, len(b)+1)}
+		m.label, m.values = label, append([]string(nil), values...)
+		for range values {
+			m.hists = append(m.hists, &Histogram{bounds: b, counts: make([]atomic.Int64, len(b)+1)})
+		}
 	}
-	return m.hist
+	return m.hists
 }
 
 // WritePrometheus renders every metric in Prometheus text exposition
@@ -315,16 +326,18 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				fmt.Fprintf(&b, "%s %s\n", m.name, formatFloat(m.gaugeFn()))
 			}
 		case kindHistogram:
-			h := m.hist
-			var cum int64
-			for i, bound := range h.bounds {
-				cum += h.counts[i].Load()
-				fmt.Fprintf(&b, "%s_bucket{le=%q} %d\n", m.name, formatFloat(bound), cum)
+			for i, h := range m.hists {
+				lv := m.label + `="` + escapeLabelValue(m.values[i]) + `"`
+				var cum int64
+				for j, bound := range h.bounds {
+					cum += h.counts[j].Load()
+					fmt.Fprintf(&b, "%s_bucket{%s,le=%q} %d\n", m.name, lv, formatFloat(bound), cum)
+				}
+				cum += h.counts[len(h.bounds)].Load()
+				fmt.Fprintf(&b, "%s_bucket{%s,le=\"+Inf\"} %d\n", m.name, lv, cum)
+				fmt.Fprintf(&b, "%s_sum{%s} %s\n", m.name, lv, formatFloat(h.Sum()))
+				fmt.Fprintf(&b, "%s_count{%s} %d\n", m.name, lv, h.Count())
 			}
-			cum += h.counts[len(h.bounds)].Load()
-			fmt.Fprintf(&b, "%s_bucket{le=\"+Inf\"} %d\n", m.name, cum)
-			fmt.Fprintf(&b, "%s_sum %s\n", m.name, formatFloat(h.Sum()))
-			fmt.Fprintf(&b, "%s_count %d\n", m.name, h.Count())
 		}
 	}
 	_, err := io.WriteString(w, b.String())

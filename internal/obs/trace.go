@@ -87,9 +87,9 @@ var counterTable = [numCounters]struct {
 }
 
 // Identity is a traced query's self-description, filled by the searcher
-// in one call so the continuous layer (slow-query capture, per-class
-// aggregates, the workload journal) can classify a trace without
-// re-deriving the query.
+// in one call so the continuous layer (slow-query capture, the latency
+// histogram's keywords label, the workload journal) can classify a
+// trace without re-deriving the query.
 type Identity struct {
 	// Fingerprint is the canonical Query.Fingerprint; Keywords its
 	// normalized (tokenized, sorted) keyword list.
@@ -120,8 +120,8 @@ type Trace struct {
 	epoch    int64
 	spans    []SpanSummary
 	counters [numCounters]int64
-	emitSum  time.Duration
-	emitMax  time.Duration
+	gapSum   time.Duration // gaps between consecutive emissions
+	gapMax   time.Duration
 	lastEmit time.Time
 	delays   []time.Duration
 }
@@ -244,26 +244,26 @@ func (t *Trace) AddDijkstra(r DijkstraRun) {
 	t.mu.Unlock()
 }
 
-// Emission records one community handed to the caller: the
-// inter-emission delay — time since the previous emission, or since the
-// trace started for the first — is the paper's polynomial-delay claim
-// made observable.
+// Emission records one community handed to the caller. Its delay is the
+// gap since the previous emission — the paper's polynomial-delay claim
+// made observable — or, for the first, the time to the first result
+// since the trace started (projection and engine init included), which
+// is not a gap.
 func (t *Trace) Emission() {
 	if t == nil {
 		return
 	}
 	now := time.Now()
 	t.mu.Lock()
-	prev := t.lastEmit
-	if prev.IsZero() {
-		prev = t.start
+	var d time.Duration
+	if t.lastEmit.IsZero() {
+		d = now.Sub(t.start)
+	} else {
+		d = now.Sub(t.lastEmit)
+		t.gapSum += d
+		t.gapMax = max(t.gapMax, d)
 	}
-	d := now.Sub(prev)
 	t.lastEmit = now
-	t.emitSum += d
-	if d > t.emitMax {
-		t.emitMax = d
-	}
 	if len(t.delays) < MaxStoredDelays {
 		t.delays = append(t.delays, d)
 	}
@@ -340,11 +340,13 @@ func (t *Trace) Summary() *Summary {
 	}
 	if n := t.counters[Emitted]; n > 0 {
 		e := &EmissionSummary{
-			Count:       n,
-			FirstMS:     durMS(t.delays[0]),
-			MeanDelayMS: durMS(t.emitSum) / float64(n),
-			MaxDelayMS:  durMS(t.emitMax),
-			DelaysMS:    make([]float64, len(t.delays)),
+			Count:      n,
+			FirstMS:    durMS(t.delays[0]),
+			MaxDelayMS: durMS(t.gapMax),
+			DelaysMS:   make([]float64, len(t.delays)),
+		}
+		if n > 1 {
+			e.MeanDelayMS = durMS(t.gapSum) / float64(n-1)
 		}
 		for i, d := range t.delays {
 			e.DelaysMS[i] = durMS(d)
@@ -397,9 +399,11 @@ type SpanSummary struct {
 	DurMS   float64 `json:"dur_ms"`
 }
 
-// EmissionSummary aggregates the per-community inter-emission delays.
-// DelaysMS holds the first MaxStoredDelays individual delays; Count,
-// MeanDelayMS and MaxDelayMS cover every emission.
+// EmissionSummary aggregates the per-community emission delays.
+// DelaysMS holds the first MaxStoredDelays individual delays: the first
+// is FirstMS, the time to the first result, and each later one the gap
+// since the previous emission. MeanDelayMS and MaxDelayMS cover every
+// one of the Count−1 gaps (0 with a single emission).
 type EmissionSummary struct {
 	Count       int64     `json:"count"`
 	FirstMS     float64   `json:"first_ms"`

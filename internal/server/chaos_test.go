@@ -244,15 +244,12 @@ func runChaos(t *testing.T, seed int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The engine is healthy, so no probation window should ever roll an
+	// epoch back here.
 	mgr := snapshot.New(initial, snapshot.Config{
-		Load:    loader,
-		Fault:   inj,
-		Retries: 2,
-		Backoff: time.Millisecond,
-		// Short probation so epochs commit under test-scale traffic; the
-		// engine is healthy, so no rollback should ever trigger here.
-		Probation: 3,
-		Logf:      t.Logf,
+		Load:  loader,
+		Fault: inj,
+		Logf:  t.Logf,
 	})
 	srv := New(initial, Config{
 		MaxConcurrent: 8,
@@ -553,7 +550,7 @@ func TestEpochConsistencyAcrossReload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mgr := snapshot.New(initial, snapshot.Config{Load: loader, Probation: 1})
+	mgr := snapshot.New(initial, snapshot.Config{Load: loader})
 	srv := New(initial, Config{Snapshots: mgr, AdminToken: chaosToken})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -650,7 +647,7 @@ func TestSlowReaderDoesNotRollBack(t *testing.T) {
 		t.Fatalf("stream did not complete: status %d\n%s", rec.Code, rec.Body)
 	}
 
-	if got := srv.Stats().SLOBreaches; got != 1 {
+	if got := srv.collector.Breaches(); got != 1 {
 		t.Fatalf("slo_breaches = %d, want 1 (the alert must still fire)", got)
 	}
 	if got := mgr.Counts()[snapshot.OutcomeRolledBack]; got != 0 || mgr.Current() != 2 {

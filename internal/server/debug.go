@@ -3,7 +3,7 @@ package server
 // GET /debug/queries is the server's slow-query log: the JSON view of
 // the tail-sampled capture ring — the N slowest queries, every errored
 // or SLO-breaching one, and a deterministic background sample — each
-// with its full trace, plus the per-class rolling aggregates. It is the
+// with its full trace, plus the capture and breach counters. It is the
 // answer to "what were the slowest queries in the last hour and why"
 // that per-query traces alone cannot give.
 
@@ -24,8 +24,6 @@ type DebugQueriesResponse struct {
 	// Queries are the captured records, slowest first, each carrying
 	// its full trace summary and the reasons it was retained.
 	Queries []obs.QueryRecord `json:"queries"`
-	// Classes are the per-class rolling aggregates.
-	Classes []obs.ClassSnapshot `json:"classes,omitempty"`
 }
 
 // handleDebugQueries answers GET /debug/queries.
@@ -36,6 +34,5 @@ func (s *Server) handleDebugQueries(w http.ResponseWriter, _ *http.Request) {
 		Retained:    retained,
 		SLOBreaches: s.collector.Breaches(),
 		Queries:     s.collector.SlowLog(),
-		Classes:     s.collector.Classes(),
 	})
 }

@@ -239,8 +239,8 @@ func driveCoreFamilies(t *testing.T) []map[string]string {
 		t.Fatalf("stalled stream: %+v", tr)
 	}
 	eng.hook.Store(nil)
-	if srv.Stats().SLOBreaches != 1 {
-		t.Fatalf("slo_breaches = %d after a stalled stream, want 1", srv.Stats().SLOBreaches)
+	if got := srv.collector.Breaches(); got != 1 {
+		t.Fatalf("slo_breaches = %d after a stalled stream, want 1", got)
 	}
 
 	if out := decodeTopK(t, topk("b", "a")); !out.Cached {

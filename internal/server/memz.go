@@ -4,9 +4,9 @@ package server
 // of every long-lived artifact the server retains — per-epoch graph
 // and index footprints under hot reload (two live epochs during a
 // probation window), the result cache, the delta maintainer's staging
-// artifacts — alongside the runtime heap view. The same snapshot rides
-// /statsz as the "memory" block and feeds the commdb_mem_* gauges, so
-// a dashboard, a curl and a Prometheus scrape all see one accounting.
+// artifacts — alongside the runtime heap view. The same snapshot feeds
+// the commdb_mem_* gauges, so a curl and a Prometheus scrape see one
+// accounting.
 
 import (
 	"net/http"
@@ -42,8 +42,8 @@ type RuntimeMemory struct {
 	NumGC          uint32 `json:"num_gc"`
 }
 
-// MemorySnapshot is the body of GET /debug/memz and the "memory" block
-// of /statsz. TotalBytes sums the component views; components can
+// MemorySnapshot is the body of GET /debug/memz. TotalBytes sums the
+// component views; components can
 // share backing arrays (after a delta publish the maintainer's staging
 // artifacts ARE the serving epoch's), so the total is an upper bound
 // on distinct retained bytes, exact when nothing is shared.

@@ -20,11 +20,12 @@ import (
 )
 
 // metrics owns the process Registry, the engine-counter totals that
-// finished traces fold into, and the one latency histogram.
+// finished traces fold into, and the one latency histogram — one child
+// per keywordLabels value.
 type metrics struct {
 	reg     *obs.Registry
 	totals  obs.Totals
-	latency *obs.Histogram
+	latency []*obs.Histogram
 	// scrape serializes /metricsz renders; mem is the render's one
 	// memory snapshot, read by the commdb_mem_* gauges.
 	scrape sync.Mutex
@@ -38,7 +39,8 @@ func newMetrics(s *Server) *metrics {
 	reg := obs.NewRegistry()
 	m := &metrics{reg: reg}
 	m.totals.Register(reg)
-	m.latency = reg.Histogram("commdb_query_latency_ms", "engine execution latency in milliseconds", latencyBucketsMS[:])
+	m.latency = reg.Histograms("commdb_query_latency_ms", "engine execution latency in milliseconds, by normalized keyword count",
+		latencyBucketsMS[:], "keywords", keywordLabels[:])
 
 	reg.CounterFunc("commdb_queries_started_total", "engine executions begun",
 		s.stats.queriesStarted.Load)
@@ -68,8 +70,7 @@ func newMetrics(s *Server) *metrics {
 		s.stats.budgetExhausted.Load)
 	reg.CounterFunc("commdb_canceled_total", "queries stopped by cancellation or shutdown",
 		s.stats.canceled.Load)
-	// The continuous layer: the SLO breach counter, capture occupancy,
-	// and the labeled per-class families.
+	// The continuous layer: the SLO breach counter and capture occupancy.
 	s.collector.Register(reg)
 	if j := s.cfg.WorkloadJournal; j != nil {
 		reg.CounterFunc("commdb_workload_journal_records_total", "entries appended to the workload journal",

@@ -159,7 +159,7 @@ func TestMetricszPromLint(t *testing.T) {
 		"# TYPE commdb_dijkstra_visits_total counter",
 		"# TYPE commdb_queries_started_total counter",
 		"# TYPE commdb_query_latency_ms histogram",
-		`commdb_query_latency_ms_bucket{le="+Inf"}`,
+		`commdb_query_latency_ms_bucket{keywords="2",le="+Inf"} 1`,
 		"# TYPE commdb_mem_total_bytes gauge",
 		"# TYPE commdb_mem_graph_bytes gauge",
 		"# TYPE commdb_mem_index_bytes gauge",

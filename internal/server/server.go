@@ -87,8 +87,8 @@ type Config struct {
 	// unauthenticated scrapers.
 	Pprof bool
 	// DeltaMem, when non-nil, reports the incremental maintainer's
-	// artifact footprint (staging graph + index) in /debug/memz, the
-	// /statsz memory block and the commdb_mem_delta_bytes gauge.
+	// artifact footprint (staging graph + index) in /debug/memz and the
+	// commdb_mem_delta_bytes gauge.
 	DeltaMem func() prof.Footprint
 	// Snapshots, when non-nil, turns on epoch-versioned hot reload:
 	// every request answers from the epoch that was serving when it
@@ -156,7 +156,7 @@ type Server struct {
 	flights    *flightGroup
 	stats      stats
 	metrics    *metrics
-	collector  *obs.Collector
+	collector  obs.Collector
 	qids       atomic.Int64
 	mux        *http.ServeMux
 
@@ -187,7 +187,6 @@ func NewWithEngine(eng Engine, cfg Config) *Server {
 		baseCtx:    baseCtx,
 		cancelBase: cancel,
 	}
-	s.collector = obs.NewCollector()
 	s.metrics = newMetrics(s)
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/search/topk", s.handleTopK)
@@ -258,9 +257,6 @@ func (s *Server) Stats() StatsSnapshot {
 	snap.CacheBytes = cs.Bytes
 	snap.SingleflightShared = s.flights.joins.Load()
 	snap.AdmissionWaiting = s.adm.waiting.Load()
-	snap.CaptureObserved, snap.CaptureRetained = s.collector.CaptureStats()
-	snap.SLOBreaches = s.collector.Breaches()
-	snap.QueryClasses = s.collector.Classes()
 	if s.snaps != nil {
 		st := s.snaps.Status()
 		snap.Epochs = &st
@@ -269,8 +265,6 @@ func (s *Server) Stats() StatsSnapshot {
 		st := s.cfg.Deltas()
 		snap.Deltas = &st
 	}
-	mem := s.memorySnapshot()
-	snap.Memory = &mem
 	if j := s.cfg.WorkloadJournal; j != nil {
 		js := j.Stats()
 		snap.WorkloadJournal = &js
@@ -498,7 +492,6 @@ func (s *Server) execute(ctx context.Context, open func(context.Context, commdb.
 	}
 	x.elapsed = time.Since(start)
 	s.stats.queriesCompleted.Add(1)
-	s.metrics.latency.Observe(float64(x.elapsed) / float64(time.Millisecond))
 	s.metrics.totals.Fold(tr)
 	s.classifyStop(x.stop)
 	if s.snaps != nil {
@@ -515,6 +508,7 @@ func (s *Server) execute(ctx context.Context, open func(context.Context, commdb.
 		QueryID: qid, Endpoint: endpoint, K: k, Results: x.results,
 		Stop: x.stop, StopReason: StopReason(x.stop), Start: start, Elapsed: x.elapsed,
 	})
+	s.metrics.latency[keywordBucket(len(rec.Keywords))].Observe(rec.TotalMS)
 	// A breach is an alert — a counter, a slow-log capture and this
 	// line — never a verdict on the epoch: an emission gap includes the
 	// write to the client, so a slow reader can cause one.
@@ -523,7 +517,6 @@ func (s *Server) execute(ctx context.Context, open func(context.Context, commdb.
 			"qid", rec.QueryID,
 			"endpoint", rec.Endpoint,
 			"keywords", rec.Keywords,
-			"class", rec.Class,
 			"max_delay_ms", rec.MaxEmissionDelayMS,
 			"median_delay_ms", rec.MedianEmissionDelayMS,
 			"total_ms", rec.TotalMS)

@@ -2,8 +2,7 @@ package server
 
 // End-to-end tests of the continuous observability layer: the
 // emission-delay SLO watchdog, the tail-sampled slow-query capture ring
-// behind GET /debug/queries, the per-class rolling aggregates, and
-// their exposure through /statsz and /metricsz.
+// behind GET /debug/queries, and their exposure through /metricsz.
 
 import (
 	"bytes"
@@ -193,14 +192,45 @@ func TestSLONoFalsePositiveUniformSlow(t *testing.T) {
 	}
 }
 
+// TestSLONoFalsePositiveSlowFirstResult: the time to the first result
+// (projection plus engine init on a real searcher) is not a gap between
+// emissions. A stream that takes 40ms to its first community and then
+// emits every 1ms is healthy; its trace still reports the 40ms as
+// first_ms and as its first delay.
+func TestSLONoFalsePositiveSlowFirstResult(t *testing.T) {
+	delays := []time.Duration{40 * time.Millisecond}
+	for i := 0; i < 7; i++ {
+		delays = append(delays, time.Millisecond)
+	}
+	srv := NewWithEngine(&stallEngine{delays: delays}, Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	tr := drainStream(t, postJSON(t, ts.URL+"/v1/search/all",
+		searchBody(t, []string{"slow", "start"}, map[string]any{"trace": true})))
+	if tr.Count != len(delays) || tr.Trace == nil || tr.Trace.Emissions == nil {
+		t.Fatalf("trailer = %+v", tr)
+	}
+	e := tr.Trace.Emissions
+	if e.FirstMS < 40 || e.DelaysMS[0] != e.FirstMS {
+		t.Fatalf("first_ms = %.2f, delays[0] = %.2f: want both the 40ms time to first result", e.FirstMS, e.DelaysMS[0])
+	}
+	if e.MaxDelayMS >= 40 {
+		t.Fatalf("max_delay_ms = %.2f counts the time to first result as a gap", e.MaxDelayMS)
+	}
+	if dbg := debugQueries(t, ts.URL); dbg.SLOBreaches != 0 {
+		t.Fatalf("a slow first result breached the SLO: %d breaches", dbg.SLOBreaches)
+	}
+}
+
 // TestDebugQueriesMixedWorkload drives the paper's running example
-// through a mixed workload — healthy queries across distinct classes
-// plus a budget-tripped one — and checks the slow log, the per-class
-// aggregates in /statsz, and the labeled exposition in /metricsz.
+// through a mixed workload — healthy queries of distinct keyword counts
+// plus a budget-tripped one — and checks the slow log, that each fact
+// has one JSON home, and the keywords label in /metricsz.
 func TestDebugQueriesMixedWorkload(t *testing.T) {
 	_, ts := newPaperServer(t, Config{CacheEntries: -1})
 
-	// Healthy queries in two classes: kw3 and kw2.
+	// Healthy queries of three and two keywords.
 	for i := 0; i < 3; i++ {
 		resp := postJSON(t, ts.URL+"/v1/search/topk",
 			searchBody(t, []string{"a", "b", "c"}, map[string]any{"k": 3 + i}))
@@ -256,62 +286,45 @@ func TestDebugQueriesMixedWorkload(t *testing.T) {
 		t.Fatalf("capture reasons missing: slow=%v errored=%v", sawSlow, sawErrored)
 	}
 
-	// Per-class aggregates: three distinct keyword buckets were queried.
-	classes := map[string]obs.ClassSnapshot{}
-	for _, c := range dbg.Classes {
-		classes[c.Class] = c
-	}
-	for _, want := range []string{"kw1", "kw2", "kw3"} {
-		found := false
-		for class := range classes {
-			if strings.HasPrefix(class, want+"/") {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("no class row for keyword bucket %s: %v", want, keysOf(classes))
-		}
-	}
-	for class, c := range classes {
-		if c.WindowCount == 0 || c.P50MS <= 0 {
-			t.Fatalf("class %s has empty window stats: %+v", class, c)
-		}
-	}
-
-	// /statsz carries the same rows plus the capture counters.
-	var snap StatsSnapshot
-	if err := json.Unmarshal(getBody(t, ts.URL+"/statsz"), &snap); err != nil {
+	// /statsz no longer re-serves this endpoint's counters, the per-class
+	// table or /debug/memz's ledger: each fact has one home.
+	var raw map[string]json.RawMessage
+	if err := json.Unmarshal(getBody(t, ts.URL+"/statsz"), &raw); err != nil {
 		t.Fatalf("decoding /statsz: %v", err)
 	}
-	if snap.CaptureObserved != 5 || snap.CaptureRetained == 0 {
-		t.Fatalf("statsz capture counters = %d/%d", snap.CaptureObserved, snap.CaptureRetained)
+	for _, gone := range []string{"query_classes", "memory", "capture_observed", "capture_retained", "slo_breaches"} {
+		if _, ok := raw[gone]; ok {
+			t.Errorf("/statsz still carries %q", gone)
+		}
 	}
-	if len(snap.QueryClasses) != len(dbg.Classes) {
-		t.Fatalf("statsz has %d classes, /debug/queries has %d", len(snap.QueryClasses), len(dbg.Classes))
+	var dbgRaw map[string]json.RawMessage
+	if err := json.Unmarshal(getBody(t, ts.URL+"/debug/queries"), &dbgRaw); err != nil {
+		t.Fatalf("decoding /debug/queries: %v", err)
+	}
+	if _, ok := dbgRaw["classes"]; ok {
+		t.Error("/debug/queries still carries classes")
 	}
 
-	// /metricsz exposes the labeled per-class families and still lints.
+	// Latency by keyword count is the histogram's keywords label: three
+	// a,b,c queries, one a,b and the budget-tripped a.
 	metrics := string(getBody(t, ts.URL+"/metricsz"))
 	if err := obs.LintPrometheus(strings.NewReader(metrics)); err != nil {
 		t.Fatalf("metricsz lint: %v", err)
 	}
-	for _, name := range []string{
-		"commdb_class_queries_total{",
-		"commdb_class_latency_p50_ms{",
-		"commdb_class_query_rate{",
+	for _, want := range []string{
+		`commdb_query_latency_ms_count{keywords="1"} 1`,
+		`commdb_query_latency_ms_count{keywords="2"} 1`,
+		`commdb_query_latency_ms_count{keywords="3"} 3`,
+		`commdb_query_latency_ms_count{keywords="4+"} 0`,
 	} {
-		if !strings.Contains(metrics, name) {
-			t.Fatalf("metricsz missing labeled family %s:\n%s", name, grepLines(metrics, "commdb_class"))
+		if !strings.Contains(metrics, want) {
+			t.Fatalf("metricsz missing %s:\n%s", want, grepLines(metrics, "commdb_query_latency_ms_count"))
 		}
-	}
-	// Labels render in fixed order with the keyword bucket quoted.
-	if !strings.Contains(metrics, `commdb_class_queries_total{indexed="`) {
-		t.Fatalf("class labels not in canonical order:\n%s", grepLines(metrics, "commdb_class_queries_total"))
 	}
 }
 
-// TestCaptureConcurrencyStress hammers the capture ring and the rolling
-// aggregates from concurrent queries while scraping /debug/queries,
+// TestCaptureConcurrencyStress hammers the capture ring and the latency
+// histogram from concurrent queries while scraping /debug/queries,
 // /statsz and /metricsz — the satellite -race test for the whole layer.
 func TestCaptureConcurrencyStress(t *testing.T) {
 	const writers, perWriter = 8, 40
@@ -371,15 +384,11 @@ func TestCaptureConcurrencyStress(t *testing.T) {
 	if want := int64(writers * perWriter); dbg.Observed != want {
 		t.Fatalf("observed = %d, want %d", dbg.Observed, want)
 	}
-	if len(dbg.Queries) == 0 || len(dbg.Classes) == 0 {
-		t.Fatal("stress run captured no records or classes")
+	if len(dbg.Queries) == 0 {
+		t.Fatal("stress run captured no records")
 	}
-	var total int64
-	for _, c := range dbg.Classes {
-		total += c.Total
-	}
-	if total != int64(writers*perWriter) {
-		t.Fatalf("class totals sum to %d, want %d", total, writers*perWriter)
+	if got := srv.Stats().Latency.Count; got != int64(writers*perWriter) {
+		t.Fatalf("query_latency.count = %d, want %d", got, writers*perWriter)
 	}
 }
 
@@ -390,14 +399,6 @@ func containsStr(ss []string, want string) bool {
 		}
 	}
 	return false
-}
-
-func keysOf(m map[string]obs.ClassSnapshot) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	return out
 }
 
 // grepLines returns the lines of s containing sub, for failure output.

@@ -16,6 +16,16 @@ import (
 // query_latency in /statsz); the final implicit bucket is +Inf.
 var latencyBucketsMS = [...]float64{1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000}
 
+// keywordLabels are the values of the latency histogram's keywords
+// label: the query's normalized keyword count, 4 and up sharing one.
+var keywordLabels = [...]string{"1", "2", "3", "4+"}
+
+// keywordBucket maps a normalized keyword count to its index in
+// keywordLabels.
+func keywordBucket(n int) int {
+	return min(max(n, 1), len(keywordLabels)) - 1
+}
+
 // stats holds the server's counters. All fields are atomics so the hot
 // path never takes a lock.
 type stats struct {
@@ -89,17 +99,6 @@ type StatsSnapshot struct {
 	BudgetExhausted  int64 `json:"budget_exhausted"`
 	Canceled         int64 `json:"canceled"`
 
-	// Continuous-layer counters: capture ring occupancy and the
-	// emission-delay SLO watchdog.
-	CaptureObserved int64 `json:"capture_observed"`
-	CaptureRetained int64 `json:"capture_retained"`
-	SLOBreaches     int64 `json:"slo_breaches"`
-
-	// QueryClasses are the per-class rolling aggregates (keyword-count
-	// bucket × indexed/plain): window rate, latency quantiles and
-	// emission-delay stats per class.
-	QueryClasses []obs.ClassSnapshot `json:"query_classes,omitempty"`
-
 	// Epochs is the snapshot subsystem's state — serving epoch,
 	// probation, per-outcome reload counters — present only when the
 	// server runs with hot reload enabled.
@@ -111,16 +110,11 @@ type StatsSnapshot struct {
 	// runs in delta mode.
 	Deltas *delta.Stats `json:"deltas,omitempty"`
 
-	// Memory is the retained-artifact ledger, the same snapshot
-	// GET /debug/memz serves: per-epoch footprints under hot reload,
-	// the result cache, the delta maintainer, and the runtime heap
-	// view.
-	Memory *MemorySnapshot `json:"memory,omitempty"`
-
 	// WorkloadJournal is the flight recorder's counters, present only
 	// when a journal is attached.
 	WorkloadJournal *workload.JournalStats `json:"workload_journal,omitempty"`
 
+	// Latency is commdb_query_latency_ms summed over its keywords label.
 	Latency struct {
 		Count   int64           `json:"count"`
 		MeanMS  float64         `json:"mean_ms"`
@@ -148,14 +142,23 @@ func (s *stats) snapshot() StatsSnapshot {
 }
 
 // setLatency renders the query_latency block from the process latency
-// histogram, so /statsz and /metricsz can never disagree.
-func (out *StatsSnapshot) setLatency(h *obs.Histogram) {
-	bounds, counts := h.Buckets()
+// histogram's children summed, so /statsz and /metricsz can never
+// disagree.
+func (out *StatsSnapshot) setLatency(hs []*obs.Histogram) {
+	bounds, counts := hs[0].Buckets() // the children share bounds
+	sum := hs[0].Sum()
+	for _, h := range hs[1:] {
+		_, cs := h.Buckets()
+		for i, c := range cs {
+			counts[i] += c
+		}
+		sum += h.Sum()
+	}
 	for _, c := range counts {
 		out.Latency.Count += c
 	}
 	if out.Latency.Count > 0 {
-		out.Latency.MeanMS = h.Sum() / float64(out.Latency.Count)
+		out.Latency.MeanMS = sum / float64(out.Latency.Count)
 	}
 	out.Latency.P50MS = obs.HistQuantile(bounds, counts, 0.50)
 	out.Latency.P95MS = obs.HistQuantile(bounds, counts, 0.95)

@@ -1,7 +1,8 @@
 package server
 
 // Direct unit tests of the /statsz query_latency block: the process
-// latency histogram rendered through obs.HistQuantile.
+// latency histogram's keywords children summed and rendered through
+// obs.HistQuantile.
 
 import (
 	"context"
@@ -18,16 +19,27 @@ import (
 	"commdb/internal/obs"
 )
 
-// latencySnapshot observes ms into a fresh latency histogram and
-// renders it the way /statsz does.
+// latencySnapshot observes ms into a fresh latency histogram, spread
+// round-robin over its keywords children, and renders it the way
+// /statsz does.
 func latencySnapshot(ms []float64) StatsSnapshot {
-	h := obs.NewRegistry().Histogram("commdb_query_latency_ms", "", latencyBucketsMS[:])
-	for _, m := range ms {
-		h.Observe(m)
+	hs := obs.NewRegistry().Histograms("commdb_query_latency_ms", "", latencyBucketsMS[:], "keywords", keywordLabels[:])
+	for i, m := range ms {
+		hs[i%len(hs)].Observe(m)
 	}
 	var snap StatsSnapshot
-	snap.setLatency(h)
+	snap.setLatency(hs)
 	return snap
+}
+
+// TestKeywordBucket locks the keywords label values: a normalized
+// keyword count of four or more shares one child.
+func TestKeywordBucket(t *testing.T) {
+	for n, want := range map[int]string{1: "1", 2: "2", 3: "3", 4: "4+", 9: "4+"} {
+		if got := keywordLabels[keywordBucket(n)]; got != want {
+			t.Errorf("keywordBucket(%d) = %q, want %q", n, got, want)
+		}
+	}
 }
 
 // quantileFromObservations reads one quantile of ms back, exercising
@@ -196,11 +208,63 @@ func TestLatencyCountsAgreeAfterFailedAll(t *testing.T) {
 	}
 	defer mresp.Body.Close()
 	body, _ := io.ReadAll(mresp.Body)
-	m := regexp.MustCompile(`(?m)^commdb_query_latency_ms_count (\d+)$`).FindSubmatch(body)
+	m := regexp.MustCompile(`(?m)^commdb_query_latency_ms_count\{keywords="1"\} (\d+)$`).FindSubmatch(body)
 	if m == nil {
 		t.Fatalf("no commdb_query_latency_ms_count in /metricsz:\n%s", body)
 	}
 	if got := srv.Stats().Latency.Count; strconv.FormatInt(got, 10) != string(m[1]) || got != 2 {
 		t.Fatalf("/statsz query_latency.count = %d, commdb_query_latency_ms_count = %s, want both 2", got, m[1])
+	}
+}
+
+// TestStatszLatencySumsKeywordChildren: /statsz query_latency is the
+// keywords children of commdb_query_latency_ms summed — every bucket,
+// the count and the mean.
+func TestStatszLatencySumsKeywordChildren(t *testing.T) {
+	srv := NewWithEngine(&fakeEngine{n: 1}, Config{CacheEntries: -1})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	for _, kws := range [][]string{{"a"}, {"a", "b"}, {"a", "b"}, {"a", "b", "c"}, {"a", "b", "c", "d", "e"}} {
+		postJSON(t, ts.URL+"/v1/search/topk", searchBody(t, kws, nil)).Body.Close()
+	}
+	body := string(getBody(t, ts.URL+"/metricsz"))
+	children := map[string]bool{}
+	buckets := map[string]int64{} // le → count summed over children
+	var count int64
+	var sum float64
+	sample := regexp.MustCompile(`(?m)^commdb_query_latency_ms_(bucket|sum|count)\{keywords="([^"]+)"(?:,le="([^"]+)")?\} (\S+)$`)
+	for _, m := range sample.FindAllStringSubmatch(body, -1) {
+		children[m[2]] = true
+		v, err := strconv.ParseFloat(m[4], 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch m[1] {
+		case "bucket":
+			buckets[m[3]] += int64(v)
+		case "sum":
+			sum += v
+		case "count":
+			count += int64(v)
+		}
+	}
+	if len(children) != len(keywordLabels) {
+		t.Fatalf("children %v, want one per keywords label %v", children, keywordLabels)
+	}
+	lat := srv.Stats().Latency
+	if count != 5 || lat.Count != count || math.Abs(lat.MeanMS-sum/float64(count)) > 1e-9 {
+		t.Fatalf("/statsz count %d mean %v; children count %d mean %v", lat.Count, lat.MeanMS, count, sum/float64(count))
+	}
+	// Prometheus buckets are cumulative, /statsz buckets are not.
+	var cum int64
+	for _, b := range lat.Buckets {
+		cum += b.Count
+		le := "+Inf"
+		if !math.IsInf(float64(b.LE), 1) {
+			le = strconv.FormatFloat(float64(b.LE), 'g', -1, 64)
+		}
+		if buckets[le] != cum {
+			t.Errorf("le=%s: /statsz cumulative %d, children sum %d", le, cum, buckets[le])
+		}
 	}
 }

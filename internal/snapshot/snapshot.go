@@ -79,48 +79,27 @@ var ErrReloadInFlight = errors.New("snapshot: reload already in flight")
 // Searcher or an error — never a partially initialized one.
 type Loader func(inj *fault.Injector) (*commdb.Searcher, error)
 
-// Config tunes a Manager. The zero value of every field is usable.
+// The reload policy every deployment runs. A load that fails with a
+// transient error is re-attempted loadRetries times, the first after
+// loadBackoff and each later one after twice the previous wait;
+// corruption, validation failures and panics never retry. A fresh epoch
+// must serve probationQueries queries before the previous epoch is
+// dropped; the first internal error inside the window rolls it back.
+const (
+	loadRetries      = 2
+	loadBackoff      = 50 * time.Millisecond
+	probationQueries = 20
+)
+
+// Config wires a Manager to its loader. The zero value of every field
+// is usable.
 type Config struct {
 	// Load produces each new epoch's Searcher. Required for Reload.
 	Load Loader
 	// Fault, when non-nil, injects faults into the load path (tests).
 	Fault *fault.Injector
-	// Retries bounds re-attempts after transient I/O errors (default 2).
-	// Corruption, validation failures, and panics never retry.
-	Retries int
-	// Backoff is the first retry's delay, doubling per attempt
-	// (default 50ms).
-	Backoff time.Duration
-	// Probation is how many queries the new epoch must serve cleanly
-	// before the previous epoch is dropped (default 20). The first
-	// internal error inside the window rolls the epoch back.
-	Probation int
 	// Logf, when non-nil, receives reload lifecycle messages.
 	Logf func(format string, args ...any)
-}
-
-func (c *Config) retries() int {
-	if c.Retries < 0 {
-		return 0
-	}
-	if c.Retries == 0 {
-		return 2
-	}
-	return c.Retries
-}
-
-func (c *Config) backoff() time.Duration {
-	if c.Backoff <= 0 {
-		return 50 * time.Millisecond
-	}
-	return c.Backoff
-}
-
-func (c *Config) probation() int {
-	if c.Probation <= 0 {
-		return 20
-	}
-	return c.Probation
 }
 
 func (c *Config) logf(format string, args ...any) {
@@ -298,7 +277,7 @@ func (m *Manager) loadOnce() (s *commdb.Searcher, err error) {
 // permanent reports whether a load error can never succeed on retry:
 // corruption and mismatch are properties of the artifact, a panic is a
 // bug. Everything else (missing file, device error, injected transient)
-// is worth the configured retries.
+// is worth the loadRetries retries.
 func permanent(err error) bool {
 	return errors.Is(err, index.ErrCorruptIndex) ||
 		errors.Is(err, commdb.ErrCorruptGraph) ||
@@ -352,14 +331,14 @@ func (m *Manager) Reload(ctx context.Context) (string, error) {
 
 	var s *commdb.Searcher
 	var err error
-	backoff := m.cfg.backoff()
+	backoff := loadBackoff
 	for attempt := 0; ; attempt++ {
 		s, err = m.loadOnce()
-		if err == nil || permanent(err) || attempt >= m.cfg.retries() {
+		if err == nil || permanent(err) || attempt >= loadRetries {
 			break
 		}
 		m.cfg.logf("snapshot: transient load failure (attempt %d/%d), retrying in %v: %v",
-			attempt+1, m.cfg.retries()+1, backoff, err)
+			attempt+1, loadRetries+1, backoff, err)
 		select {
 		case <-ctx.Done():
 			err = fmt.Errorf("snapshot: reload canceled: %w", ctx.Err())
@@ -398,11 +377,11 @@ func (m *Manager) Reload(ctx context.Context) (string, error) {
 	m.probMu.Lock()
 	m.probActive = true
 	m.probEpoch = e.id
-	m.probRemaining = m.cfg.probation()
+	m.probRemaining = probationQueries
 	m.probMu.Unlock()
 	m.record(OutcomeSuccess, nil)
 	m.cfg.logf("snapshot: epoch %d serving (probation: next %d queries), epoch %d retained for rollback",
-		e.id, m.cfg.probation(), old.id)
+		e.id, probationQueries, old.id)
 	return OutcomeSuccess, nil
 }
 
@@ -507,8 +486,8 @@ func (m *Manager) Watch(ctx context.Context, path string, interval time.Duration
 }
 
 // IndexFileLoader builds a Loader that attaches a serialized index at
-// path to an existing graph — the REPL's `reload` and commserve's
-// -index-file mode. Reads pass through fault.PointIndexRead.
+// path to an existing graph — commserve's -index-file mode. Reads pass
+// through fault.PointIndexRead.
 func IndexFileLoader(g *commdb.Graph, path string, opts ...commdb.Option) Loader {
 	return func(inj *fault.Injector) (*commdb.Searcher, error) {
 		f, err := os.Open(path)

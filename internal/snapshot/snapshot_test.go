@@ -112,8 +112,7 @@ func TestFailedLoadLeavesEpochServing(t *testing.T) {
 	g := testGraph(t, 8)
 	boom := errors.New("disk on fire")
 	m := New(testSearcher(t, g, 4), Config{
-		Load:    func(*fault.Injector) (*commdb.Searcher, error) { return nil, boom },
-		Retries: 1, Backoff: time.Millisecond,
+		Load: func(*fault.Injector) (*commdb.Searcher, error) { return nil, boom },
 	})
 	out, err := m.Reload(context.Background())
 	if out != OutcomeRejectedIO || !errors.Is(err, boom) {
@@ -168,7 +167,6 @@ func TestCorruptArtifactRejectedNoRetry(t *testing.T) {
 					calls++
 					return tc.inner(inj)
 				},
-				Retries: 3, Backoff: time.Millisecond,
 			})
 			out, err := m.Reload(context.Background())
 			if out != OutcomeRejectedCorrupt || !errors.Is(err, tc.want) {
@@ -187,18 +185,23 @@ func TestCorruptArtifactRejectedNoRetry(t *testing.T) {
 func TestTransientErrorRetriesThenHeals(t *testing.T) {
 	g := testGraph(t, 8)
 	inj := fault.New(7)
-	inj.Arm(fault.PointLoad, fault.Plan{Mode: fault.Error, Fires: 2})
+	// Every retry fails but the last, which heals.
+	inj.Arm(fault.PointLoad, fault.Plan{Mode: fault.Error, Fires: loadRetries})
 	m := New(testSearcher(t, g, 4), Config{
-		Load:    func(*fault.Injector) (*commdb.Searcher, error) { return testSearcher(t, g, 4), nil },
-		Fault:   inj,
-		Retries: 2, Backoff: time.Millisecond,
+		Load:  func(*fault.Injector) (*commdb.Searcher, error) { return testSearcher(t, g, 4), nil },
+		Fault: inj,
 	})
+	start := time.Now()
 	out, err := m.Reload(context.Background())
 	if out != OutcomeSuccess || err != nil {
 		t.Fatalf("outcome %s err %v, want success after transient retries", out, err)
 	}
-	if inj.Fired(fault.PointLoad) != 2 {
-		t.Fatalf("fired %d, want 2", inj.Fired(fault.PointLoad))
+	if inj.Fired(fault.PointLoad) != loadRetries {
+		t.Fatalf("fired %d, want %d", inj.Fired(fault.PointLoad), loadRetries)
+	}
+	// The waits double: loadBackoff, then 2×loadBackoff.
+	if waited := time.Since(start); waited < 3*loadBackoff {
+		t.Fatalf("reload took %v, want at least the %v of doubling backoff", waited, 3*loadBackoff)
 	}
 }
 
@@ -236,8 +239,7 @@ func TestRadiusValidationGate(t *testing.T) {
 func TestProbationRollbackOnInternalErrors(t *testing.T) {
 	g := testGraph(t, 8)
 	m := New(testSearcher(t, g, 4), Config{
-		Load:      func(*fault.Injector) (*commdb.Searcher, error) { return testSearcher(t, g, 4), nil },
-		Probation: 10,
+		Load: func(*fault.Injector) (*commdb.Searcher, error) { return testSearcher(t, g, 4), nil },
 	})
 	if out, _ := m.Reload(context.Background()); out != OutcomeSuccess {
 		t.Fatal("reload failed")
@@ -264,23 +266,25 @@ func TestProbationRollbackOnInternalErrors(t *testing.T) {
 func TestProbationPassesAndCommits(t *testing.T) {
 	g := testGraph(t, 8)
 	m := New(testSearcher(t, g, 4), Config{
-		Load:      func(*fault.Injector) (*commdb.Searcher, error) { return testSearcher(t, g, 4), nil },
-		Probation: 3,
+		Load: func(*fault.Injector) (*commdb.Searcher, error) { return testSearcher(t, g, 4), nil },
 	})
 	if out, _ := m.Reload(context.Background()); out != OutcomeSuccess {
 		t.Fatal("reload failed")
 	}
-	for i := 0; i < 3; i++ {
+	for i := 0; i < probationQueries-1; i++ {
 		m.ObserveQuery(2, nil)
 	}
+	if st := m.Status(); !st.Probation || st.ProbationRemaining != 1 || st.PrevEpoch != 1 {
+		t.Fatalf("one query before the window closes: %+v", st)
+	}
+	m.ObserveQuery(2, nil)
 	st := m.Status()
 	if st.Probation || st.PrevEpoch != 0 {
 		t.Fatalf("probation should have committed: %+v", st)
 	}
 	// Non-internal errors (budget trips etc.) never count as failures.
 	m2 := New(testSearcher(t, g, 4), Config{
-		Load:      func(*fault.Injector) (*commdb.Searcher, error) { return testSearcher(t, g, 4), nil },
-		Probation: 2,
+		Load: func(*fault.Injector) (*commdb.Searcher, error) { return testSearcher(t, g, 4), nil },
 	})
 	m2.Reload(context.Background())
 	m2.ObserveQuery(2, errors.New("budget exhausted"))
@@ -293,8 +297,7 @@ func TestProbationPassesAndCommits(t *testing.T) {
 func TestReloadDuringProbationCommitsPrev(t *testing.T) {
 	g := testGraph(t, 8)
 	m := New(testSearcher(t, g, 4), Config{
-		Load:      func(*fault.Injector) (*commdb.Searcher, error) { return testSearcher(t, g, 4), nil },
-		Probation: 100,
+		Load: func(*fault.Injector) (*commdb.Searcher, error) { return testSearcher(t, g, 4), nil },
 	})
 	m.Reload(context.Background())
 	m.Reload(context.Background())
@@ -311,8 +314,7 @@ func TestReloadDuringProbationCommitsPrev(t *testing.T) {
 func TestConcurrentAcquireDuringReloads(t *testing.T) {
 	g := testGraph(t, 8)
 	m := New(testSearcher(t, g, 4), Config{
-		Load:      func(*fault.Injector) (*commdb.Searcher, error) { return testSearcher(t, g, 4), nil },
-		Probation: 1,
+		Load: func(*fault.Injector) (*commdb.Searcher, error) { return testSearcher(t, g, 4), nil },
 	})
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -379,13 +381,13 @@ func TestWatchRetriesTransientFailure(t *testing.T) {
 	inner := IndexFileLoader(g, path, commdb.WithParallelism(1))
 	var calls atomic.Int64
 	m := New(testSearcher(t, g, 4), Config{
+		// The first reload fails on every attempt; the watch's next tick heals.
 		Load: func(inj *fault.Injector) (*commdb.Searcher, error) {
-			if calls.Add(1) <= 2 {
+			if calls.Add(1) <= loadRetries+1 {
 				return nil, errors.New("device hiccup")
 			}
 			return inner(inj)
 		},
-		Retries: 1, Backoff: time.Millisecond,
 	})
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan int)

@@ -229,12 +229,12 @@ func TestEmissionStampedAtHandover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	const hold = 50 * time.Millisecond
 	for _, par := range []int{1, 4} {
 		s, err := Open(dblp, WithParallelism(par))
 		if err != nil {
 			t.Fatal(err)
 		}
-		start := time.Now()
 		tr := obs.NewTrace("")
 		it, err := s.TopKCtx(obs.ContextWithTrace(context.Background(), tr), Query{Keywords: []string{"web", "parallel"}, Rmax: 8})
 		if err != nil {
@@ -243,19 +243,26 @@ func TestEmissionStampedAtHandover(t *testing.T) {
 		if _, ok := it.Next(); !ok {
 			t.Fatalf("parallelism %d: no community: %v", par, it.Err())
 		}
-		gotMS := float64(time.Since(start)) / float64(time.Millisecond)
+		// While the caller holds the first community the pipeline's
+		// producer materializes ahead; the second is handed over only
+		// after the hold, so its gap covers the hold.
+		time.Sleep(hold)
+		if _, ok := it.Next(); !ok {
+			t.Fatalf("parallelism %d: no second community: %v", par, it.Err())
+		}
 		it.Close()
 		sum := tr.Summary()
 		init, ok := sum.Span("engine_init")
-		if !ok || sum.Emissions == nil {
-			t.Fatalf("parallelism %d: trace lacks engine_init or emissions: %+v", par, sum)
+		if !ok || sum.Emissions == nil || len(sum.Emissions.DelaysMS) < 2 {
+			t.Fatalf("parallelism %d: trace lacks engine_init or two emissions: %+v", par, sum)
 		}
-		// The stamp sits at the end of [engine_init end, Next returned]:
-		// the first core's search and its materialization precede it.
-		initEnd, first := init.StartMS+init.DurMS, sum.Emissions.FirstMS
-		if first <= initEnd || gotMS-first > (gotMS-initEnd)/8 {
-			t.Errorf("parallelism %d: first_ms %.3f, engine_init ended %.3f, Next returned %.3f: stamped before the handover",
-				par, first, initEnd, gotMS)
+		// The first core's search and its materialization precede the
+		// first stamp.
+		if initEnd, first := init.StartMS+init.DurMS, sum.Emissions.FirstMS; first <= initEnd {
+			t.Errorf("parallelism %d: first_ms %.3f, engine_init ended %.3f: stamped before the handover", par, first, initEnd)
+		}
+		if gap := sum.Emissions.DelaysMS[1]; gap < float64(hold)/float64(time.Millisecond) {
+			t.Errorf("parallelism %d: second emission %.3fms after the first, inside the %v hold: stamped at production, not handover", par, gap, hold)
 		}
 	}
 }
