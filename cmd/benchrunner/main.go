@@ -11,17 +11,9 @@
 //	benchrunner                         # everything, default scale
 //	benchrunner -experiments fig9a,fig12dblp
 //	benchrunner -authors 20000 -users 1200 -avg-ratings 60
-//	benchrunner -replay workload.ndjson [-replay-server http://host:port]
 //
-// With -replay it deterministically re-executes a workload journal
-// captured by commserve -workload-log against an in-process
-// single-threaded server or a live one (-replay-server), and prints a
-// JSON report on stdout: latency plus an outcome digest over every
-// query's canonical result sequence. Two replays of the same journal on
-// the same dataset must produce the same digest.
-//
-// Performance is measured by benchmark/ (see benchmark/README.md), not
-// here.
+// Regenerating the figures is its only mode. Performance is measured by
+// benchmark/ (see benchmark/README.md), not here.
 package main
 
 import (
@@ -48,20 +40,8 @@ func main() {
 		ablations   = flag.Bool("ablations", true, "also run the ablation studies from DESIGN.md")
 		charts      = flag.Bool("charts", false, "render each series as an ASCII bar chart too")
 		list        = flag.Bool("list", false, "list experiment ids and exit")
-
-		replay        = flag.String("replay", "", "replay a captured workload journal and print a JSON report on stdout")
-		replayServer  = flag.String("replay-server", "", "-replay: replay against this live server base URL instead of an in-process one")
-		replayAuthors = flag.Int("replay-authors", 2000, "-replay: DBLP scale for the in-process target (kept small: replay is sequential)")
-		replayPace    = flag.Bool("replay-pace", false, "-replay: honor the journal's recorded inter-arrival gaps (capped at 1s) instead of replaying back-to-back")
 	)
 	flag.Parse()
-	if *replay != "" {
-		if err := runReplay(*replay, *replayAuthors, *seed, *dblpBoost, *replayServer, *replayPace, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "benchrunner:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *list {
 		for _, e := range bench.Experiments() {
 			fmt.Printf("%-10s [%s] %s\n", e.ID, e.Dataset, e.Title)

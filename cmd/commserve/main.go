@@ -30,12 +30,9 @@
 // they are admin surface); it is the one profiling surface — keeping
 // profiles from before an incident is a scraper's job.
 //
-// -workload-log turns on the workload flight recorder: every completed
-// query (cache hits included) is journaled as one CRC-framed NDJSON
-// line (-workload-log-max-bytes bounds the file, rotating once), which
-// benchrunner -replay can re-execute deterministically; its counters
-// are the "workload_journal" block in /statsz and the
-// commdb_workload_journal_* families.
+// To reproduce a slow or failed query, take it from GET /debug/queries:
+// its capture keeps the query's fingerprint, keywords, rmax, k and full
+// trace.
 //
 // Per-request limits are clamped to the -max-visited and -max-results
 // flags and to a 30s wall-clock ceiling, so one client cannot
@@ -78,7 +75,6 @@ import (
 	"commdb"
 	"commdb/internal/server"
 	"commdb/internal/snapshot"
-	"commdb/internal/workload"
 )
 
 // maxTimeout is every query's wall-clock ceiling.
@@ -114,9 +110,6 @@ func main() {
 
 		logQueries  = flag.Bool("log", false, "log one structured line per query (JSON on stderr)")
 		pprofEnable = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (requires the admin token)")
-
-		workloadLog    = flag.String("workload-log", "", "workload flight recorder: append one NDJSON entry per completed query (cache hits included) to this journal file; replay it with benchrunner -replay (empty disables)")
-		workloadLogMax = flag.Int64("workload-log-max-bytes", 64<<20, "workload journal size bound; on overflow the file rotates once to <path>.1")
 	)
 	flag.Parse()
 	if *adminToken == "" {
@@ -141,22 +134,11 @@ func main() {
 		Pprof:      *pprofEnable,
 		AdminToken: *adminToken,
 	}
-	var journal *workload.Journal
-	if *workloadLog != "" {
-		var err error
-		journal, err = workload.OpenJournal(workload.JournalConfig{Path: *workloadLog, MaxBytes: *workloadLogMax})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "commserve:", err)
-			os.Exit(1)
-		}
-		cfg.WorkloadJournal = journal
-	}
 	if err := run(runOptions{
 		addr: *addr, graphPath: *graphPath, indexPath: *indexPath, example: *example,
 		dbPath: *dbPath, mutationLog: *mutationLog, deltaDebounce: *deltaDebounce,
 		useIndex: *useIndex, rmaxMax: *rmaxMax, parallelism: *parallelism,
 		cfg: cfg, grace: *shutdownGrace, watchEvery: *reloadWatch,
-		journal: journal,
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "commserve:", err)
 		os.Exit(1)
@@ -173,7 +155,6 @@ type runOptions struct {
 	parallelism                         int
 	cfg                                 server.Config
 	grace, watchEvery                   time.Duration
-	journal                             *workload.Journal
 }
 
 func run(o runOptions) error {
@@ -287,10 +268,6 @@ loop:
 	}
 	if err := httpSrv.Shutdown(ctx); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		return err
-	}
-	// All queries are drained, so the journal has seen its last entry.
-	if err := o.journal.Close(); err != nil {
-		log.Printf("workload journal close: %v", err)
 	}
 	log.Printf("drained cleanly")
 	return nil

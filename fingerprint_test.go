@@ -74,8 +74,8 @@ func TestFingerprintDiscrimination(t *testing.T) {
 }
 
 // TestFingerprintNamesTheRanker: answers ranked by different
-// aggregates never share a fingerprint — the result cache, the class
-// table and the workload journal key on it — while the nil default and
+// aggregates never share a fingerprint — the result cache and the
+// request coalescer key on it — while the nil default and
 // an explicit SumRanker are the same query.
 func TestFingerprintNamesTheRanker(t *testing.T) {
 	g, _ := PaperExampleGraph()

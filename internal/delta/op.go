@@ -17,8 +17,9 @@
 // insert ops — so "load the base database" and "replay the mutation
 // log" are the same operation, and replaying any prefix of a stream
 // reconstructs the exact database state at that point. Delete ops
-// address rows by the same pipe-joined primary-key serialization the
-// tables index on.
+// address rows by the same primary-key serialization the tables index
+// on (Table.RowKey: a composite key's columns joined with `|`, with `\`
+// and `|` escaped inside each column).
 package delta
 
 import (

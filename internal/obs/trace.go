@@ -88,8 +88,8 @@ var counterTable = [numCounters]struct {
 
 // Identity is a traced query's self-description, filled by the searcher
 // in one call so the continuous layer (slow-query capture, the latency
-// histogram's keywords label, the workload journal) can classify a
-// trace without re-deriving the query.
+// histogram's keywords label) can classify a trace without re-deriving
+// the query.
 type Identity struct {
 	// Fingerprint is the canonical Query.Fingerprint; Keywords its
 	// normalized (tokenized, sorted) keyword list.

@@ -11,8 +11,10 @@ import (
 // CSVOptions controls LoadCSV.
 type CSVOptions struct {
 	// Header indicates the first record names columns; rows are then
-	// matched by name (any order, extra columns ignored). Without a
-	// header, values are positional and must match the schema's arity.
+	// matched by name (any order, extra columns ignored). A column takes
+	// the one field spelling its name exactly, else the one field equal
+	// to it up to case; none, or more than one, fails the load. Without
+	// a header, values are positional and must match the schema's arity.
 	Header bool
 	// Comma overrides the field delimiter (default ',').
 	Comma rune
@@ -48,14 +50,13 @@ func LoadCSV(t *Table, r io.Reader, opt CSVOptions) (int, error) {
 			return 0, fmt.Errorf("relational: reading CSV header: %w", err)
 		}
 		line++
-		byName := make(map[string]int, len(rec))
-		for i, name := range rec {
-			byName[strings.ToLower(strings.TrimSpace(name))] = i
-		}
 		for i, c := range cols {
-			idx, ok := byName[strings.ToLower(c.Name)]
-			if !ok {
+			idx, n := headerField(rec, c.Name)
+			switch {
+			case n == 0:
 				return 0, fmt.Errorf("relational: CSV header missing column %s.%s", t.Schema().Name, c.Name)
+			case n > 1:
+				return 0, fmt.Errorf("relational: CSV header names column %s.%s %d times", t.Schema().Name, c.Name, n)
 			}
 			order[i] = idx
 		}
@@ -98,6 +99,28 @@ func LoadCSV(t *Table, r io.Reader, opt CSVOptions) (int, error) {
 		}
 		inserted++
 	}
+}
+
+// headerField finds the header field naming a column: a field spelling
+// the name exactly, else a field equal to it up to case, comparing
+// fields with surrounding space trimmed. It returns the last such field
+// and how many there are at the tier that decided; only a count of one
+// is a match.
+func headerField(header []string, name string) (idx, n int) {
+	folded, nFolded := 0, 0
+	for i, h := range header {
+		h = strings.TrimSpace(h)
+		if h == name {
+			idx, n = i, n+1
+		}
+		if strings.EqualFold(h, name) {
+			folded, nFolded = i, nFolded+1
+		}
+	}
+	if n > 0 {
+		return idx, n
+	}
+	return folded, nFolded
 }
 
 // DumpCSV writes the table as CSV with a header row, the inverse of

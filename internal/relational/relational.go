@@ -141,14 +141,24 @@ func (t *Table) ColumnIndex(name string) int {
 	return -1
 }
 
-// pkKey serializes a row's primary key.
+// pkKey serializes a row's primary key. A single-column key is the
+// value itself, the form foreign keys reference. A composite key joins
+// its components with `|`, escaping `\` and `|` inside each component
+// so that distinct keys never serialize alike; a key whose components
+// hold neither byte reads as the plain join.
 func (t *Table) pkKey(row Tuple) string {
+	if len(t.pkCols) == 1 {
+		return row[t.pkCols[0]].String()
+	}
 	parts := make([]string, len(t.pkCols))
 	for i, c := range t.pkCols {
-		parts[i] = row[c].String()
+		parts[i] = keyEscaper.Replace(row[c].String())
 	}
 	return strings.Join(parts, "|")
 }
+
+// keyEscaper escapes one component of a composite primary key.
+var keyEscaper = strings.NewReplacer(`\`, `\\`, `|`, `\|`)
 
 // Insert appends a row after validating arity, types, and primary-key
 // uniqueness. Once the database is mutable (EnableMutations), rows must
@@ -186,8 +196,9 @@ func (t *Table) insert(vals []Value) error {
 	return nil
 }
 
-// RowKey serializes the i-th row's primary key (pipe-joined key
-// columns), the form Lookup and Database.Delete address rows by.
+// RowKey serializes the i-th row's primary key (key columns joined
+// with `|`, escaped as pkKey describes), the form Lookup and
+// Database.Delete address rows by.
 func (t *Table) RowKey(i int) string { return t.pkKey(t.rows[i]) }
 
 // Lookup finds a row by serialized primary key.

@@ -295,3 +295,36 @@ func TestCompositeKeyLookup(t *testing.T) {
 		t.Fatal("missing composite key should fail")
 	}
 }
+
+// TestCompositeKeyEscapesSeparator: string components holding the
+// separator or the escape byte never make two distinct composite keys
+// collide, and keys free of both still serialize as the plain join.
+func TestCompositeKeyEscapesSeparator(t *testing.T) {
+	db := NewDatabase()
+	tab, err := db.CreateTable(Schema{
+		Name:       "T",
+		Columns:    []Column{{Name: "A", Type: String}, {Name: "B", Type: String}},
+		PrimaryKey: []string{"A", "B"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := [][2]string{{"x|y", "z"}, {"x", "y|z"}, {`x\`, "y"}, {"x", `\y`}, {`x\|`, "y"}, {"x", "y"}}
+	for _, r := range rows {
+		if err := tab.Insert(StrV(r[0]), StrV(r[1])); err != nil {
+			t.Fatalf("insert %q: %v", r, err)
+		}
+	}
+	for i, r := range rows {
+		row, ok := tab.Lookup(tab.RowKey(i))
+		if !ok || row[0].Str() != r[0] || row[1].Str() != r[1] {
+			t.Errorf("Lookup(RowKey(%d) = %q) = %v, %v; want %q", i, tab.RowKey(i), row, ok, r)
+		}
+	}
+	if got := tab.RowKey(len(rows) - 1); got != "x|y" {
+		t.Errorf("plain composite key serialized as %q, want \"x|y\"", got)
+	}
+	if err := tab.Insert(StrV("x|y"), StrV("z")); err == nil {
+		t.Error("a true duplicate composite key was accepted")
+	}
+}

@@ -1,7 +1,9 @@
-// Package seqlog is the line framing shared by the repo's append-only
-// NDJSON logs — the delta mutation log (the database's write-ahead
-// log) and the workload journal. A line is one JSON object whose last
-// two fields are the frame:
+// Package seqlog is the line framing of the repo's append-only NDJSON
+// log, the delta mutation log (the database's write-ahead log; a
+// database dump is a log prefix in the same format). It is a package of
+// its own so the frame format stays behind one small surface that
+// FuzzOpen can target. A line is one JSON object whose last two fields
+// are the frame:
 //
 //	{...payload fields...,"seq":17,"crc":2868410931}
 //
@@ -79,7 +81,7 @@ func Open(line []byte) (obj []byte, seq int64, err error) {
 // writer: it never committed and is dropped silently. Every complete
 // line must verify and must carry the sequence number after its
 // predecessor's — last is the sequence number that precedes the stream,
-// 0 when unknown (a rotated or tailed log need not start at 1) —
+// 0 when unknown (a tailed log need not start at 1) —
 // otherwise Scan stops with an error naming the line: unlike a torn
 // tail, a bad checksum or a gap means damage, not a crash. Scan returns
 // the last sequence number it accepted and how many bytes of r the

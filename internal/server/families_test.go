@@ -20,7 +20,6 @@ import (
 	"commdb/internal/obs"
 	"commdb/internal/relational"
 	"commdb/internal/snapshot"
-	"commdb/internal/workload"
 )
 
 // hookedEngine wraps an Engine so a test can pause or stall a stream:
@@ -228,10 +227,11 @@ func driveCoreFamilies(t *testing.T) []map[string]string {
 	wg.Wait()
 
 	// A stream that stalls before its fifth community breaches the
-	// emission SLO.
+	// emission SLO. The stall is long enough to stay 32× the median gap
+	// on a loaded host (the race detector under a parallel test run).
 	stall := func(_ context.Context, i int) {
 		if i == 4 {
-			time.Sleep(40 * time.Millisecond)
+			time.Sleep(200 * time.Millisecond)
 		}
 	}
 	eng.hook.Store(&stall)
@@ -260,19 +260,48 @@ func driveCoreFamilies(t *testing.T) []map[string]string {
 	return append(scrapes, scrapeFamilies(t, ts.URL))
 }
 
-// driveJournalFamilies: a journal small enough to rotate.
+// driveJournalFamilies: ops appended to the mutation log on disk reach
+// the server's families only through the maintainer tailing that log.
 func driveJournalFamilies(t *testing.T) []map[string]string {
-	j, err := workload.OpenJournal(workload.JournalConfig{
-		Path: filepath.Join(t.TempDir(), "journal.ndjson"), MaxBytes: 600,
-	})
+	db := func() *relational.Database {
+		db, err := datagen.GenerateDBLP(datagen.DBLPParams{Authors: 40, Seed: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return db
+	}
+	ops, err := datagen.Mutations(db(), datagen.MutationParams{N: 6, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer j.Close()
-	_, ts := newPaperServer(t, Config{WorkloadJournal: j})
+	m, err := delta.NewMaintainer(db(), delta.Config{R: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newPaperServer(t, Config{Deltas: m.Stats, DeltaMem: m.Footprint})
 	before := scrapeFamilies(t, ts.URL)
-	for i := 0; i < 8; i++ {
-		postJSON(t, ts.URL+"/v1/search/topk", searchBody(t, []string{"a", "b"}, nil)).Body.Close()
+
+	path := filepath.Join(t.TempDir(), "mutations.ndjson")
+	w, err := delta.OpenLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if err := w.Append(ops...); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		done <- m.Follow(ctx, delta.NewTail(path), time.Millisecond, func(delta.BatchStats) error { return nil })
+	}()
+	waitFor(t, "logged batch applied and published", func() bool { return m.Stats().Republishes == 1 })
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatalf("follow: %v", err)
+	}
+	if st := m.Stats(); st.Batches != 1 || st.Rejected != 0 {
+		t.Fatalf("followed log: %+v", st)
 	}
 	return []map[string]string{before, scrapeFamilies(t, ts.URL)}
 }

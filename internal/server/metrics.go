@@ -72,14 +72,6 @@ func newMetrics(s *Server) *metrics {
 		s.stats.canceled.Load)
 	// The continuous layer: the SLO breach counter and capture occupancy.
 	s.collector.Register(reg)
-	if j := s.cfg.WorkloadJournal; j != nil {
-		reg.CounterFunc("commdb_workload_journal_records_total", "entries appended to the workload journal",
-			func() int64 { return j.Stats().Records })
-		reg.CounterFunc("commdb_workload_journal_rotations_total", "workload journal rotations",
-			func() int64 { return j.Stats().Rotations })
-		reg.GaugeFunc("commdb_workload_journal_bytes", "current workload journal file size",
-			func() float64 { return float64(j.Stats().Bytes) })
-	}
 	// The memory ledger, gauge-shaped: handleMetricsz takes one
 	// memorySnapshot per scrape (one runtime.ReadMemStats) and these
 	// gauges read it, so they agree with each other and with /debug/memz.

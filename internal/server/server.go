@@ -45,7 +45,6 @@ import (
 	"commdb/internal/obs"
 	"commdb/internal/prof"
 	"commdb/internal/snapshot"
-	"commdb/internal/workload"
 )
 
 // ErrServerClosed is the cancellation cause propagated to every
@@ -106,11 +105,6 @@ type Config struct {
 	// surface as the "deltas" block in /statsz and the commdb_delta_*
 	// families in /metricsz.
 	Deltas func() delta.Stats
-	// WorkloadJournal, when non-nil, is the workload flight recorder:
-	// every completed query — engine executions and cache hits alike —
-	// is offered to it. The caller owns the journal's lifecycle (Close
-	// on shutdown).
-	WorkloadJournal *workload.Journal
 }
 
 func (c Config) withDefaults() Config {
@@ -264,10 +258,6 @@ func (s *Server) Stats() StatsSnapshot {
 	if s.cfg.Deltas != nil {
 		st := s.cfg.Deltas()
 		snap.Deltas = &st
-	}
-	if j := s.cfg.WorkloadJournal; j != nil {
-		js := j.Stats()
-		snap.WorkloadJournal = &js
 	}
 	snap.setLatency(s.metrics.latency)
 	return snap
@@ -461,8 +451,8 @@ type execution struct {
 // under a fresh trace stamped with the epoch, hands every community to
 // emit until emit declines or the stream ends, and then closes the
 // books exactly once: completed counter and latency, engine counters,
-// stop-reason counters, the epoch's probation window, the capture ring
-// and the workload journal. A non-nil error means the engine refused
+// stop-reason counters, the epoch's probation window and the capture
+// ring. A non-nil error means the engine refused
 // the query (a limit tripping during projection fails closed there);
 // it is accounted like any other stop.
 func (s *Server) execute(ctx context.Context, open func(context.Context, commdb.Query) (Stream, error), epoch int64, endpoint, qid string, q commdb.Query, k int, emit func(*commdb.Community) bool) (execution, error) {
@@ -521,7 +511,6 @@ func (s *Server) execute(ctx context.Context, open func(context.Context, commdb.
 			"median_delay_ms", rec.MedianEmissionDelayMS,
 			"total_ms", rec.TotalMS)
 	}
-	s.observeWorkload(rec, q, endpoint)
 	return x, err
 }
 
@@ -559,14 +548,9 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	// so they stay fast even when the pool is saturated. A trace
 	// request bypasses the cache read instead — its trace must reflect
 	// a real execution.
-	cstart := time.Now()
 	if !req.Trace {
 		if val, hit := s.cache.Get(key); hit {
 			s.logQuery(qid, "topk", q, 0, len(val.Records), "", true)
-			// Cache hits bypass observeQuery (no execution, no trace), but
-			// they are still workload: the flight recorder journals them so a
-			// replay reproduces the traffic the cache absorbed.
-			s.observeCacheHit(qid, q, key, val, time.Since(cstart))
 			writeJSON(w, http.StatusOK, TopKResponse{Results: val.Records, Complete: val.Complete,
 				Cached: true, Epoch: epoch})
 			return

@@ -8,7 +8,6 @@ import (
 	"commdb/internal/delta"
 	"commdb/internal/obs"
 	"commdb/internal/snapshot"
-	"commdb/internal/workload"
 )
 
 // latencyBucketsMS are the upper bounds, in milliseconds, of the one
@@ -109,10 +108,6 @@ type StatsSnapshot struct {
 	// cumulative per-stage milliseconds — present only when the server
 	// runs in delta mode.
 	Deltas *delta.Stats `json:"deltas,omitempty"`
-
-	// WorkloadJournal is the flight recorder's counters, present only
-	// when a journal is attached.
-	WorkloadJournal *workload.JournalStats `json:"workload_journal,omitempty"`
 
 	// Latency is commdb_query_latency_ms summed over its keywords label.
 	Latency struct {
