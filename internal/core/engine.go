@@ -20,7 +20,8 @@ var ErrNoKeywords = errors.New("core: query needs at least one keyword")
 // Engine holds the per-query state shared by the enumeration
 // algorithms: the keyword node sets V_i, one neighborSet slot N_i per
 // keyword, and the paper's per-node (nearest knode, total weight,
-// counter) table that makes BestCore a single O(n) scan (Section IV-A).
+// counter) table that answers BestCore's probe of each candidate
+// centre in O(1) (Section IV-A).
 //
 // An Engine is bound to one graph, one keyword list and one Rmax. It is
 // not safe for concurrent use; create one Engine per running query.
@@ -30,9 +31,10 @@ type Engine struct {
 	rmax float64
 	l    int
 
-	// pool, when non-nil, is where ws (and any worker workspaces) came
-	// from and where Close returns them. par is the engine's
-	// parallelism degree; <= 1 means strictly sequential.
+	// pool, when non-nil, is where ws, the worker workspaces and every
+	// graph-sized result and table of the query came from, and where
+	// Close returns them. par is the engine's parallelism degree; <= 1
+	// means strictly sequential.
 	pool *sssp.Pool
 	par  int
 
@@ -55,16 +57,17 @@ type Engine struct {
 	// free recycles result buffers.
 	free []*sssp.Result
 
-	// sum[u] and cnt[u] aggregate over slots: total distance and number
-	// of slots in which u is settled. cnt[u] == l marks a candidate
-	// center (the paper's third element).
-	sum []float64
-	cnt []int16
+	// agg aggregates over slots: agg.Sum[u] is u's total distance and
+	// agg.Count[u] the number of slots in which u is settled.
+	// Count[u] == l marks a candidate center (the paper's third element).
+	agg *sssp.Tally
 
 	// gc is the engine's own GetCommunity scratch (Algorithm 4),
 	// lazily allocated; pipeline workers use private gcScratch values
-	// instead so materializations run concurrently.
-	gc *gcScratch
+	// instead so materializations run concurrently. spare holds the
+	// finished workers' scratches until Close recycles them.
+	gc    *gcScratch
+	spare []*gcScratch
 
 	// neighborRuns counts Dijkstra invocations, exposed for the
 	// benchmark harness and complexity tests. Atomic because the
@@ -160,7 +163,8 @@ type NeighborSource interface {
 // the strictly sequential engine with private workspaces.
 type EngineConfig struct {
 	// Pool supplies (and reclaims, via Engine.Close) the engine's
-	// shortest-path workspaces. nil allocates private workspaces.
+	// graph-sized state: shortest-path workspaces, results and the
+	// aggregate table. nil allocates them privately.
 	Pool *sssp.Pool
 	// Parallelism is the number of worker goroutines PrecomputeNeighborSets
 	// and the materialization pipeline may use. Values <= 1 keep every
@@ -210,8 +214,7 @@ func NewEngineCfg(g *graph.Graph, ix *fulltext.Index, keywords []string, rmax fl
 		nbr:          make([]*sssp.Result, l),
 		slotState:    make([]slotDesc, l),
 		full:         make([]*sssp.Result, l),
-		sum:          make([]float64, n),
-		cnt:          make([]int16, n),
+		agg:          cfg.Pool.GetTally(n),
 		nsrc:         cfg.Neighbors,
 		ranker:       sumRanker{},
 	}
@@ -222,7 +225,6 @@ func NewEngineCfg(g *graph.Graph, ix *fulltext.Index, keywords []string, rmax fl
 		}
 		e.keywordNodes[i] = nodes
 		e.keywordTerms[i] = fulltext.Tokenize(kw)[0] // single term, validated by KeywordNodes
-		e.nbr[i] = sssp.NewResult(n)
 	}
 	return e, nil
 }
@@ -284,18 +286,42 @@ func (e *Engine) NeighborRuns() int { return int(e.neighborRuns.Load()) }
 // strictly sequential.
 func (e *Engine) Parallelism() int { return e.par }
 
-// Close returns the engine's pooled workspaces. The engine must not be
-// used afterwards. Close is idempotent and safe on an engine with no
-// pool.
+// Close returns the engine's pooled state — workspaces, slot and
+// materialization results, the aggregate table — for the next query.
+// The engine must not be used afterwards. Close is idempotent and safe
+// on an engine with no pool.
 func (e *Engine) Close() {
-	if e.ws != nil {
-		e.pool.Put(e.ws) // nil-pool Put just detaches
-		e.ws = nil
+	if e.ws == nil {
+		return
 	}
+	p := e.pool
+	p.Put(e.ws) // nil-pool Put just detaches
+	e.ws = nil
 	if e.gc != nil {
-		e.gc.release(e.pool)
-		e.gc = nil
+		e.spare = append(e.spare, e.gc)
 	}
+	for _, sc := range e.spare {
+		sc.release(p)
+	}
+	if p != nil {
+		e.clearSlots() // every slot to free, the table back to zeros
+		for _, r := range e.full {
+			p.PutResult(r)
+		}
+		for _, r := range e.free {
+			p.PutResult(r)
+		}
+		p.PutTally(e.agg)
+	}
+	e.gc, e.spare, e.full, e.free, e.agg = nil, nil, nil, nil, nil
+}
+
+// Abandon is Close for a query that panicked: nothing goes back to the
+// pool, since the panic may have left a result or the aggregate table
+// half-written.
+func (e *Engine) Abandon() {
+	e.pool = nil
+	e.Close()
 }
 
 // PrecomputeNeighborSets eagerly computes every cached full-set run
@@ -347,12 +373,12 @@ func (e *Engine) PrecomputeNeighborSets() {
 				}
 			}()
 			ws := e.pool.Get(e.g)
-			defer e.pool.Put(ws)
 			ws.SetBudget(e.budget)
 			ws.SetTrace(e.tr)
 			for {
 				t := int(next.Add(1)) - 1
 				if t >= len(idx) {
+					e.pool.Put(ws) // not on a panic: Abandon's rule
 					return
 				}
 				i := idx[t]
@@ -393,12 +419,12 @@ func (e *Engine) buffer() *sssp.Result {
 		e.free = e.free[:n-1]
 		return r
 	}
-	return sssp.NewResult(e.g.NumNodes())
+	return e.pool.GetResult(e.g.NumNodes())
 }
 
 // install replaces slot i's contents with res, maintaining the per-node
-// sum/cnt aggregates incrementally, as the paper prescribes so that
-// BestCore stays a single scan. The previous buffer is recycled unless
+// aggregates incrementally, as the paper prescribes so that BestCore
+// probes each candidate in O(1). The previous buffer is recycled unless
 // it is the slot's cached full-set result.
 func (e *Engine) install(i int, res *sssp.Result, desc slotDesc) {
 	old := e.nbr[i]
@@ -407,24 +433,12 @@ func (e *Engine) install(i int, res *sssp.Result, desc slotDesc) {
 		return
 	}
 	if old != nil {
-		for _, v := range old.Visited() {
-			d, _ := old.Dist(v)
-			e.cnt[v]--
-			if e.cnt[v] == 0 {
-				e.sum[v] = 0 // exact reset prevents float drift
-			} else {
-				e.sum[v] -= d
-			}
-		}
+		e.agg.Remove(old)
 		if old != e.full[i] {
 			e.free = append(e.free, old)
 		}
 	}
-	for _, v := range res.Visited() {
-		d, _ := res.Dist(v)
-		e.cnt[v]++
-		e.sum[v] += d
-	}
+	e.agg.Add(res)
 	e.nbr[i] = res
 	e.slotState[i] = desc
 }
@@ -461,7 +475,7 @@ func (e *Engine) setSlotSingle(i int, v graph.NodeID) {
 // machine-independent cost measures are unaffected by where the set
 // came from. A tripped budget yields an empty result on both paths.
 func (e *Engine) fullSetResult(i int, ws *sssp.Workspace) *sssp.Result {
-	res := sssp.NewResult(e.g.NumNodes())
+	res := e.pool.GetResult(e.g.NumNodes())
 	if e.nsrc != nil && e.nsrc.FullSet(e.keywordTerms[i], e.rmax, res) {
 		if e.budget.ChargeNeighborRun() != nil {
 			res.Reset() // tripped budget: a live run would settle nothing
@@ -502,15 +516,7 @@ func (e *Engine) clearSlots() {
 		if old == nil {
 			continue
 		}
-		for _, v := range old.Visited() {
-			d, _ := old.Dist(v)
-			e.cnt[v]--
-			if e.cnt[v] == 0 {
-				e.sum[v] = 0
-			} else {
-				e.sum[v] -= d
-			}
-		}
+		e.agg.Remove(old)
 		if old != e.full[i] {
 			e.free = append(e.free, old)
 		}
@@ -519,45 +525,68 @@ func (e *Engine) clearSlots() {
 	}
 }
 
-// bestCore is Algorithm 3: scan the aggregate table once and return the
-// minimum-cost core assembled from the per-slot nearest keyword nodes,
-// or ok == false when the current slots admit no center. Under the
-// default sum cost the incrementally maintained table answers each
-// candidate in O(1); other rankers probe the l slots.
+// bestCore is Algorithm 3: return the minimum-cost core assembled from
+// the per-slot nearest keyword nodes, or ok == false when the current
+// slots admit no center. A center is settled in every slot, so the scan
+// walks the smallest slot and probes the aggregate table: it costs what
+// that slot settled, not |V|. Under the default sum cost the table
+// answers each candidate in O(1); other rankers probe the l slots.
+//
+// The pick is the one an ascending-id scan of every node makes: the
+// lowest-id center, unless a later one costs strictly less. That is the
+// lexicographic minimum of (cost, id) over the centers whose cost is
+// not NaN — unless the lowest-id center's cost is NaN, which nothing
+// compares below, so it stays.
 func (e *Engine) bestCore() (Core, float64, bool) {
 	e.tr.Add(obs.BestcoreScans, 1)
-	n := e.g.NumNodes()
+	var scan []graph.NodeID
+	for i, r := range e.nbr {
+		if r == nil || r.Len() == 0 {
+			return nil, 0, false
+		}
+		if i == 0 || r.Len() < len(scan) {
+			scan = r.Visited()
+		}
+	}
 	sumCost := e.ranker == Ranker(sumRanker{})
-	bestU := graph.NodeID(-1)
-	bestCost := 0.0
+	cnt, sum := e.agg.Count, e.agg.Sum
+	bestU, firstU := graph.NodeID(-1), graph.NodeID(-1)
+	bestCost, firstCost := 0.0, 0.0
 	want := int16(e.l)
 	// The scan polls the budget once per block so the hot inner loop
 	// stays branch-free of governance; a tripped budget aborts the scan
 	// (callers distinguish that from "no center" via Budget().Err()).
 	const scanStride = 4 * govern.Stride
-	for base := 0; base < n; base += scanStride {
+	for base := 0; base < len(scan); base += scanStride {
 		if e.budget != nil && e.budget.Poll() != nil {
 			return nil, 0, false
 		}
-		end := min(base+scanStride, n)
-		for u := base; u < end; u++ {
-			if e.cnt[u] != want {
+		for _, u := range scan[base:min(base+scanStride, len(scan))] {
+			if cnt[u] != want {
 				continue
 			}
 			var cost float64
 			if sumCost {
-				cost = e.sum[u]
+				cost = sum[u]
 			} else {
-				cost = e.candidateCost(graph.NodeID(u))
+				cost = e.candidateCost(u)
 			}
-			if bestU < 0 || cost < bestCost {
-				bestU = graph.NodeID(u)
-				bestCost = cost
+			if firstU < 0 || u < firstU {
+				firstU, firstCost = u, cost
+			}
+			if math.IsNaN(cost) {
+				continue
+			}
+			if bestU < 0 || cost < bestCost || cost == bestCost && u < bestU {
+				bestU, bestCost = u, cost
 			}
 		}
 	}
-	if bestU < 0 {
+	if firstU < 0 {
 		return nil, 0, false
+	}
+	if math.IsNaN(firstCost) {
+		bestU = firstU
 	}
 	c := make(Core, e.l)
 	dists := make([]float64, e.l)
@@ -584,7 +613,7 @@ func (e *Engine) candidateCost(u graph.NodeID) float64 {
 // results, aggregates and workspace — the paper's O(l·n + m) working
 // state (the graph itself is shared and accounted separately).
 func (e *Engine) Bytes() int64 {
-	b := e.ws.Bytes() + int64(len(e.sum))*8 + int64(len(e.cnt))*2
+	b := e.ws.Bytes() + e.agg.Bytes()
 	for i, r := range e.nbr {
 		if r != nil && r != e.full[i] {
 			b += r.Bytes()

@@ -127,12 +127,12 @@ func TestClearSlotsResetsAggregates(t *testing.T) {
 		e.setSlot(i, e.keywordNodes[i])
 	}
 	e.clearSlots()
-	for v := range e.cnt {
-		if e.cnt[v] != 0 {
-			t.Fatalf("cnt[%d] = %d after clear", v, e.cnt[v])
+	for v := range e.agg.Count {
+		if e.agg.Count[v] != 0 {
+			t.Fatalf("cnt[%d] = %d after clear", v, e.agg.Count[v])
 		}
-		if e.sum[v] != 0 {
-			t.Fatalf("sum[%d] = %v after clear", v, e.sum[v])
+		if e.agg.Sum[v] != 0 {
+			t.Fatalf("sum[%d] = %v after clear", v, e.agg.Sum[v])
 		}
 	}
 	if _, _, ok := e.bestCore(); ok {

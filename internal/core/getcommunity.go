@@ -9,54 +9,55 @@ import (
 )
 
 // gcScratch holds the buffers of one Algorithm 4 materialization: a
-// shortest-path workspace plus the pass results and the membership
-// mark array. The engine lazily owns one for the sequential path; each
-// materialization-pipeline worker owns a private one, so concurrent
-// GetCommunity calls never share mutable state — everything they read
-// off the Engine (graph, radius, cost function, budget, trace) is
-// immutable after setup or internally synchronized.
+// shortest-path workspace plus the pass results. The engine lazily owns
+// one for the sequential path; each materialization-pipeline worker
+// owns a private one, so concurrent GetCommunity calls never share
+// mutable state — everything they read off the Engine (graph, radius,
+// cost function, budget, trace) is immutable after setup or internally
+// synchronized.
 type gcScratch struct {
 	ws *sssp.Workspace
 	// ownWS marks a workspace checked out of the engine's pool for this
 	// scratch alone; release returns it. The engine's own scratch
 	// borrows e.ws instead (Engine.Close returns that one).
-	ownWS  bool
-	fwd    *sssp.Result
-	rev    *sssp.Result
-	knode  []*sssp.Result
-	mark   []int32
-	markID int32
+	ownWS bool
+	fwd   *sssp.Result
+	rev   *sssp.Result
+	knode []*sssp.Result
 }
 
 // newGCScratch sizes a scratch for the engine's graph and keyword
-// count around the given workspace.
+// count around the given workspace, from the engine's pool.
 func (e *Engine) newGCScratch(ws *sssp.Workspace, owned bool) *gcScratch {
 	n := e.g.NumNodes()
 	sc := &gcScratch{
 		ws:    ws,
 		ownWS: owned,
-		fwd:   sssp.NewResult(n),
-		rev:   sssp.NewResult(n),
+		fwd:   e.pool.GetResult(n),
+		rev:   e.pool.GetResult(n),
 		knode: make([]*sssp.Result, e.l),
-		mark:  make([]int32, n),
 	}
 	for i := range sc.knode {
-		sc.knode[i] = sssp.NewResult(n)
+		sc.knode[i] = e.pool.GetResult(n)
 	}
 	return sc
 }
 
-// release returns an owned workspace to the pool. Idempotent.
+// release returns the results, and an owned workspace, to the pool.
 func (sc *gcScratch) release(p *sssp.Pool) {
-	if sc.ownWS && sc.ws != nil {
+	if sc.ownWS {
 		p.Put(sc.ws)
-		sc.ws = nil
+	}
+	p.PutResult(sc.fwd)
+	p.PutResult(sc.rev)
+	for _, r := range sc.knode {
+		p.PutResult(r)
 	}
 }
 
 // bytes reports the scratch's logical footprint, for Engine.Bytes.
 func (sc *gcScratch) bytes() int64 {
-	b := sc.fwd.Bytes() + sc.rev.Bytes() + int64(len(sc.mark))*4
+	b := sc.fwd.Bytes() + sc.rev.Bytes()
 	for _, r := range sc.knode {
 		b += r.Bytes()
 	}
@@ -68,9 +69,11 @@ func (sc *gcScratch) bytes() int64 {
 //
 // It runs one bounded reverse Dijkstra per distinct core node to find
 // the centers (every node within Rmax of all core nodes), then the
-// virtual-source forward pass from the centers and the virtual-sink
-// reverse pass from the core nodes; a node belongs to the community iff
-// dist(s,u) + dist(u,t) <= Rmax. Total cost O(l·(n·log n + m)).
+// virtual-sink reverse pass from the core nodes and the virtual-source
+// forward pass from the centers; a node belongs to the community iff
+// dist(s,u) + dist(u,t) <= Rmax. The forward pass runs toward the
+// reverse one (sssp.RunToward), so it expands only nodes that can still
+// reach a core node in budget. Total cost O(l·(n·log n + m)).
 func (e *Engine) GetCommunity(c Core) *Community {
 	if e.gc == nil {
 		e.gc = e.newGCScratch(e.ws, false)
@@ -110,6 +113,7 @@ func (e *Engine) getCommunity(c Core, sc *gcScratch) *Community {
 	var centers []graph.NodeID
 	cost := 0.0
 	haveCost := false
+	dists := make([]float64, len(c))
 	for _, v := range sc.knode[smallest].Visited() {
 		all := true
 		for j := range knodes {
@@ -127,7 +131,6 @@ func (e *Engine) getCommunity(c Core, sc *gcScratch) *Community {
 		centers = append(centers, v)
 		// The cost aggregates every keyword position, so duplicate core
 		// nodes contribute once per position.
-		dists := make([]float64, len(c))
 		for i, ci := range c {
 			dists[i], _ = sc.knode[knodeIdx[ci]].Dist(v)
 		}
@@ -148,22 +151,32 @@ func (e *Engine) getCommunity(c Core, sc *gcScratch) *Community {
 		return r
 	}
 
-	// Forward pass from all centers (virtual source s) and reverse pass
-	// from all knodes (virtual sink t).
+	// Reverse pass from all knodes (virtual sink t), then the forward
+	// pass from all centers (virtual source s) toward it. The reverse
+	// pass runs to the widened radius RunToward prunes against; the keep
+	// test below is unchanged, and a node beyond Rmax from every knode
+	// fails it either way.
 	e.budget.ChargeNeighborRun()
-	sc.ws.RunFromNodes(sssp.Forward, centers, e.rmax, sc.fwd)
+	sc.ws.RunFromNodes(sssp.Reverse, knodes, sssp.Widen(e.rmax, e.g.NumNodes()), sc.rev)
+	seeds := make([]sssp.Seed, len(centers))
+	for i, v := range centers {
+		seeds[i] = sssp.Seed{Node: v}
+	}
 	e.budget.ChargeNeighborRun()
-	sc.ws.RunFromNodes(sssp.Reverse, knodes, e.rmax, sc.rev)
+	sc.ws.RunToward(sssp.Forward, seeds, e.rmax, sc.fwd, sc.rev)
 	e.neighborRuns.Add(2)
 	e.tr.Add(obs.NeighborRuns, 2)
 
-	sc.markID++
-	mark := sc.markID
-	for _, u := range sc.fwd.Visited() {
-		ds, _ := sc.fwd.Dist(u)
+	in := func(u graph.NodeID) bool {
+		ds, ok := sc.fwd.Dist(u)
+		if !ok {
+			return false
+		}
 		dt, ok := sc.rev.Dist(u)
-		if ok && ds+dt <= e.rmax {
-			sc.mark[u] = mark
+		return ok && ds+dt <= e.rmax
+	}
+	for _, u := range sc.fwd.Visited() {
+		if in(u) {
 			r.Nodes = append(r.Nodes, u)
 		}
 	}
@@ -188,7 +201,7 @@ func (e *Engine) getCommunity(c Core, sc *gcScratch) *Community {
 	// Induced edges over the community's nodes.
 	for _, u := range r.Nodes {
 		for _, edge := range e.g.OutEdges(u) {
-			if sc.mark[edge.To] == mark {
+			if in(edge.To) {
 				r.Edges = append(r.Edges, graph.EdgePair{From: u, To: edge.To})
 			}
 		}

@@ -57,6 +57,9 @@ type Pipeline struct {
 	// workersWG covers only the worker goroutines, so the producer can
 	// retire them (drain) before letting a results-budget trip land.
 	workersWG sync.WaitGroup
+	// scratch[w] is worker w's materialization scratch; Close hands
+	// them to the engine, whose Close recycles them.
+	scratch []*gcScratch
 
 	// Consumer state: the reorder buffer keyed by sequence number, the
 	// next sequence to deliver, and the frozen outcome.
@@ -79,6 +82,7 @@ func NewPipeline(e *Engine, src CoreSource, workers int) *Pipeline {
 		results: make(chan matResult, 2*workers),
 		quit:    make(chan struct{}),
 		pending: make(map[int]matResult),
+		scratch: make([]*gcScratch, workers),
 	}
 	// All workersWG.Add calls must precede the producer's start: it may
 	// reach workersWG.Wait (the results-budget drain) immediately.
@@ -86,7 +90,7 @@ func NewPipeline(e *Engine, src CoreSource, workers int) *Pipeline {
 	p.workersWG.Add(workers)
 	go p.produce(src)
 	for w := 0; w < workers; w++ {
-		go p.work()
+		go p.work(w)
 	}
 	return p
 }
@@ -166,14 +170,14 @@ func (p *Pipeline) produce(src CoreSource) {
 
 // work materializes cores on a private scratch until the task stream
 // ends or the pipeline is torn down.
-func (p *Pipeline) work() {
+func (p *Pipeline) work(w int) {
 	defer p.wg.Done()
 	defer p.workersWG.Done()
 	ws := p.e.pool.Get(p.e.g)
 	ws.SetBudget(p.e.budget)
 	ws.SetTrace(p.e.tr)
 	sc := p.e.newGCScratch(ws, true)
-	defer sc.release(p.e.pool)
+	p.scratch[w] = sc
 	for t := range p.tasks {
 		res := p.materialize(t, sc)
 		select {
@@ -270,8 +274,8 @@ func (p *Pipeline) finish(err error) {
 func (p *Pipeline) Err() error { return p.err }
 
 // Close tears the pipeline down and waits for every goroutine to exit,
-// returning worker workspaces to the engine's pool. Idempotent; safe
-// mid-enumeration.
+// handing the workers' scratches to the engine, whose Close returns
+// them to its pool. Idempotent; safe mid-enumeration.
 func (p *Pipeline) Close() {
 	p.done = true
 	p.stop.Do(func() { close(p.quit) })
@@ -279,6 +283,12 @@ func (p *Pipeline) Close() {
 	// their sends, so draining is not required for exit, but the
 	// channel may still hold buffered results — drop them.
 	p.wg.Wait()
+	for _, sc := range p.scratch {
+		if sc != nil {
+			p.e.spare = append(p.e.spare, sc)
+		}
+	}
+	p.scratch = nil
 	for {
 		select {
 		case <-p.results:

@@ -59,8 +59,8 @@ func TestSlotAggregateInvariant(t *testing.T) {
 		}
 		// clearSlots returns everything to zero.
 		e.clearSlots()
-		for v := range e.cnt {
-			if e.cnt[v] != 0 || e.sum[v] != 0 {
+		for v := range e.agg.Count {
+			if e.agg.Count[v] != 0 || e.agg.Sum[v] != 0 {
 				t.Fatalf("trial %d: aggregates non-zero after clearSlots", trial)
 			}
 		}
@@ -98,11 +98,11 @@ func (c *OracleChecker) verify(t *testing.T, trial, step int) {
 		}
 	}
 	for v := 0; v < n; v++ {
-		if c.e.cnt[v] != wantCnt[v] {
-			t.Fatalf("trial %d step %d: cnt[%d] = %d, oracle %d", trial, step, v, c.e.cnt[v], wantCnt[v])
+		if c.e.agg.Count[v] != wantCnt[v] {
+			t.Fatalf("trial %d step %d: cnt[%d] = %d, oracle %d", trial, step, v, c.e.agg.Count[v], wantCnt[v])
 		}
-		if math.Abs(c.e.sum[v]-wantSum[v]) > 1e-9 {
-			t.Fatalf("trial %d step %d: sum[%d] = %v, oracle %v", trial, step, v, c.e.sum[v], wantSum[v])
+		if math.Abs(c.e.agg.Sum[v]-wantSum[v]) > 1e-9 {
+			t.Fatalf("trial %d step %d: sum[%d] = %v, oracle %v", trial, step, v, c.e.agg.Sum[v], wantSum[v])
 		}
 	}
 }

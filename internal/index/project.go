@@ -163,15 +163,16 @@ func (ix *Index) ProjectTrace(keywords []string, rmax float64, bud *govern.Budge
 	tr.Add(obs.ProjectUnionNodes, int64(len(nodes)))
 	tr.Add(obs.ProjectUnionEdges, int64(len(edges)))
 
-	// Forward from the candidate centers (virtual s), reverse from all
-	// keyword nodes (virtual t).
+	// Reverse from all keyword nodes (virtual t), to the widened radius
+	// RunToward prunes against, then forward from the candidate centers
+	// (virtual s) toward it, as in core's Algorithm 4.
 	ws := sssp.NewWorkspace(union.G)
 	ws.SetBudget(bud)
 	ws.SetTrace(tr)
 	fwd := sssp.NewResult(len(nodes))
 	rev := sssp.NewResult(len(nodes))
-	ws.Run(sssp.Forward, sc.centers, rmax, fwd)
-	ws.Run(sssp.Reverse, sc.carriers, rmax, rev)
+	ws.Run(sssp.Reverse, sc.carriers, sssp.Widen(rmax, len(nodes)), rev)
+	ws.RunToward(sssp.Forward, sc.centers, rmax, fwd, rev)
 	if err := bud.Err(); err != nil {
 		return nil, fmt.Errorf("index: projection aborted: %w", err)
 	}

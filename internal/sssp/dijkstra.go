@@ -266,7 +266,7 @@ func (w *Workspace) Bytes() int64 {
 // from the budget. A run started after the budget tripped settles
 // nothing.
 func (w *Workspace) Run(dir Direction, seeds []Seed, rmax float64, res *Result) {
-	w.run(dir, seeds, rmax, res, nil)
+	w.run(dir, seeds, rmax, res, nil, nil)
 }
 
 // RunWithin is Run restricted to an induced subgraph: only nodes v with
@@ -275,10 +275,41 @@ func (w *Workspace) Run(dir Direction, seeds []Seed, rmax float64, res *Result) 
 // (e.g. the partial index rebuild's boundary-conditioned repair) fold
 // them into seed distances instead.
 func (w *Workspace) RunWithin(dir Direction, seeds []Seed, rmax float64, res *Result, within []bool) {
-	w.run(dir, seeds, rmax, res, within)
+	w.run(dir, seeds, rmax, res, within, nil)
 }
 
-func (w *Workspace) run(dir Direction, seeds []Seed, rmax float64, res *Result, within []bool) {
+// RunToward is Run restricted to the nodes that can still reach the
+// other end of a two-sided query in budget: tail is a run in the
+// opposite direction from the targets (Algorithm 4's virtual sink t,
+// Algorithm 6's keyword carriers) to radius Widen(rmax, n), and a
+// relaxation into v with tentative distance nd is dropped unless tail
+// settled v with nd + dist_tail(v) ≤ Widen(rmax, n). Seeds are not
+// pruned.
+//
+// Every node u with dist(u) + dist_tail(u) ≤ rmax is settled with
+// exactly the distance, source and via hop Run would give it: each node
+// w on u's shortest path has dist(w) + dist_tail(w) ≤ dist(u) +
+// dist_tail(u) up to rounding, which Widen absorbs (DESIGN.md,
+// Algorithm 4). Nodes outside that set may be missing or settled
+// farther than Run would put them, so callers read the result only
+// through the two-sided test.
+func (w *Workspace) RunToward(dir Direction, seeds []Seed, rmax float64, res, tail *Result) {
+	w.run(dir, seeds, rmax, res, nil, tail)
+}
+
+// Widen returns rmax enlarged by the floating-point slack that
+// RunToward's pruning needs on a graph of n nodes: rmax·(1 + 8·n·2⁻⁵³).
+// A computed distance is a left-to-right sum with at most two rounded
+// additions per hop (edge weight, node weight) over at most n−1 hops.
+// Bounding the two-sided sum at a node on a kept node's shortest path
+// by the kept node's own sum costs a relative error of about 4·n·2⁻⁵³
+// (DESIGN.md, Algorithm 4); twice that also covers the second-order
+// terms and the rounding of the product.
+func Widen(rmax float64, n int) float64 {
+	return rmax * (1 + 8*float64(max(n, 1))*0x1p-53)
+}
+
+func (w *Workspace) run(dir Direction, seeds []Seed, rmax float64, res *Result, within []bool, tail *Result) {
 	res.Reset()
 	if w.budget != nil && w.budget.Err() != nil {
 		return // tripped budget: every further run is an empty no-op
@@ -295,6 +326,10 @@ func (w *Workspace) run(dir Direction, seeds []Seed, rmax float64, res *Result, 
 		w.epoch = 1
 	}
 	w.pq.Reset()
+	bound := math.Inf(1) // the two-sided budget of RunToward
+	if tail != nil {
+		bound = Widen(rmax, w.g.NumNodes())
+	}
 
 	// Trace counters live in locals so the hot loop costs a register
 	// increment, and are flushed once per run (obsFlush no-ops on a nil
@@ -362,6 +397,11 @@ func (w *Workspace) run(dir Direction, seeds []Seed, rmax float64, res *Result, 
 			}
 			if within != nil && !within[e.To] {
 				continue
+			}
+			if tail != nil {
+				if dt, ok := tail.Dist(e.To); !ok || nd+dt > bound {
+					continue
+				}
 			}
 			if res.Contains(e.To) {
 				continue

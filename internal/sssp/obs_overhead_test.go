@@ -31,6 +31,25 @@ func TestRunDisabledTraceZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestRunTowardDisabledTraceZeroAlloc: the pruned run is the same loop
+// with one more check per relaxation, and allocates nothing either.
+func TestRunTowardDisabledTraceZeroAlloc(t *testing.T) {
+	g := overheadGraph(t, 2000, 8000)
+	ws := NewWorkspace(g)
+	res := NewResult(g.NumNodes())
+	tail := NewResult(g.NumNodes())
+	seeds := []Seed{{Node: 0}, {Node: 311}, {Node: 622}}
+	ws.Run(Reverse, []Seed{{Node: 5}, {Node: 933}}, Widen(8, g.NumNodes()), tail)
+
+	ws.RunToward(Forward, seeds, 8, res, tail)
+
+	if avg := testing.AllocsPerRun(100, func() {
+		ws.RunToward(Forward, seeds, 8, res, tail)
+	}); avg != 0 {
+		t.Fatalf("untraced RunToward allocates %.1f times per run, want 0", avg)
+	}
+}
+
 // TestRunEnabledTraceAllocBound: enabling tracing must not introduce
 // per-edge or per-node allocations — after the first flush has
 // populated the counter map, further runs stay allocation-free too.

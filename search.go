@@ -184,14 +184,15 @@ func (n Query) fingerprint() string {
 // large graphs, with identical results.
 //
 // A Searcher is safe for concurrent use; each query gets its own
-// engine, and all queries share one workspace pool so steady-state
-// serving allocates no per-query distance arrays.
+// engine, and all queries share one pool of graph-sized state
+// (workspaces, shortest-path results, the aggregate table), so a plain
+// query allocates no per-query O(n) arrays in steady state.
 type Searcher struct {
 	g  *Graph
 	ft *fulltext.Index
 	ix *index.Index
 
-	// pool recycles shortest-path workspaces across queries and across
+	// pool recycles graph-sized query state across queries and across
 	// the worker goroutines of one parallel query.
 	pool *sssp.Pool
 	// par is the per-query parallelism degree; 1 means strictly
@@ -731,7 +732,7 @@ func (it *Results) Close() error {
 }
 
 // release tears down the pipeline, closes the enumerate span and
-// returns workspaces — exactly once.
+// returns the query's pooled state — exactly once.
 func (it *Results) release() {
 	if it.closed {
 		return
@@ -742,6 +743,10 @@ func (it *Results) release() {
 	}
 	if !it.enumStart.IsZero() {
 		it.sess.tr.RecordSpan("enumerate", it.enumStart)
+	}
+	if it.err != nil {
+		it.sess.eng.Abandon() // a recovered panic: recycle nothing
+		return
 	}
 	it.sess.eng.Close()
 }

@@ -12,10 +12,12 @@ import (
 
 // TestSearcherConcurrentStress hammers shared Searchers — indexed and
 // un-indexed — from many goroutines with mixed All/TopK/NextCore
-// queries. The Searcher documents "safe for concurrent use; each query
-// gets its own engine"; this is the test that holds it to that under
-// the race detector, and it cross-checks that concurrent results match
-// a single-threaded baseline.
+// queries, interleaved with queries that end early (closed after one
+// result, budget-tripped, ranker panic) and so hand their pooled state
+// to the next query. The Searcher documents "safe for concurrent use;
+// each query gets its own engine"; this is the test that holds it to
+// that under the race detector, and it cross-checks that concurrent
+// results match a single-threaded baseline.
 func TestSearcherConcurrentStress(t *testing.T) {
 	g, _ := PaperExampleGraph()
 	plain := mustOpen(t, g)
@@ -67,12 +69,13 @@ func TestSearcherConcurrentStress(t *testing.T) {
 		}
 	}
 
-	workers, iters := 8, 30
+	ends := abnormalEnds(queries[0])
+	workers, iters := 8, 40
 	if raceEnabled {
-		iters = 15
+		iters = 20
 	}
 	if testing.Short() {
-		iters = 5
+		iters = 8
 	}
 	var wg sync.WaitGroup
 	errs := make(chan error, workers)
@@ -89,7 +92,7 @@ func TestSearcherConcurrentStress(t *testing.T) {
 				qi := (w * 7) % len(queries)
 				q := queries[qi]
 				e := want[fmt.Sprintf("%s/%d", name, qi)]
-				switch i % 3 {
+				switch i % 4 {
 				case 0: // full COMM-all enumeration
 					it, err := s.All(q)
 					if err != nil {
@@ -162,6 +165,12 @@ func TestSearcherConcurrentStress(t *testing.T) {
 					}
 					if n != wantN {
 						errs <- fmt.Errorf("worker %d: governed run granted %d results, want %d", w, n, wantN)
+						return
+					}
+				case 3: // a query that ends early
+					end := ends[(w+i/4)%len(ends)]
+					if err := end.run(s); err != nil {
+						errs <- fmt.Errorf("worker %d: %s on %s: %w", w, end.name, name, err)
 						return
 					}
 				}
