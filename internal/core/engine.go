@@ -92,9 +92,13 @@ type Engine struct {
 	// ranker aggregates per-keyword distances into a cost; never nil
 	// (the paper's summed distances unless SetRanker changed it).
 	ranker Ranker
-	// rankBuf is bestCore's per-candidate distance scratch under a
-	// non-sum ranker (bestCore is engine-sequential, so one buffer).
+	// rankBuf is bestCore's per-center distance scratch (bestCore is
+	// engine-sequential, so one buffer).
 	rankBuf []float64
+	// seeds and excl are the slot runs' seed scratch and split's
+	// exclusion scratch, reused across probes.
+	seeds []sssp.Seed
+	excl  []graph.NodeID
 
 	// nsrc, when non-nil, supplies precomputed full keyword-set runs
 	// (the kwcache artifact store); full-set sites consult it before
@@ -217,6 +221,7 @@ func NewEngineCfg(g *graph.Graph, ix *fulltext.Index, keywords []string, rmax fl
 		agg:          cfg.Pool.GetTally(n),
 		nsrc:         cfg.Neighbors,
 		ranker:       sumRanker{},
+		rankBuf:      make([]float64, l),
 	}
 	for i, kw := range keywords {
 		nodes, err := KeywordNodes(g, ix, kw)
@@ -443,15 +448,42 @@ func (e *Engine) install(i int, res *sssp.Result, desc slotDesc) {
 	e.slotState[i] = desc
 }
 
-// setSlot recomputes neighborSet slot i from an arbitrary seed set
-// (Algorithm 2: bounded reverse Dijkstra).
-func (e *Engine) setSlot(i int, seeds []graph.NodeID) {
+// runSlot installs in slot i a bounded reverse Dijkstra (Algorithm 2)
+// from e.seeds, all at distance zero.
+func (e *Engine) runSlot(i int, desc slotDesc) {
 	res := e.buffer()
 	e.budget.ChargeNeighborRun() // a tripped budget empties the run below
-	e.ws.RunFromNodes(sssp.Reverse, seeds, e.rmax, res)
+	e.ws.Run(sssp.Reverse, e.seeds, e.rmax, res)
 	e.neighborRuns.Add(1)
 	e.tr.Add(obs.NeighborRuns, 1)
-	e.install(i, res, slotDesc{kind: slotSet})
+	e.install(i, res, desc)
+}
+
+// setSlot recomputes neighborSet slot i from an arbitrary seed set.
+func (e *Engine) setSlot(i int, seeds []graph.NodeID) {
+	e.seeds = e.seeds[:0]
+	for _, v := range seeds {
+		e.seeds = append(e.seeds, sssp.Seed{Node: v})
+	}
+	e.runSlot(i, slotDesc{kind: slotSet})
+}
+
+// setSlotExcept recomputes slot i from V_i − excl, excl sorted. V_i is
+// in ascending node order (the index's postings and the graph scan
+// both list nodes that way), so the merge keeps it: seed order can
+// decide Src at equal distance.
+func (e *Engine) setSlotExcept(i int, excl []graph.NodeID) {
+	e.seeds = e.seeds[:0]
+	j := 0
+	for _, v := range e.keywordNodes[i] {
+		for j < len(excl) && excl[j] < v {
+			j++
+		}
+		if j == len(excl) || excl[j] != v {
+			e.seeds = append(e.seeds, sssp.Seed{Node: v})
+		}
+	}
+	e.runSlot(i, slotDesc{kind: slotSet})
 }
 
 // setSlotSingle pins slot i to one keyword node; a no-op when the slot
@@ -460,12 +492,8 @@ func (e *Engine) setSlotSingle(i int, v graph.NodeID) {
 	if s := e.slotState[i]; !e.noSlotCache && s.kind == slotSingle && s.node == v {
 		return
 	}
-	res := e.buffer()
-	e.budget.ChargeNeighborRun()
-	e.ws.RunFromNodes(sssp.Reverse, []graph.NodeID{v}, e.rmax, res)
-	e.neighborRuns.Add(1)
-	e.tr.Add(obs.NeighborRuns, 1)
-	e.install(i, res, slotDesc{kind: slotSingle, node: v})
+	e.seeds = append(e.seeds[:0], sssp.Seed{Node: v})
+	e.runSlot(i, slotDesc{kind: slotSingle, node: v})
 }
 
 // fullSetResult computes (or loads from the neighbor source) one full
@@ -589,20 +617,14 @@ func (e *Engine) bestCore() (Core, float64, bool) {
 		bestU = firstU
 	}
 	c := make(Core, e.l)
-	dists := make([]float64, e.l)
 	for i := 0; i < e.l; i++ {
 		c[i] = e.nbr[i].Src(bestU)
-		dists[i], _ = e.nbr[i].Dist(bestU)
 	}
-	return c, e.CostOf(dists), true
+	return c, e.candidateCost(bestU), true
 }
 
-// candidateCost aggregates a candidate center's slot distances under a
-// non-sum ranker.
+// candidateCost aggregates a center's slot distances under the ranker.
 func (e *Engine) candidateCost(u graph.NodeID) float64 {
-	if e.rankBuf == nil {
-		e.rankBuf = make([]float64, e.l)
-	}
 	for i := 0; i < e.l; i++ {
 		e.rankBuf[i], _ = e.nbr[i].Dist(u)
 	}

@@ -92,31 +92,58 @@ func TestEngineAccessors(t *testing.T) {
 }
 
 // TestEngineDelayBound checks the polynomial-delay property in
-// machine-independent terms: per emitted community, the number of
-// bounded Dijkstra runs is O(l) — at most 3l+2 for NextCore plus
-// l+2 for GetCommunity.
+// machine-independent terms, on the paper's graph and on the work
+// golden's random instances, for both enumerators. Per NextCore
+// hand-over, the terminating call included, PDall runs at most 2l
+// bounded Dijkstras (l pins plus one set run per position; full-set
+// restores come from the cache) and PDk at most 2l (l pins plus
+// l - pos set runs), except on its first call, which also installs the
+// l full sets: 3l. Materializing a core adds l knode passes plus the
+// forward and reverse pass: l + 2.
 func TestEngineDelayBound(t *testing.T) {
-	g, _ := PaperGraph()
-	e, _ := NewEngine(g, nil, []string{"a", "b", "c"}, 8)
-	it := NewAll(e)
-	l := 3
-	prev := 0
-	for {
-		_, ok := it.Next()
-		if !ok {
-			break
-		}
-		runs := e.NeighborRuns() - prev
-		prev = e.NeighborRuns()
-		// NextCore: l initial or l pins + per level 2 runs => <= 3l.
-		// GetCommunity: l knode passes + forward + reverse = l + 2.
-		if runs > 4*l+2 {
-			t.Fatalf("delay of %d Dijkstra runs exceeds O(l) bound %d", runs, 4*l+2)
-		}
+	type input struct {
+		name string
+		e    *Engine
 	}
-	// The final failed probe also stays within the bound.
-	if e.NeighborRuns()-prev > 4*l+2 {
-		t.Fatalf("termination probe used %d runs", e.NeighborRuns()-prev)
+	fresh := []func() input{func() input {
+		g, _ := PaperGraph()
+		e, _ := NewEngine(g, nil, []string{"a", "b", "c"}, 8)
+		return input{"paper", e}
+	}}
+	for _, c := range enumCases() {
+		fresh = append(fresh, func() input {
+			e, _ := c.engine(t)
+			return input{c.name, e}
+		})
+	}
+	for _, mk := range fresh {
+		for _, algo := range []string{"all", "topk"} {
+			in := mk()
+			e, l := in.e, in.e.L()
+			var src CoreSource = NewAll(e)
+			if algo == "topk" {
+				src = NewTopK(e)
+			}
+			for call := 0; call <= enumWorkCap; call++ {
+				before := e.NeighborRuns()
+				cc, ok := src.NextCore()
+				bound := 2 * l
+				if algo == "topk" && call == 0 {
+					bound = 3 * l
+				}
+				if runs := e.NeighborRuns() - before; runs > bound {
+					t.Fatalf("%s/%s call %d: %d Dijkstra runs, bound %d", in.name, algo, call, runs, bound)
+				}
+				if !ok {
+					break
+				}
+				before = e.NeighborRuns()
+				e.GetCommunity(cc.Core)
+				if runs := e.NeighborRuns() - before; runs > l+2 {
+					t.Fatalf("%s/%s call %d: GetCommunity ran %d Dijkstras, bound %d", in.name, algo, call, runs, l+2)
+				}
+			}
+		}
 	}
 }
 

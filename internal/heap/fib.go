@@ -20,8 +20,9 @@ type FibNode[T any] struct {
 // Fib is a min-ordered Fibonacci heap. The zero value is not usable;
 // create heaps with NewFib.
 type Fib[T any] struct {
-	min *FibNode[T]
-	n   int
+	min   *FibNode[T]
+	n     int
+	roots []*FibNode[T] // consolidate's scratch, kept across calls
 }
 
 // NewFib returns an empty Fibonacci heap.
@@ -105,7 +106,7 @@ func (h *Fib[T]) consolidate() {
 	var slots [64]*FibNode[T]
 
 	// Collect roots first: linking mutates the root list.
-	var roots []*FibNode[T]
+	roots := h.roots[:0]
 	r := h.min
 	if r != nil {
 		for {
@@ -129,6 +130,8 @@ func (h *Fib[T]) consolidate() {
 		}
 		slots[d] = x
 	}
+	clear(roots) // hold no extracted node
+	h.roots = roots
 	h.min = nil
 	for _, x := range slots {
 		if x == nil {
