@@ -187,6 +187,18 @@ func TestSearcherErrors(t *testing.T) {
 	}
 }
 
+// TestLargestFiniteRmax: a plain query accepts every finite Rmax, the
+// largest ones too, whose rounding slack would overflow to +Inf, and
+// answers as the engine on the whole graph does.
+func TestLargestFiniteRmax(t *testing.T) {
+	g, _ := PaperExampleGraph()
+	for _, rmax := range []float64{math.MaxFloat64, math.Nextafter(math.MaxFloat64, 0), 1e308} {
+		if compareWithDirectEngine(t, g, []string{"a", "b", "c"}, rmax, SumRanker(), WithParallelism(1)) == 0 {
+			t.Fatalf("rmax %v: no community compared", rmax)
+		}
+	}
+}
+
 func TestKeywordFrequency(t *testing.T) {
 	g, _ := PaperExampleGraph()
 	s := mustOpen(t, g)

@@ -204,7 +204,7 @@ func NewEngineCfg(g *graph.Graph, ix *fulltext.Index, keywords []string, rmax fl
 	l := len(keywords)
 	n := g.NumNodes()
 	if cfg.Parallelism > 1 && cfg.Pool == nil {
-		cfg.Pool = sssp.NewPool()
+		cfg.Pool = sssp.NewPoolFor(n)
 	}
 	e := &Engine{
 		g:            g,
@@ -398,6 +398,25 @@ func (e *Engine) PrecomputeNeighborSets() {
 		// recovered) on the calling goroutine.
 		panic(panicked)
 	}
+}
+
+// FullSets returns every full keyword-set run Neighbor(V_i), computed
+// (or loaded from the neighbor source) as the enumerators would and
+// fanned across the workers as PrecomputeNeighborSets does, or nil when
+// some keyword is absent. The results stay the engine's: they are valid
+// until Close. A tripped budget leaves them partial, as it leaves a
+// slot's run; callers check the budget.
+func (e *Engine) FullSets() []*sssp.Result {
+	if !e.HasAllKeywords() {
+		return nil
+	}
+	e.PrecomputeNeighborSets()
+	for i, r := range e.full {
+		if r == nil {
+			e.full[i] = e.fullSetResult(i, e.ws)
+		}
+	}
+	return e.full
 }
 
 // slotDesc describes a slot's current contents so identical

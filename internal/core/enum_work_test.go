@@ -187,7 +187,7 @@ func TestEnumeratorAllocs(t *testing.T) {
 		{"all", func(e *Engine) CoreSource { return NewAll(e) }, 1},
 		{"topk", func(e *Engine) CoreSource { return NewTopK(e) }, 7},
 	} {
-		e, err := NewEngineCfg(g, nil, kws, 8, EngineConfig{Pool: sssp.NewPool()})
+		e, err := NewEngineCfg(g, nil, kws, 8, EngineConfig{Pool: sssp.NewPoolFor(g.NumNodes())})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,5 +206,29 @@ func TestEnumeratorAllocs(t *testing.T) {
 		if got > tc.max {
 			t.Errorf("%s: %.1f allocs per NextCore, want <= %v", tc.name, got, tc.max)
 		}
+	}
+}
+
+// TestGetCommunityAllocs: Algorithm 4 seeds its runs from buffers the
+// workspace and the scratch own, so a materialization allocates only
+// the community it returns (its lists, their growth and the two
+// classification maps), never a []Seed per run. The count is exact for
+// this input: 35, where a fresh []Seed per run made it 38.
+func TestGetCommunityAllocs(t *testing.T) {
+	g, kws := randomKeywordGraph(t, rand.New(rand.NewSource(7)), 400, 1600, 3)
+	e, err := NewEngineCfg(g, nil, kws, 8, EngineConfig{Pool: sssp.NewPoolFor(g.NumNodes())})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	cc, ok := NewTopK(e).NextCore()
+	if !ok {
+		t.Fatal("no community")
+	}
+	e.GetCommunity(cc.Core) // sizes the scratch
+	got := testing.AllocsPerRun(50, func() { e.GetCommunity(cc.Core) })
+	t.Logf("%.1f allocs per GetCommunity", got)
+	if got > 35 {
+		t.Errorf("%.1f allocs per GetCommunity, want <= 35", got)
 	}
 }

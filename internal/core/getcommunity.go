@@ -24,6 +24,10 @@ type gcScratch struct {
 	fwd   *sssp.Result
 	rev   *sssp.Result
 	knode []*sssp.Result
+	// tail is rev as the forward pass's RunToward tail; seeds is that
+	// pass's seed buffer.
+	tail  sssp.Tail
+	seeds []sssp.Seed
 }
 
 // newGCScratch sizes a scratch for the engine's graph and keyword
@@ -158,12 +162,13 @@ func (e *Engine) getCommunity(c Core, sc *gcScratch) *Community {
 	// fails it either way.
 	e.budget.ChargeNeighborRun()
 	sc.ws.RunFromNodes(sssp.Reverse, knodes, sssp.Widen(e.rmax, e.g.NumNodes()), sc.rev)
-	seeds := make([]sssp.Seed, len(centers))
-	for i, v := range centers {
-		seeds[i] = sssp.Seed{Node: v}
+	sc.seeds = sc.seeds[:0]
+	for _, v := range centers {
+		sc.seeds = append(sc.seeds, sssp.Seed{Node: v})
 	}
 	e.budget.ChargeNeighborRun()
-	sc.ws.RunToward(sssp.Forward, seeds, e.rmax, sc.fwd, sc.rev)
+	sc.tail.Reset(e.g.NumNodes(), sc.rev)
+	sc.ws.RunToward(sssp.Forward, sc.seeds, e.rmax, sc.fwd, &sc.tail)
 	e.neighborRuns.Add(2)
 	e.tr.Add(obs.NeighborRuns, 2)
 

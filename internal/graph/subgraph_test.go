@@ -343,3 +343,71 @@ func TestEdgeCursorAgreesWithScan(t *testing.T) {
 		t.Fatal("an edge named out of order must be reported absent")
 	}
 }
+
+// TestFromInEdgesMatchesInduced: handing FromInEdges every in-edge a
+// node list has among itself, one head at a time as InEdges lists them,
+// builds exactly Induced's graph: the same forward and reverse lists,
+// parallel edges and their order included, and the same node weights.
+func TestFromInEdgesMatchesInduced(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for trial := 0; trial < 200; trial++ {
+		n := 2 + rng.Intn(200)
+		b := NewBuilder()
+		for v := 0; v < n; v++ {
+			id := b.AddNode("v")
+			if rng.Intn(3) == 0 {
+				b.SetNodeWeight(id, float64(rng.Intn(3)))
+			}
+		}
+		hub := NodeID(rng.Intn(n))
+		for i := 0; i < n*3; i++ {
+			u, v := NodeID(rng.Intn(n)), NodeID(rng.Intn(n))
+			if rng.Intn(3) == 0 {
+				v = hub
+			}
+			b.AddEdge(u, v, float64(rng.Intn(4)))
+			if rng.Intn(5) == 0 {
+				b.AddEdge(u, v, 7) // parallel
+			}
+		}
+		g, err := b.Freeze()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var nodes []NodeID
+		local := map[NodeID]NodeID{}
+		for v := 0; v < n; v++ {
+			if rng.Intn(1+trial%4) == 0 {
+				local[NodeID(v)] = NodeID(len(nodes))
+				nodes = append(nodes, NodeID(v))
+			}
+		}
+		head, in := []int32{0}, []Edge(nil)
+		for _, v := range nodes {
+			for _, e := range g.InEdges(v) {
+				if lu, ok := local[e.To]; ok {
+					in = append(in, Edge{To: lu, Weight: e.Weight})
+				}
+			}
+			head = append(head, int32(len(in)))
+		}
+		got := FromInEdges(g, nodes, head, in)
+		want, err := Induced(g, nodes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got.ToParent, want.ToParent) {
+			t.Fatalf("trial %d: ToParent %v, want %v", trial, got.ToParent, want.ToParent)
+		}
+		for v := range nodes {
+			lv := NodeID(v)
+			if !slices.Equal(got.G.OutEdges(lv), want.G.OutEdges(lv)) || !slices.Equal(got.G.InEdges(lv), want.G.InEdges(lv)) {
+				t.Fatalf("trial %d node %d: out %v in %v, Induced out %v in %v", trial, v,
+					got.G.OutEdges(lv), got.G.InEdges(lv), want.G.OutEdges(lv), want.G.InEdges(lv))
+			}
+			if got.G.NodeWeight(lv) != want.G.NodeWeight(lv) {
+				t.Fatalf("trial %d node %d: weight %v, want %v", trial, v, got.G.NodeWeight(lv), want.G.NodeWeight(lv))
+			}
+		}
+	}
+}

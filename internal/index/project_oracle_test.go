@@ -101,15 +101,18 @@ func oracleProject(ix *Index, keywords []string, rmax float64) (*graph.Subgraph,
 		lv, _ := union.FromParent(v)
 		kwSeeds = append(kwSeeds, lv)
 	}
-	ws.RunFromNodes(sssp.Forward, centerSeeds, rmax, fwd)
-	ws.RunFromNodes(sssp.Reverse, kwSeeds, rmax, rev)
+	// The keep radius is rmax widened by the rounding slack, as in
+	// narrow: the engine sums a center's distance from the keyword end.
+	keepR := sssp.Widen(rmax, union.G.NumNodes())
+	ws.RunFromNodes(sssp.Forward, centerSeeds, keepR, fwd)
+	ws.RunFromNodes(sssp.Reverse, kwSeeds, keepR, rev)
 
 	keep := map[graph.NodeID]struct{}{}
 	var vp []graph.NodeID
 	for _, lv := range fwd.Visited() {
 		ds, _ := fwd.Dist(lv)
 		dt, ok := rev.Dist(lv)
-		if ok && ds+dt <= rmax {
+		if ok && ds+dt <= keepR {
 			pv := union.ToParent[lv]
 			keep[pv] = struct{}{}
 			vp = append(vp, pv)

@@ -17,6 +17,11 @@
 //     live run at rmax would produce. The engine's downstream state is
 //     therefore byte-identical to cold execution.
 //
+// A plain query's projection asks for its sets at
+// index.TailRadius(rmax, n), a few ulps past rmax, so the store runs
+// them to TailRadius(R, n): every query with Rmax ≤ R is served, at R
+// itself too.
+//
 // The store is in-memory only and serves un-indexed execution only. It
 // is safe for concurrent use: lookups take a read lock, Warm inserts
 // under a write lock, and entries are immutable once published.
@@ -31,6 +36,7 @@ import (
 
 	"commdb/internal/fulltext"
 	"commdb/internal/graph"
+	"commdb/internal/index"
 	"commdb/internal/sssp"
 )
 
@@ -40,6 +46,9 @@ type Store struct {
 	ft     *fulltext.Index
 	g      *graph.Graph
 	radius float64
+	// reach is the radius the runs go to, index.TailRadius(radius, n):
+	// the largest FullSet request served.
+	reach float64
 
 	mu    sync.RWMutex
 	terms map[string]*entry
@@ -71,6 +80,7 @@ func New(ft *fulltext.Index, radius float64) (*Store, error) {
 		ft:     ft,
 		g:      ft.Graph(),
 		radius: radius,
+		reach:  index.TailRadius(radius, ft.Graph().NumNodes()),
 		terms:  make(map[string]*entry),
 	}, nil
 }
@@ -140,7 +150,7 @@ func (s *Store) Warm(keywords []string) int {
 		if s.has(term) { // raced with another warmer
 			continue
 		}
-		s.put(term, buildEntry(ws, s.ft, term, s.radius, res))
+		s.put(term, buildEntry(ws, s.ft, term, s.reach, res))
 		added++
 	}
 	return added
@@ -177,10 +187,10 @@ func (s *Store) put(term string, e *entry) {
 
 // FullSet loads term's neighbor set truncated to rmax into res,
 // reporting whether it could serve it. A miss (unknown term, or rmax
-// beyond the store radius) leaves res untouched; the caller falls back
-// to a live run. This is the core.NeighborSource contract.
+// beyond TailRadius of the store radius) leaves res untouched; the caller
+// falls back to a live run. This is the core.NeighborSource contract.
 func (s *Store) FullSet(term string, rmax float64, res *sssp.Result) bool {
-	if rmax > s.radius {
+	if rmax > s.reach {
 		s.misses.Add(1)
 		return false
 	}

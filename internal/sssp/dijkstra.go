@@ -15,6 +15,7 @@ package sssp
 
 import (
 	"math"
+	"slices"
 
 	"commdb/internal/govern"
 	"commdb/internal/graph"
@@ -160,6 +161,8 @@ type Workspace struct {
 	stamp []uint32
 	epoch uint32
 	pq    heap.Binary
+	// seeds is RunFromNodes' seed buffer.
+	seeds []Seed
 
 	// gen is the workspace's version stamp: bumped every time a Pool
 	// hands the workspace out, so tests (and debugging) can tell
@@ -279,12 +282,12 @@ func (w *Workspace) RunWithin(dir Direction, seeds []Seed, rmax float64, res *Re
 }
 
 // RunToward is Run restricted to the nodes that can still reach the
-// other end of a two-sided query in budget: tail is a run in the
+// other end of a two-sided query in budget: tail holds the runs in the
 // opposite direction from the targets (Algorithm 4's virtual sink t,
-// Algorithm 6's keyword carriers) to radius Widen(rmax, n), and a
-// relaxation into v with tentative distance nd is dropped unless tail
-// settled v with nd + dist_tail(v) ≤ Widen(rmax, n). Seeds are not
-// pruned.
+// Algorithm 6's keyword carriers, a plain projection's keyword sets) to
+// radius Widen(rmax, n), and a relaxation into v with tentative
+// distance nd is dropped unless tail settled v with nd + dist_tail(v) ≤
+// Widen(rmax, n). Seeds are not pruned.
 //
 // Every node u with dist(u) + dist_tail(u) ≤ rmax is settled with
 // exactly the distance, source and via hop Run would give it: each node
@@ -293,8 +296,74 @@ func (w *Workspace) RunWithin(dir Direction, seeds []Seed, rmax float64, res *Re
 // Algorithm 4). Nodes outside that set may be missing or settled
 // farther than Run would put them, so callers read the result only
 // through the two-sided test.
-func (w *Workspace) RunToward(dir Direction, seeds []Seed, rmax float64, res, tail *Result) {
+func (w *Workspace) RunToward(dir Direction, seeds []Seed, rmax float64, res *Result, tail *Tail) {
 	w.run(dir, seeds, rmax, res, nil, tail)
+}
+
+// Tail is the far side of a two-sided run (RunToward): the nodes that
+// one or more runs in the other direction settled, each with
+// dist_tail(v), the least distance any of them settled it at. l runs
+// from l seed sets thus stand for one run from their union, since a
+// multi-source distance is the least over the sources. The members are
+// an n-bit set and their distances a dense array by rank, so the test a
+// relaxation makes stays in cache (128 KB per million nodes) where a
+// Result's n-sized position index would be a cache miss per lookup.
+//
+// The zero Tail is empty; Reset fills it and reuses its storage.
+type Tail struct {
+	set  graph.NodeSet
+	dist []float64 // by rank in set
+}
+
+// Reset makes t the tail of runs, Results for a graph of n nodes, in
+// O(n/64 + the nodes they settled).
+func (t *Tail) Reset(n int, runs ...*Result) {
+	t.set.Reset(n)
+	for _, r := range runs {
+		for _, v := range r.visited {
+			t.set.Add(v)
+		}
+	}
+	m := t.set.Seal()
+	t.dist = slices.Grow(t.dist[:0], m)[:m]
+	for i := range t.dist {
+		t.dist[i] = math.Inf(1)
+	}
+	for _, r := range runs {
+		for i, v := range r.visited {
+			k, _ := t.set.Rank(v)
+			t.dist[k] = min(t.dist[k], r.dist[i])
+		}
+	}
+}
+
+// Dist returns dist_tail(v) and whether some run settled v.
+func (t *Tail) Dist(v graph.NodeID) (float64, bool) {
+	k, ok := t.set.Rank(v)
+	if !ok {
+		return 0, false
+	}
+	return t.dist[k], true
+}
+
+// Rank returns v's rank among the members (their ascending order) and
+// whether some run settled v.
+func (t *Tail) Rank(v graph.NodeID) (graph.NodeID, bool) { return t.set.Rank(v) }
+
+// AppendMembers appends the members to dst in ascending order.
+func (t *Tail) AppendMembers(dst []graph.NodeID) []graph.NodeID { return t.set.AppendMembers(dst) }
+
+// Compact makes dst the tail t is on the subgraph of t's own members,
+// whose node k is the member of rank k: every node a member, at t's
+// distance.
+func (t *Tail) Compact(dst *Tail) {
+	m := len(t.dist)
+	dst.set.Reset(m)
+	for k := range m {
+		dst.set.Add(graph.NodeID(k))
+	}
+	dst.set.Seal()
+	dst.dist = append(dst.dist[:0], t.dist...)
 }
 
 // Widen returns rmax enlarged by the floating-point slack that
@@ -304,12 +373,18 @@ func (w *Workspace) RunToward(dir Direction, seeds []Seed, rmax float64, res, ta
 // Bounding the two-sided sum at a node on a kept node's shortest path
 // by the kept node's own sum costs a relative error of about 4·n·2⁻⁵³
 // (DESIGN.md, Algorithm 4); twice that also covers the second-order
-// terms and the rounding of the product.
+// terms and the rounding of the product. A finite rmax stays finite:
+// past math.MaxFloat64 the result is math.MaxFloat64, which every
+// finite sum is within.
 func Widen(rmax float64, n int) float64 {
-	return rmax * (1 + 8*float64(max(n, 1))*0x1p-53)
+	w := rmax * (1 + 8*float64(max(n, 1))*0x1p-53)
+	if math.IsInf(w, 1) && !math.IsInf(rmax, 1) {
+		return math.MaxFloat64
+	}
+	return w
 }
 
-func (w *Workspace) run(dir Direction, seeds []Seed, rmax float64, res *Result, within []bool, tail *Result) {
+func (w *Workspace) run(dir Direction, seeds []Seed, rmax float64, res *Result, within []bool, tail *Tail) {
 	res.Reset()
 	if w.budget != nil && w.budget.Err() != nil {
 		return // tripped budget: every further run is an empty no-op
@@ -436,11 +511,12 @@ func (w *Workspace) obsFlush(res *Result, tc obs.DijkstraRun) {
 	w.tr.AddDijkstra(tc)
 }
 
-// RunFromNodes is Run with all seeds at distance zero.
+// RunFromNodes is Run with all seeds at distance zero. The seeds are
+// built in a buffer the workspace owns, so a run allocates nothing.
 func (w *Workspace) RunFromNodes(dir Direction, nodes []graph.NodeID, rmax float64, res *Result) {
-	seeds := make([]Seed, len(nodes))
-	for i, v := range nodes {
-		seeds[i] = Seed{Node: v}
+	w.seeds = w.seeds[:0]
+	for _, v := range nodes {
+		w.seeds = append(w.seeds, Seed{Node: v})
 	}
-	w.Run(dir, seeds, rmax, res)
+	w.Run(dir, w.seeds, rmax, res)
 }

@@ -37,14 +37,17 @@ func TestRunTowardDisabledTraceZeroAlloc(t *testing.T) {
 	g := overheadGraph(t, 2000, 8000)
 	ws := NewWorkspace(g)
 	res := NewResult(g.NumNodes())
-	tail := NewResult(g.NumNodes())
+	rev := NewResult(g.NumNodes())
 	seeds := []Seed{{Node: 0}, {Node: 311}, {Node: 622}}
-	ws.Run(Reverse, []Seed{{Node: 5}, {Node: 933}}, Widen(8, g.NumNodes()), tail)
+	ws.Run(Reverse, []Seed{{Node: 5}, {Node: 933}}, Widen(8, g.NumNodes()), rev)
+	var tail Tail
+	tail.Reset(g.NumNodes(), rev)
 
-	ws.RunToward(Forward, seeds, 8, res, tail)
+	ws.RunToward(Forward, seeds, 8, res, &tail)
 
 	if avg := testing.AllocsPerRun(100, func() {
-		ws.RunToward(Forward, seeds, 8, res, tail)
+		tail.Reset(g.NumNodes(), rev)
+		ws.RunToward(Forward, seeds, 8, res, &tail)
 	}); avg != 0 {
 		t.Fatalf("untraced RunToward allocates %.1f times per run, want 0", avg)
 	}

@@ -14,16 +14,19 @@ import (
 // reaches a steady state of ~max-concurrency copies of each.
 //
 // Workspaces are graph-agnostic: Get rebinds whatever workspace it
-// finds to the requested graph, so one pool serves full-graph queries
-// and the per-query projected subgraphs alike. Safety across reuses
-// rests on epoch stamping (see Workspace.bind); each checkout
-// additionally bumps the workspace's generation stamp so leakage bugs
-// are attributable in tests. Results and Tallies are reused only at
-// exactly the size asked for (a pooled one of another size is dropped),
-// so projected queries, whose sizes differ from query to query,
-// allocate as they would without the pool. They come back clean: a
-// Result is Reset on the way in, in O(settled nodes), and a Tally must
-// be returned all zeros.
+// finds to the requested graph, so one pool serves full-graph runs and
+// the per-query projected subgraphs alike. Safety across reuses rests
+// on epoch stamping (see Workspace.bind); each checkout additionally
+// bumps the workspace's generation stamp so leakage bugs are
+// attributable in tests.
+//
+// A pool made by NewPoolFor(n) serves one graph of n nodes: it recycles
+// Results and Tallies of exactly that size and nothing else. Other
+// sizes — a query's projected subgraph, different every time — are
+// allocated on Get and dropped on Put, so they never evict the
+// graph-sized state that is expensive to rebuild. They come back
+// clean: a Result is Reset on the way in, in O(settled nodes), and a
+// Tally must be returned all zeros.
 //
 // A nil *Pool is valid: Get allocates a fresh workspace and Put drops
 // it, so un-pooled paths need no branches at the call sites.
@@ -31,12 +34,24 @@ type Pool struct {
 	p       sync.Pool
 	results sync.Pool
 	tallies sync.Pool
+	// n is the only Result/Tally size recycled; -1 means any size.
+	n int
 }
 
-// NewPool returns an empty pool.
-func NewPool() *Pool {
-	return &Pool{p: sync.Pool{New: func() any { return &Workspace{} }}}
+// NewPool returns an empty pool that recycles Results and Tallies of
+// any size, a Get of another size dropping the pooled entry it finds.
+// Only the benchmark's traced replay still uses it; the program's own
+// pools are NewPoolFor.
+func NewPool() *Pool { return NewPoolFor(-1) }
+
+// NewPoolFor returns an empty pool for one graph of n nodes; n < 0 is
+// NewPool.
+func NewPoolFor(n int) *Pool {
+	return &Pool{p: sync.Pool{New: func() any { return &Workspace{} }}, n: max(n, -1)}
 }
+
+// recycles reports whether the pool keeps state for graphs of n nodes.
+func (p *Pool) recycles(n int) bool { return p != nil && (p.n < 0 || p.n == n) }
 
 // Get returns a workspace bound to g, recycling a pooled one when
 // available. The caller owns it until Put.
@@ -69,7 +84,7 @@ func (p *Pool) Put(w *Workspace) {
 // GetResult returns an empty Result for graphs of n nodes, recycling a
 // pooled one of exactly that size when there is one.
 func (p *Pool) GetResult(n int) *Result {
-	if p != nil {
+	if p.recycles(n) {
 		if r, _ := p.results.Get().(*Result); r != nil && len(r.pos) == n {
 			return r
 		}
@@ -77,10 +92,10 @@ func (p *Pool) GetResult(n int) *Result {
 	return NewResult(n)
 }
 
-// PutResult resets r and pools it; the caller must hold no reference to
-// it afterwards. A nil pool drops it.
+// PutResult resets r and pools it when the pool recycles its size; the
+// caller must hold no reference to it afterwards.
 func (p *Pool) PutResult(r *Result) {
-	if p == nil || r == nil {
+	if r == nil || !p.recycles(len(r.pos)) {
 		return
 	}
 	r.Reset()
@@ -90,7 +105,7 @@ func (p *Pool) PutResult(r *Result) {
 // GetTally returns an all-zero Tally for graphs of n nodes, recycling a
 // pooled one of exactly that size when there is one.
 func (p *Pool) GetTally(n int) *Tally {
-	if p != nil {
+	if p.recycles(n) {
 		if t, _ := p.tallies.Get().(*Tally); t != nil && len(t.Count) == n {
 			return t
 		}
@@ -98,10 +113,10 @@ func (p *Pool) GetTally(n int) *Tally {
 	return NewTally(n)
 }
 
-// PutTally pools t, which must be all zeros again: every Result added
-// to it has been removed. A nil pool drops it.
+// PutTally pools t, which must be all zeros again (every Result added
+// to it has been removed), when the pool recycles its size.
 func (p *Pool) PutTally(t *Tally) {
-	if p == nil || t == nil {
+	if t == nil || !p.recycles(len(t.Count)) {
 		return
 	}
 	p.tallies.Put(t)

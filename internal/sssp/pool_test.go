@@ -35,7 +35,7 @@ func resultEqual(t *testing.T, g *graph.Graph, a, b *Result) {
 func TestPoolReuseNoLeakage(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := randomGraph(t, rng, 200, 900)
-	pool := NewPool()
+	pool := NewPoolFor(g.NumNodes())
 
 	// Query A: saturate the workspace's scratch from many seeds.
 	wsA := pool.Get(g)
@@ -70,7 +70,7 @@ func TestPoolRebindAcrossGraphs(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	big := randomGraph(t, rng, 300, 1200)
 	small := randomGraph(t, rng, 40, 200)
-	pool := NewPool()
+	pool := NewPoolFor(big.NumNodes())
 
 	ws := pool.Get(big)
 	res := NewResult(big.NumNodes())
@@ -105,7 +105,7 @@ func TestPoolConcurrentGet(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	g := randomGraph(t, rng, 120, 500)
 	oracle := floyd(g, false) // oracle[v][seed] = dist(v, seed), the Reverse semantics
-	pool := NewPool()
+	pool := NewPoolFor(g.NumNodes())
 
 	done := make(chan error, 16)
 	for w := 0; w < 16; w++ {

@@ -3,6 +3,7 @@ package sssp
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"commdb/internal/graph"
@@ -60,7 +61,9 @@ func randomSeeds(rng *rand.Rand, n, k int) []Seed {
 // TestRunTowardExact: on graphs with zero, tiny and wildly mixed
 // weights, and Rmax set exactly at a computed two-sided sum, RunToward
 // settles every node with ds + dt ≤ Rmax with the distance, source and
-// via hop of the unpruned Run, and so keeps the same two-sided set.
+// via hop of the unpruned Run, and so keeps the same two-sided set. A
+// tail of one run per target settles exactly what the tail of the one
+// run from all targets does.
 func TestRunTowardExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	pruned := 0
@@ -92,9 +95,23 @@ func TestRunTowardExact(t *testing.T) {
 		tail, ref, got := NewResult(n), NewResult(n), NewResult(n)
 		ws.Run(Reverse, dst, Widen(rmax, n), tail)
 		ws.Run(Forward, src, rmax, ref)
-		ws.RunToward(Forward, src, rmax, got, tail)
+		var one, split Tail
+		one.Reset(n, tail)
+		ws.RunToward(Forward, src, rmax, got, &one)
 		if got.Len() < ref.Len() {
 			pruned++
+		}
+		var runs []*Result
+		for _, s := range dst {
+			r := NewResult(n)
+			ws.Run(Reverse, []Seed{s}, Widen(rmax, n), r)
+			runs = append(runs, r)
+		}
+		split.Reset(n, runs...)
+		viaSplit := NewResult(n)
+		ws.RunToward(Forward, src, rmax, viaSplit, &split)
+		if !slices.Equal(viaSplit.Visited(), got.Visited()) {
+			t.Fatalf("trial %d: a tail of %d runs settled %v, the one run %v", trial, len(dst), viaSplit.Visited(), got.Visited())
 		}
 		kept := func(r *Result, u graph.NodeID) bool {
 			ds, ok := r.Dist(u)
@@ -129,7 +146,7 @@ func TestPoolRecyclesResultsAndTallies(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	g := randomGraph(t, rng, 120, 500)
 	n := g.NumNodes()
-	pool := NewPool()
+	pool := NewPoolFor(n)
 	ws := NewWorkspace(g)
 
 	r := pool.GetResult(n)

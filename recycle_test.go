@@ -4,7 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
+
+	"commdb/internal/sssp"
 )
 
 // panicRanker fails every cost evaluation: a stand-in for a buggy
@@ -104,5 +107,50 @@ func TestRecyclingAfterAbnormalEnds(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestWarmPlainTopKRecyclesGraphSizedState: a plain query draws
+// G_D-sized results for its projection and G_P-sized ones for its
+// engine from the one Searcher pool. The pool recycles only the
+// G_D-sized ones, so G_P-sized requests never evict them, and a warm
+// query allocates less than one G_D-sized result.
+func TestWarmPlainTopKRecyclesGraphSizedState(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled items at random under the race detector")
+	}
+	db, err := GenerateDBLP(2000, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, _, err := GraphFromDatabase(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := mustOpen(t, g, WithParallelism(1))
+	q := Query{Keywords: []string{"database", "graph"}, Rmax: 6}
+	run := func() {
+		it, err := s.TopK(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustCollect(t, it, 10)
+	}
+	for i := 0; i < 5; i++ {
+		run()
+	}
+	const queries = 20
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < queries; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	perQuery := (after.TotalAlloc - before.TotalAlloc) / queries
+	resultBytes := uint64(sssp.NewResult(g.NumNodes()).Bytes())
+	t.Logf("%d nodes: %d bytes allocated per warm query, an n-sized result is %d", g.NumNodes(), perQuery, resultBytes)
+	if perQuery >= resultBytes {
+		t.Fatalf("a warm plain TopK allocates %d bytes, at least one %d-byte G_D-sized result", perQuery, resultBytes)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"io"
 	"math"
 	"runtime"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -177,11 +176,13 @@ func (n Query) fingerprint() string {
 	return b.String()
 }
 
-// Searcher answers community queries over one graph. A plain Searcher
-// scans the graph per query; an indexed Searcher (Open with WithIndex
-// or WithIndexReader) first projects a small query-specific subgraph
-// using the paper's inverted indexes, which is dramatically faster on
-// large graphs, with identical results.
+// Searcher answers community queries over one graph. Every query first
+// projects a small query-specific subgraph G_P and runs the paper's
+// algorithms on it, with the results of running them on the whole
+// graph (Section VI). An indexed Searcher (Open with WithIndex or
+// WithIndexReader) finds G_P from the paper's inverted indexes without
+// touching the graph; a plain one finds it from the per-keyword
+// shortest-path runs over the graph that engine init has always paid.
 //
 // A Searcher is safe for concurrent use; each query gets its own
 // engine, and all queries share one pool of graph-sized state
@@ -275,7 +276,7 @@ func Open(g *Graph, opts ...Option) (*Searcher, error) {
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
 	}
-	s := &Searcher{g: g, pool: sssp.NewPool(), par: par}
+	s := &Searcher{g: g, pool: sssp.NewPoolFor(g.NumNodes()), par: par}
 	switch {
 	case cfg.buildIndex:
 		ix, err := index.Build(g, index.BuildOptions{R: cfg.indexRmax})
@@ -373,12 +374,13 @@ func (s *Searcher) KeywordArtifacts() KeywordArtifactStats {
 	}
 }
 
-// session holds one query's execution state: the (possibly projected)
-// engine plus the mapping back to the searcher's graph.
+// session holds one query's execution state: the engine, which runs on
+// the query's projection G_P, plus the mapping back to the searcher's
+// graph.
 type session struct {
 	s   *Searcher
 	eng *core.Engine
-	sub *graph.Subgraph // nil when running directly on s.g
+	sub *graph.Subgraph
 	// tr is the query's trace (nil when the context carries none).
 	tr *obs.Trace
 }
@@ -410,35 +412,25 @@ func (s *Searcher) newSession(ctx context.Context, algo Algorithm, q Query) (*se
 		})
 	}
 	bud := govern.New(ctx, q.Limits)
-	sess := &session{s: s, tr: tr}
-	target := s.g
-	var ft *fulltext.Index = s.ft
+	var proj *index.Projection
+	var err error
 	if s.ix != nil {
 		if q.Rmax > s.ix.R() {
 			return nil, fmt.Errorf("commdb: Rmax %v exceeds the index radius %v given to WithIndex", q.Rmax, s.ix.R())
 		}
-		proj, err := s.ix.ProjectTrace(q.Keywords, q.Rmax, bud, tr)
-		if err != nil {
-			return nil, err
-		}
-		sess.sub = proj.Sub
-		target = proj.Sub.G
-		ft = nil // projected graphs are small; scanning is fine
+		proj, err = s.ix.ProjectTrace(q.Keywords, q.Rmax, bud, tr)
+	} else {
+		proj, err = s.projectPlain(q, bud, tr)
 	}
+	if err != nil {
+		return nil, err
+	}
+	sess := &session{s: s, sub: proj.Sub, tr: tr}
 	endInit := tr.StartSpan("engine_init")
-	ecfg := core.EngineConfig{Pool: s.pool, Parallelism: s.par}
-	// Keyword artifacts stand in for full-set runs only on un-projected
-	// execution (projection remaps node ids) and only when the query
-	// carries no work-shape limits: an artifact hit performs none of the
-	// live run's relaxation work, so budgets bounding that work would
-	// trip at different points than cold execution and break the
-	// byte-identity contract. FullSet itself rejects radii beyond the
-	// store's.
-	if s.kc != nil && sess.sub == nil &&
-		q.Limits.MaxRelaxations == 0 && q.Limits.MaxHeapBytes == 0 {
-		ecfg.Neighbors = s.kc
-	}
-	eng, err := core.NewEngineCfg(target, ft, q.Keywords, q.Rmax, ecfg)
+	// Projected graphs are small: the engine finds keyword nodes by
+	// scanning, and serves its full sets live.
+	eng, err := core.NewEngineCfg(proj.Sub.G, nil, q.Keywords, q.Rmax,
+		core.EngineConfig{Pool: s.pool, Parallelism: s.par})
 	if err != nil {
 		return nil, err
 	}
@@ -453,6 +445,38 @@ func (s *Searcher) newSession(ctx context.Context, algo Algorithm, q Query) (*se
 	return sess, nil
 }
 
+// projectPlain is a plain query's projection (Section VI without the
+// index): the l full keyword-set runs over the searcher's graph, fanned
+// across the workers and charged and traced as engine runs, then
+// index.ProjectSets. The runs go to index.TailRadius, the widened
+// radius the projection needs, and the keyword artifact store serves
+// them when the query carries no work-shape limits: an artifact hit
+// performs none of the live run's relaxation work, so budgets bounding
+// that work would trip at different points than cold execution.
+//
+// A plain query's stop reason belongs to its iterator, as it always
+// has: when the budget trips here, the query gets the empty projection
+// and its first Next reports the reason.
+func (s *Searcher) projectPlain(q Query, bud *govern.Budget, tr *obs.Trace) (*index.Projection, error) {
+	defer tr.StartSpan("project")()
+	cfg := core.EngineConfig{Pool: s.pool, Parallelism: s.par}
+	if s.kc != nil && q.Limits.MaxRelaxations == 0 && q.Limits.MaxHeapBytes == 0 {
+		cfg.Neighbors = s.kc
+	}
+	eng, err := core.NewEngineCfg(s.g, s.ft, q.Keywords, index.TailRadius(q.Rmax, s.g.NumNodes()), cfg)
+	if err != nil {
+		return nil, err
+	}
+	defer eng.Close()
+	eng.SetBudget(bud)
+	eng.SetTrace(tr)
+	proj, err := index.ProjectSets(s.g, eng.FullSets(), q.Rmax, s.pool, bud, tr)
+	if err != nil && bud.Err() != nil {
+		return index.Empty(s.g), nil
+	}
+	return proj, err
+}
+
 // recoverQueryPanic converts a panic escaping an internal query loop
 // into an error at the public boundary, so an engine bug fails one
 // query instead of the process.
@@ -461,13 +485,10 @@ func recoverQueryPanic(p any) error {
 }
 
 // mapBack translates a community from the projected ID space to the
-// searcher's graph and re-induces its edges over the full graph (the
+// searcher's graph and re-induces its edges over the full graph (a
 // projection preserves all distances but may omit induced edges that
 // lie on no short center→keyword path).
 func (sess *session) mapBack(r *Community) *Community {
-	if sess.sub == nil {
-		return r
-	}
 	toParent := sess.sub.ToParent
 	mapped := &Community{
 		Core:   mapIDs(r.Core, toParent),
@@ -480,20 +501,13 @@ func (sess *session) mapBack(r *Community) *Community {
 	// ToParent is ascending and GetCommunity emits its node lists sorted,
 	// so the mapped ones are too. Re-induce edges over the parent graph.
 	for _, u := range mapped.Nodes {
-		for _, e := range sess.s.g.OutEdges(u) {
-			if _, in := slices.BinarySearch(mapped.Nodes, e.To); in {
-				mapped.Edges = append(mapped.Edges, EdgePair{From: u, To: e.To})
-			}
-		}
+		mapped.Edges = graph.AppendInducedEdges(mapped.Edges, sess.s.g, u, mapped.Nodes)
 	}
 	return mapped
 }
 
 // mapBackCore translates one core to the searcher's graph.
 func (sess *session) mapBackCore(cc CoreCost) CoreCost {
-	if sess.sub == nil {
-		return cc
-	}
 	return CoreCost{Core: mapIDs(cc.Core, sess.sub.ToParent), Cost: cc.Cost}
 }
 
